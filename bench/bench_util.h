@@ -168,7 +168,7 @@ inline AggregateCoverage AggregateOverDataset(
     const fuzzer::StrategyConfig& strategy, int execs, uint64_t seed,
     int points = 20, int workers = 0, int islands = 1,
     int exchange_interval = 0, int migration_top_k = 2, int wave_size = 0,
-    int backend_workers = 0, bool stream = false,
+    bool stream = false,
     evm::DispatchMode dispatch = evm::DispatchMode::kDecoded,
     int fanout = 0) {
   AggregateCoverage agg;
@@ -185,7 +185,6 @@ inline AggregateCoverage AggregateOverDataset(
     options.migration_top_k = migration_top_k;
     options.wave_size = wave_size;
     options.fanout = fanout;
-    options.backend_workers = backend_workers;
     outcomes = StreamJobs(jobs, options);
   } else {
     engine::RunnerOptions options;
@@ -194,7 +193,6 @@ inline AggregateCoverage AggregateOverDataset(
     options.migration_top_k = migration_top_k;
     options.wave_size = wave_size;
     options.fanout = fanout;
-    options.backend_workers = backend_workers;
     outcomes = engine::RunBatch(jobs, options);
   }
   int counted = 0;

@@ -24,28 +24,27 @@ int main(int argc, char** argv) {
   // every contract as a 2-island group with cross-island seed migration.
   int exchange_interval = argc > 5 ? std::atoi(argv[5]) : 0;
   int islands = exchange_interval > 0 ? 2 : 1;
-  // Optional wave pipeline: wave size W and async execution workers per
-  // campaign. Results depend on W (documented wave semantics) but are
-  // bit-for-bit identical across runner and backend worker counts.
+  // Optional wave pipeline: wave size W per campaign. Results depend on W
+  // (documented wave semantics) but are bit-for-bit identical across
+  // runner worker counts.
   int wave_size = argc > 6 ? std::atoi(argv[6]) : 0;
-  int backend_workers = argc > 7 ? std::atoi(argv[7]) : 0;
   // Optional submission mode: non-zero streams jobs one at a time into a
   // live FuzzService instead of the batch compat shim — identical output
   // by the service determinism contract (the reproduce harness diffs it).
-  bool stream = argc > 8 && std::atoi(argv[8]) != 0;
+  bool stream = argc > 7 && std::atoi(argv[7]) != 0;
   // Optional dispatch tier: non-zero runs every campaign's interpreter in
   // kJit mode (tier-compiled native code; decoded fallback elsewhere). The
   // reproduce harness diffs this against the decoded golden — the tier must
   // never change a single output line.
   mufuzz::evm::DispatchMode dispatch =
-      (argc > 9 && std::atoi(argv[9]) != 0)
+      (argc > 8 && std::atoi(argv[8]) != 0)
           ? mufuzz::evm::DispatchMode::kJit
           : mufuzz::evm::DispatchMode::kDecoded;
   // Optional speculative fan-out: K parents expanded per campaign round.
   // Like W, K changes results (it is part of the reproducibility key), so
   // the reproduce harness diffs a fixed K across worker counts rather than
   // against the serial golden.
-  int fanout = argc > 10 ? std::atoi(argv[10]) : 0;
+  int fanout = argc > 9 ? std::atoi(argv[9]) : 0;
   auto wall_start = std::chrono::steady_clock::now();
 
   auto small = mufuzz::corpus::BuildD1Small(small_n, seed);
@@ -64,10 +63,11 @@ int main(int argc, char** argv) {
                 "executions\n",
                 islands, exchange_interval);
   }
-  if (wave_size > 0 || backend_workers > 0) {
+  if (wave_size > 0) {
     // "worker" keeps this line inside the CI diff's volatile-line filter.
-    std::printf("wave pipeline: W=%d, %d backend worker(s) per campaign\n",
-                wave_size, backend_workers);
+    std::printf("wave pipeline: W=%d per campaign (worker-count "
+                "independent)\n",
+                wave_size);
   }
   if (stream) {
     // "worker" keeps this line inside the CI diff's volatile-line filter.
@@ -91,15 +91,14 @@ int main(int argc, char** argv) {
   for (const auto& tool : tools) {
     double s = AggregateOverDataset(small, tool, 400, seed, /*points=*/20,
                                     workers, islands, exchange_interval,
-                                    /*migration_top_k=*/2, wave_size,
-                                    backend_workers, stream, dispatch, fanout)
+                                    /*migration_top_k=*/2, wave_size, stream,
+                                    dispatch, fanout)
                    .mean_final *
                100.0;
     double l = AggregateOverDataset(large, tool, 500, seed + 777,
                                     /*points=*/20, workers, islands,
                                     exchange_interval, /*migration_top_k=*/2,
-                                    wave_size, backend_workers, stream,
-                                    dispatch, fanout)
+                                    wave_size, stream, dispatch, fanout)
                    .mean_final *
                100.0;
     std::printf("%-12s %15.1f%% %15.1f%% %9.1f%%\n", tool.name.c_str(), s, l,

@@ -13,7 +13,6 @@
 #include "corpus/builtin.h"
 #include "corpus/generator.h"
 #include "engine/parallel_runner.h"
-#include "evm/async_backend.h"
 #include "evm/code_cache.h"
 #include "evm/execution_backend.h"
 #include "evm/executor.h"
@@ -189,31 +188,20 @@ void BM_DispatchLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchLoop)->Arg(0)->Arg(1)->Arg(2);
 
-/// The execution layer's hot path from the wave-pipeline PR onward: a batch
-/// of 16 sequence plans through ExecuteSequenceBatch. Arg = backend workers
-/// (0 = in-process SessionBackend, the serial reference; N = async adapter
-/// draining the batch on N workers). On multi-core hardware the async rows
-/// divide by the worker count; outcomes are identical either way.
+/// The execution layer's hot path: a batch of 16 sequence plans through
+/// ExecuteSequenceBatch on the in-process SessionBackend, with the outcome
+/// buffers recycled between iterations as the campaign loop does.
 void BM_ExecuteSequenceBatch(benchmark::State& state) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
   fuzzer::FuzzingHost host(/*seed=*/1, /*failure_probability=*/0.25,
                            /*max_reentries=*/2);
-  const int backend_workers = static_cast<int>(state.range(0));
-  std::unique_ptr<evm::ExecutionBackend> backend;
-  if (backend_workers == 0) {
-    backend = std::make_unique<evm::SessionBackend>();
-  } else {
-    evm::AsyncBackendAdapter::Options options;
-    options.workers = backend_workers;
-    backend = std::make_unique<evm::AsyncBackendAdapter>(options);
-  }
-  backend->Bind(&host);
+  evm::SessionBackend backend(&host);
   Address deployer = Address::FromUint(0xd0);
-  backend->FundAccount(deployer, U256::PowerOfTen(24));
-  auto addr = backend->DeployContract(artifact->runtime_code,
-                                      artifact->ctor_code, {}, deployer,
-                                      U256(0));
-  backend->MarkDeployed();
+  backend.FundAccount(deployer, U256::PowerOfTen(24));
+  auto addr = backend.DeployContract(artifact->runtime_code,
+                                     artifact->ctor_code, {}, deployer,
+                                     U256(0));
+  backend.MarkDeployed();
 
   fuzzer::AbiCodec codec(&artifact->abi, {deployer});
   std::vector<evm::SequencePlan> plans;
@@ -235,14 +223,15 @@ void BM_ExecuteSequenceBatch(benchmark::State& state) {
     plans.push_back(std::move(plan));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend->ExecuteSequenceBatch(
-        std::span<const evm::SequencePlan>(plans.data(), plans.size())));
+    std::vector<evm::SequenceOutcome> outcomes =
+        backend.ExecuteSequenceBatch(plans);
+    benchmark::DoNotOptimize(outcomes.data());
+    backend.RecycleOutcomes(std::move(outcomes));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plans.size()));
 }
-BENCHMARK(BM_ExecuteSequenceBatch)->Arg(0)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ExecuteSequenceBatch)->Unit(benchmark::kMicrosecond);
 
 /// A complete fuzzing campaign (the unit of every table/figure run).
 /// Arg 0 = decoded dispatch, Arg 1 = JIT tier at the default threshold —
@@ -261,11 +250,8 @@ void BM_CampaignHundredExecs(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignHundredExecs)->Arg(0)->Arg(1);
 
-/// The staged campaign loop against BM_CampaignHundredExecs: wave size 8,
-/// Arg = async backend workers (0 = synchronous SessionBackend — measures
-/// pure pipeline overhead; N > 0 overlaps mutation with execution on N
-/// workers). Identical results at every Arg; the wall-clock difference is
-/// the point.
+/// The staged campaign loop against BM_CampaignHundredExecs at wave size 8:
+/// what the plan-ahead/apply-behind schedule costs over the serial loop.
 void BM_PipelinedCampaign(benchmark::State& state) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
   for (auto _ : state) {
@@ -273,19 +259,15 @@ void BM_PipelinedCampaign(benchmark::State& state) {
     config.seed = 1;
     config.max_executions = 100;
     config.wave_size = 8;
-    config.async_workers = static_cast<int>(state.range(0));
     benchmark::DoNotOptimize(fuzzer::RunCampaign(*artifact, config));
   }
 }
-BENCHMARK(BM_PipelinedCampaign)->Arg(0)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelinedCampaign)->Unit(benchmark::kMillisecond);
 
-/// Speculative multi-parent expansion over the async hub: Arg = fan-out K
-/// (parents expanded per round, one wave per parent in flight). K=1 is the
-/// serial parent chain on the same substrate — the baseline the wider rows
-/// beat by keeping more independent work queued at the execution workers.
-/// Results depend on K (it is part of the reproducibility key) but, per
-/// row, never on the workers draining the hub.
+/// Speculative multi-parent expansion: Arg = fan-out K (parents expanded per
+/// round, one wave per parent in flight). K=1 is the serial parent chain —
+/// the baseline for what the wider schedules cost. Results depend on K (it
+/// is part of the reproducibility key).
 void BM_SpeculativeCampaign(benchmark::State& state) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
   for (auto _ : state) {
@@ -294,7 +276,6 @@ void BM_SpeculativeCampaign(benchmark::State& state) {
     config.max_executions = 100;
     config.wave_size = 8;
     config.fanout = static_cast<int>(state.range(0));
-    config.async_workers = 4;
     benchmark::DoNotOptimize(fuzzer::RunCampaign(*artifact, config));
   }
 }
@@ -303,6 +284,8 @@ BENCHMARK(BM_SpeculativeCampaign)->Arg(1)->Arg(2)->Arg(4)
 
 /// A batch of campaigns through the engine layer at varying worker counts —
 /// the fan-out path every table/figure bench now rides on. Arg = workers.
+/// Multi-threaded, so it reports wall time: main-thread CPU time would
+/// leave out the workers.
 void BM_ParallelBatchCampaigns(benchmark::State& state) {
   std::vector<engine::FuzzJob> jobs;
   for (int i = 0; i < 8; ++i) {
@@ -322,7 +305,7 @@ void BM_ParallelBatchCampaigns(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelBatchCampaigns)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// Per-sequence rewind cost: populate a state with Arg0 accounts, mark it,
 /// then repeatedly touch Arg1 slots and rewind. The claim under test: the

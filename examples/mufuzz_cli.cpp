@@ -88,8 +88,7 @@ void PrintStats(const engine::ServiceStats& s) {
   std::printf("stats submitted=%llu admitted=%llu rejected_global=%llu "
               "rejected_tenant=%llu completed=%llu cancelled=%llu "
               "deadline_hits=%llu rounds=%llu live=%zu queued=%zu "
-              "executions=%llu execs_per_sec=%.1f hub_workers=%d "
-              "hub_queue=%zu/%zu sessions=%zu\n",
+              "executions=%llu execs_per_sec=%.1f sessions=%zu\n",
               static_cast<unsigned long long>(s.submitted),
               static_cast<unsigned long long>(s.admitted),
               static_cast<unsigned long long>(s.rejected_global),
@@ -99,8 +98,7 @@ void PrintStats(const engine::ServiceStats& s) {
               static_cast<unsigned long long>(s.deadline_hits),
               static_cast<unsigned long long>(s.rounds), s.live_jobs,
               s.queued_jobs, static_cast<unsigned long long>(s.executions),
-              s.executions_per_sec, s.hub_workers, s.hub_queue_depth,
-              s.hub_queue_capacity, s.sessions_created);
+              s.executions_per_sec, s.sessions_created);
   for (const engine::TenantStats& t : s.tenants) {
     std::printf("tenant name=%s submitted=%llu admitted=%llu rejected=%llu "
                 "completed=%llu cancelled=%llu deadline_hits=%llu "

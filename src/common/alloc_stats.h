@@ -14,8 +14,8 @@ namespace mufuzz {
 /// invariant: the allocation-regression test and the per-wave counters in
 /// Campaign::Progress / JobProgress both read these. Counters are relaxed
 /// atomics — cheap enough to leave on in Release, monotone, and summed
-/// across all threads (hub workers included, which is the point: a wave's
-/// allocations happen on worker threads).
+/// across all threads (service workers included: a campaign's allocations
+/// happen on whichever worker runs its round).
 struct AllocCounters {
   uint64_t allocs = 0;    ///< operator new calls
   uint64_t deallocs = 0;  ///< operator delete calls

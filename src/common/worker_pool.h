@@ -14,23 +14,13 @@ namespace mufuzz {
 /// A small persistent thread pool. Threads are spawned once at construction
 /// and reused for every task, replacing the spawn/join-per-round pattern the
 /// island rounds used to pay (thread creation is microseconds, but a round
-/// can be sub-millisecond, and the async execution backend needs long-lived
-/// workers anyway — see AsyncBackendAdapter).
+/// can be sub-millisecond).
 ///
-/// Two usage modes, both deterministic from the caller's point of view:
-///  - ParallelEach(count, fn): fork-join. fn(0..count) is drained from a
-///    shared counter by min(size(), count) bodies — up to size()-1 pool
-///    threads plus the calling thread — and a std::barrier holds the caller
-///    until every index completed. Which thread runs which index is
-///    scheduling-dependent; callers must keep fn independent per index
-///    (write to disjoint slots), exactly as with the old spawn/join helper.
-///  - Post(task): fire-and-forget. Used for long-running worker loops (the
-///    async backend's drainers); the caller is responsible for its own
-///    completion/shutdown signalling.
-///
-/// Do not call ParallelEach while previously Post()ed tasks may occupy every
-/// thread indefinitely — the fork-join helpers would never be scheduled and
-/// only the calling thread would make progress. Keep pools single-purpose.
+/// ParallelEach(count, fn) is fork-join: fn(0..count) is drained from a
+/// shared counter by min(size(), count) bodies — up to size()-1 pool threads
+/// plus the calling thread — and a std::barrier holds the caller until every
+/// index completed. Which thread runs which index is scheduling-dependent;
+/// callers must keep fn independent per index (write to disjoint slots).
 class WorkerPool {
  public:
   /// Spawns `threads` workers (minimum 1).
@@ -42,15 +32,14 @@ class WorkerPool {
 
   int size() const { return static_cast<int>(threads_.size()); }
 
-  /// Enqueues a task for any free worker.
-  void Post(std::function<void()> task);
-
   /// Runs fn(0..count) across the pool plus the calling thread and returns
   /// once all indices completed (barrier semantics, like the former
   /// spawn-and-join ForEachParallel).
   void ParallelEach(size_t count, const std::function<void(size_t)>& fn);
 
  private:
+  /// Enqueues a task for any free worker.
+  void Post(std::function<void()> task);
   void ThreadMain();
 
   std::vector<std::thread> threads_;

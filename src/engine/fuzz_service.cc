@@ -49,12 +49,6 @@ FuzzService::FuzzService(ServiceOptions options) : options_(options) {
   options_.round_quantum = std::max(1, options_.round_quantum);
   paused_ = options_.start_paused;
   last_metrics_log_ = Clock::now();
-  if (options_.backend_workers > 0 && options_.share_backend) {
-    evm::AsyncExecutionHub::Options hub_options;
-    hub_options.workers = options_.backend_workers;
-    hub_ = std::make_unique<evm::AsyncExecutionHub>(
-        hub_options, options_.reuse_sessions ? &session_pool_ : nullptr);
-  }
   pool_ = std::make_unique<WorkerPool>(workers_);
   coordinator_ = std::thread([this] { CoordinatorMain(); });
 }
@@ -69,9 +63,6 @@ FuzzService::~FuzzService() {
   }
   work_cv_.notify_all();
   if (coordinator_.joinable()) coordinator_.join();
-  // Members are destroyed in reverse declaration order: job records (and
-  // their hub-bound adapters) before hub_, which the hub's destructor
-  // requires.
 }
 
 // ------------------------------------------------------------- Validation --
@@ -80,11 +71,6 @@ Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
   if (options_.wave_size < 0) {
     return Status::InvalidArgument(
         "ServiceOptions::wave_size must be >= 0 (0 = no override)");
-  }
-  if (options_.backend_workers < 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions::backend_workers must be >= 0 (0 = in-process "
-        "execution)");
   }
   if (options_.migration_top_k < 0) {
     return Status::InvalidArgument(
@@ -114,10 +100,10 @@ Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
                                    "\": CampaignConfig::fanout must be >= 0 "
                                    "(0/1 = the serial parent chain)");
   }
-  if (job.config.async_workers < 0) {
+  if (job.config.initial_seeds < 0) {
     return Status::InvalidArgument("job \"" + job.name +
-                                   "\": CampaignConfig::async_workers must "
-                                   "be >= 0 (0 = in-process execution)");
+                                   "\": CampaignConfig::initial_seeds must "
+                                   "be >= 0");
   }
   if (job.config.max_executions < 0) {
     return Status::InvalidArgument(
@@ -131,12 +117,6 @@ fuzzer::CampaignConfig FuzzService::EffectiveConfig(const FuzzJob& job) const {
   fuzzer::CampaignConfig config = job.config;
   if (options_.wave_size > 0) config.wave_size = options_.wave_size;
   if (options_.fanout > 0) config.fanout = options_.fanout;
-  if (options_.backend_workers > 0) {
-    // Shared hub: the campaign gets an external hub-bound adapter, so its
-    // own async_workers knob must not spin up a second backend. Private
-    // mode: the campaign owns an adapter with the requested width.
-    config.async_workers = hub_ != nullptr ? 0 : options_.backend_workers;
-  }
   return config;
 }
 
@@ -385,11 +365,6 @@ ServiceStats FuzzService::StatsLocked() const {
       stats.executions_per_sec =
           static_cast<double>(last.second - first.second) / seconds;
     }
-  }
-  if (hub_ != nullptr) {
-    stats.hub_workers = hub_->worker_count();
-    stats.hub_queue_depth = hub_->queue_depth();
-    stats.hub_queue_capacity = hub_->queue_capacity();
   }
   stats.sessions_created = session_pool_.created();
 
@@ -720,14 +695,13 @@ void FuzzService::SampleRoundLocked(
   std::fprintf(stderr,
                "[mufuzzd] execs=%llu execs/s=%.0f live=%zu queued=%zu "
                "rounds=%llu rejected=%llu/%llu deadline_hits=%llu "
-               "hub_queue=%zu/%zu tenants=[%s]\n",
+               "tenants=[%s]\n",
                static_cast<unsigned long long>(stats.executions),
                stats.executions_per_sec, stats.live_jobs, stats.queued_jobs,
                static_cast<unsigned long long>(stats.rounds),
                static_cast<unsigned long long>(stats.rejected_tenant),
                static_cast<unsigned long long>(stats.rejected_global),
                static_cast<unsigned long long>(stats.deadline_hits),
-               stats.hub_queue_depth, stats.hub_queue_capacity,
                tenants.c_str());
 }
 
@@ -768,19 +742,9 @@ void FuzzService::SetupStandalone(JobRecord* r) {
   auto start = Clock::now();
   ResolveArtifact(r);
   if (r->artifact != nullptr) {
-    evm::ExecutionBackend* backend = nullptr;
-    if (hub_ != nullptr) {
-      r->adapter = std::make_unique<evm::AsyncBackendAdapter>(hub_.get());
-      backend = r->adapter.get();
-    } else if (options_.backend_workers > 0) {
-      // Private-adapter mode: the campaign owns its backend
-      // (config.async_workers was set by EffectiveConfig).
-    } else if (options_.reuse_sessions) {
-      r->session = session_pool_.Acquire();
-      backend = r->session.get();
-    }
+    if (options_.reuse_sessions) r->session = session_pool_.Acquire();
     r->campaign = std::make_unique<fuzzer::Campaign>(
-        r->artifact, r->config, backend, nullptr, -1);
+        r->artifact, r->config, r->session.get(), nullptr, -1);
     r->campaign->SeedCorpus();
   }
   r->active_ms += MsBetween(start, Clock::now());
@@ -794,17 +758,10 @@ void FuzzService::CompileIslandMember(JobRecord* r) {
 
 void FuzzService::ConstructIslandMember(JobRecord* r) {
   auto start = Clock::now();
-  evm::ExecutionBackend* backend = nullptr;
-  if (hub_ != nullptr) {
-    r->adapter = std::make_unique<evm::AsyncBackendAdapter>(hub_.get());
-    backend = r->adapter.get();
-  }
-  // Non-hub modes: the campaign owns its backend — a private
-  // AsyncBackendAdapter (config.async_workers) or a SessionBackend. An
-  // island campaign's sessions must survive across rounds, so pooled
-  // leasing would pin them anyway.
+  // The campaign owns its SessionBackend: an island campaign's session must
+  // survive across rounds, so pooled leasing would pin it anyway.
   r->campaign = std::make_unique<fuzzer::Campaign>(
-      r->artifact, r->config, backend, r->queue, r->island_id);
+      r->artifact, r->config, nullptr, r->queue, r->island_id);
   r->campaign->SeedCorpus();
   r->active_ms += MsBetween(start, Clock::now());
 }
@@ -820,7 +777,6 @@ void FuzzService::FinalizeJob(JobRecord* r) {
   // the backend it unbinds on destruction) goes away.
   r->campaign.reset();
   if (r->session != nullptr) session_pool_.Release(std::move(r->session));
-  r->adapter.reset();
   r->active_ms += MsBetween(start, Clock::now());
 }
 
@@ -866,7 +822,7 @@ void FuzzService::MarkDoneLocked(JobRecord* r) {
   JobProgress& p = r->progress;
   p.state = JobState::kDone;
   // A finished job has nothing speculative left: the finalize path drained
-  // the set and applied (or accounted for) every submitted child.
+  // the set and applied every executed child.
   p.parents_in_flight = 0;
   p.inflight_executions = 0;
   if (r->outcome.result.has_value()) {

@@ -17,7 +17,6 @@
 
 #include "common/status.h"
 #include "common/worker_pool.h"
-#include "evm/async_backend.h"
 #include "evm/execution_backend.h"
 #include "fuzzer/campaign.h"
 #include "fuzzer/sharded_seed_scheduler.h"
@@ -120,9 +119,9 @@ struct JobProgress {
   /// (streamed standalone jobs park the whole set across rounds; 0 for
   /// island members, whose rounds drain, and once the job is done).
   int parents_in_flight = 0;
-  /// Executions submitted to the backend but not yet applied at snapshot
-  /// time — the speculative waves in flight, so progress keeps moving on
-  /// large waves instead of stalling at round boundaries. 0 once done.
+  /// Executions run but not yet applied at snapshot time — the
+  /// speculative waves in flight, so progress keeps moving on large waves
+  /// instead of stalling at round boundaries. 0 once done.
   uint64_t inflight_executions = 0;
   /// Set once the job finished via the cancel path.
   bool cancelled = false;
@@ -148,17 +147,13 @@ struct JobProgress {
 /// FuzzService knobs. The execution-semantics knobs (`wave_size`,
 /// `fanout`, `exchange_interval`, `migration_top_k`) are part of each
 /// job's reproducibility key; the scheduling knobs (`workers`,
-/// `round_quantum`, `backend_workers`, `share_backend`, `reuse_sessions`)
-/// never influence results.
+/// `round_quantum`, `reuse_sessions`) never influence results.
 struct ServiceOptions {
   /// Worker threads for campaign rounds; <= 0 means DefaultWorkerCount().
   int workers = 0;
   /// Lease execution sessions from the service's shared pool instead of
   /// allocating per campaign.
   bool reuse_sessions = true;
-  /// Retained for RunnerOptions compatibility. Worker-local randomness
-  /// never influences job results.
-  uint64_t worker_seed = 0x5eed;
   /// > 0 overrides every job's CampaignConfig::wave_size — the pipelined
   /// mode's wave width W (part of the reproducibility key).
   int wave_size = 0;
@@ -166,15 +161,6 @@ struct ServiceOptions {
   /// multi-parent expansion width K (part of the reproducibility key,
   /// exactly like wave_size; 1 = the serial parent chain).
   int fanout = 0;
-  /// > 0 runs every campaign over async execution workers. With
-  /// `share_backend` (default) one AsyncExecutionHub with this many
-  /// threads serves all campaigns; otherwise each campaign owns a private
-  /// AsyncBackendAdapter with this many threads.
-  int backend_workers = 0;
-  /// One shared execution hub for all pipelined campaigns (vs. a private
-  /// adapter per campaign). Scheduling-only: results are identical either
-  /// way.
-  bool share_backend = true;
   /// Sequence executions each island runs between migration rounds —
   /// SubmitIslandGroup requires it > 0.
   int exchange_interval = 0;
@@ -248,10 +234,6 @@ struct ServiceStats {
   uint64_t executions = 0;  ///< finished jobs + live progress snapshots
   /// Throughput over the recent round window (0 until two samples exist).
   double executions_per_sec = 0;
-  // Shared execution hub utilization (all zero without a shared hub).
-  int hub_workers = 0;
-  size_t hub_queue_depth = 0;
-  size_t hub_queue_capacity = 0;
   size_t sessions_created = 0;  ///< session-pool diagnostics
   std::vector<TenantStats> tenants;  ///< sorted by tenant name
 };
@@ -266,8 +248,8 @@ int DefaultWorkerCount();
 /// their progress, cancel them, and collect outcomes — the service keeps a
 /// persistent WorkerPool busy with whatever campaign rounds are ready,
 /// interleaving standalone jobs and island archipelagos on the same
-/// threads (and, in pipelined mode, sharing one AsyncExecutionHub across
-/// every campaign).
+/// threads. These workers are the only parallelism: each campaign round
+/// runs, execution included, on the one worker that picked it up.
 ///
 /// ## Scheduling model
 ///
@@ -288,8 +270,8 @@ int DefaultWorkerCount();
 /// fanout)` — independent of submission order, what else is running, worker
 /// count, scheduling, `round_quantum`, and other jobs being cancelled
 /// around it. A streamed job parks its whole speculative parent set (all K
-/// parents and their in-flight waves) across round boundaries, and Cancel
-/// drains that set — applying every submitted child in (parent rank, child
+/// parents and their unapplied waves) across round boundaries, and Cancel
+/// drains that set — applying every executed child in (parent rank, child
 /// index) order — before finalizing the partial result.
 /// An island member's result is a pure function of its *group's* jobs and
 /// the (exchange_interval, migration_top_k) pair — members are coupled by
@@ -311,9 +293,9 @@ class FuzzService {
 
   /// Admits one standalone job (FuzzJob::island_group is ignored). Fails —
   /// without admitting anything — on out-of-range config knobs: negative
-  /// `wave_size`, `async_workers`, or `max_executions` on the job, or
-  /// negative `wave_size` / `backend_workers` / `migration_top_k` on the
-  /// service options.
+  /// `wave_size`, `fanout`, `initial_seeds`, or `max_executions` on the
+  /// job, or negative `wave_size` / `fanout` / `migration_top_k` /
+  /// `step_slots` / `metrics_log_interval_ms` on the service options.
   Result<JobTicket> Submit(FuzzJob job);
 
   /// Admits `jobs` as one island archipelago: members run in lockstep
@@ -399,8 +381,7 @@ class FuzzService {
     // Filled by setup tasks.
     std::optional<lang::ContractArtifact> compiled;
     const lang::ContractArtifact* artifact = nullptr;
-    std::unique_ptr<evm::SessionBackend> session;       ///< pooled lease
-    std::unique_ptr<evm::AsyncBackendAdapter> adapter;  ///< hub binding
+    std::unique_ptr<evm::SessionBackend> session;  ///< pooled lease
     std::unique_ptr<fuzzer::Campaign> campaign;
 
     // Island members only.
@@ -486,7 +467,6 @@ class FuzzService {
   ServiceOptions options_;
   int workers_ = 1;
   evm::SessionPool session_pool_;
-  std::unique_ptr<evm::AsyncExecutionHub> hub_;  ///< shared pipelined mode
   std::unique_ptr<WorkerPool> pool_;
 
   mutable std::mutex mu_;

@@ -12,10 +12,8 @@ FuzzService* ParallelRunner::EnsureService() {
     ServiceOptions service_options;
     service_options.workers = options_.workers;
     service_options.reuse_sessions = options_.reuse_sessions;
-    service_options.worker_seed = options_.worker_seed;
     service_options.wave_size = options_.wave_size;
     service_options.fanout = options_.fanout;
-    service_options.backend_workers = options_.backend_workers;
     service_options.exchange_interval = options_.exchange_interval;
     service_options.migration_top_k = options_.migration_top_k;
     service_ = std::make_unique<FuzzService>(service_options);

@@ -18,10 +18,6 @@ struct RunnerOptions {
   /// Lease execution sessions from a shared pool and reuse them across
   /// jobs instead of allocating per campaign.
   bool reuse_sessions = true;
-  /// Base for worker-local Rng streams. Worker-local randomness never
-  /// influences job results — those are fully determined by each job's own
-  /// config.seed.
-  uint64_t worker_seed = 0x5eed;
   /// Sequence executions each island runs between migration rounds for jobs
   /// with a non-negative `island_group`. 0 (default) disables migration —
   /// grouped jobs then run as standalone.
@@ -38,19 +34,14 @@ struct RunnerOptions {
   /// multi-parent expansion width K. Like W, K is part of each job's
   /// reproducibility key; worker counts still never influence results.
   int fanout = 0;
-  /// > 0 runs every campaign over async execution workers — one shared
-  /// AsyncExecutionHub with this many threads serves the whole batch (see
-  /// ServiceOptions::share_backend).
-  int backend_workers = 0;
 };
 
 /// Batch compatibility shim over FuzzService: Run() submits every job
 /// (island groups via SubmitIslandGroup when `exchange_interval` > 0,
 /// everything else standalone), waits for all of them, and returns the
 /// outcomes in job order. All streaming semantics — interleaved standalone
-/// and island rounds on one pool, shared execution hub, per-job validation
-/// — come from the service; the batch call adds nothing but the blocking
-/// convenience.
+/// and island rounds on one pool, per-job validation — come from the
+/// service; the batch call adds nothing but the blocking convenience.
 ///
 /// Determinism: each outcome is exactly what the same job produces when
 /// streamed into a live service (or, for standalone jobs, what a plain
@@ -59,7 +50,7 @@ struct RunnerOptions {
 /// instead of being silently coerced; island groups are all-or-nothing per
 /// group.
 ///
-/// The service (its worker pool, session pool, and execution hub) persists
+/// The service (its worker pool and session pool) persists
 /// across Run() calls, so keeping one runner alive amortizes sessions over
 /// many batches.
 class ParallelRunner {

@@ -136,9 +136,9 @@ struct DecodedCode {
 
   /// kJit tier-up state, piggybacked on the cached decode so the compiled
   /// artifact is shared exactly like the IR is: per code hash, insert-only,
-  /// across sessions and hub replicas. All members are logically part of
-  /// the cache, not of the (otherwise immutable) decode — hence mutable,
-  /// and guarded as documented.
+  /// across sessions. All members are logically part of the cache, not of
+  /// the (otherwise immutable) decode — hence mutable, and guarded as
+  /// documented.
   struct JitState {
     /// Frames executed on this code across all sharers; drives tier-up.
     std::atomic<uint64_t> execs{0};
@@ -160,7 +160,7 @@ struct DecodedCode {
 std::shared_ptr<const DecodedCode> DecodeCode(BytesView code);
 
 /// Cumulative counters of one CodeCache. Hit/miss counts depend on how many
-/// sessions/replicas executed — they are observability, not semantics, and
+/// sessions executed — they are observability, not semantics, and
 /// are excluded from CampaignResult equality.
 struct CodeCacheStats {
   uint64_t entries = 0;
@@ -179,8 +179,8 @@ struct CodeCacheStats {
 };
 
 /// Content-addressed (keccak-of-code) cache of DecodedCode. Insert-only and
-/// mutex-protected, so hub worker replicas deploying the same contract share
-/// one decode per process instead of one per worker per execution. Decoding
+/// mutex-protected, so concurrent sessions deploying the same contract share
+/// one decode per process instead of one per session. Decoding
 /// runs outside the lock; when two threads race on the same code the first
 /// insert wins and both receive the same shared instance.
 class CodeCache {

@@ -8,41 +8,11 @@ namespace mufuzz::evm {
 
 std::vector<SequenceOutcome> ExecutionBackend::ExecuteSequenceBatch(
     std::span<const SequencePlan> plans) {
-  std::vector<SequenceOutcome> outcomes;
-  outcomes.reserve(plans.size());
-  for (const SequencePlan& plan : plans) {
-    outcomes.push_back(ExecuteSequence(plan));
+  std::vector<SequenceOutcome> outcomes = AcquireOutcomeBuffer(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    ExecuteSequenceInto(plans[i], &outcomes[i]);
   }
   return outcomes;
-}
-
-ExecutionBackend::BatchTicket ExecutionBackend::SubmitBatch(
-    std::vector<SequencePlan> plans) {
-  BatchTicket ticket = next_ticket_++;
-  PendingBatch pb;
-  pb.ticket = ticket;
-  pb.outcomes = AcquireOutcomeBuffer(plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    ExecuteSequenceInto(plans[i], &pb.outcomes[i]);
-  }
-  pb.plans = std::move(plans);
-  pending_.push_back(std::move(pb));
-  return ticket;
-}
-
-std::vector<SequenceOutcome> ExecutionBackend::WaitBatch(BatchTicket ticket) {
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].ticket != ticket) continue;
-    std::vector<SequenceOutcome> outcomes = std::move(pending_[i].outcomes);
-    StashSpentPlans(std::move(pending_[i].plans));
-    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(i));
-    return outcomes;
-  }
-  std::fprintf(stderr,
-               "fatal: WaitBatch(%llu) for an unknown or already-redeemed "
-               "ticket\n",
-               static_cast<unsigned long long>(ticket));
-  std::abort();
 }
 
 std::vector<SequenceOutcome> ExecutionBackend::AcquireOutcomeBuffer(size_t n) {
@@ -72,18 +42,6 @@ std::vector<SequenceOutcome> ExecutionBackend::AcquireOutcomeBuffer(size_t n) {
 void ExecutionBackend::RecycleOutcomes(std::vector<SequenceOutcome> outcomes) {
   if (outcome_pool_.size() >= kMaxPooledBuffers) return;
   outcome_pool_.push_back(std::move(outcomes));
-}
-
-void ExecutionBackend::StashSpentPlans(std::vector<SequencePlan> plans) {
-  if (plans.empty() || spent_plans_.size() >= kMaxPooledBuffers) return;
-  spent_plans_.push_back(std::move(plans));
-}
-
-std::vector<SequencePlan> ExecutionBackend::TakeSpentPlans() {
-  if (spent_plans_.empty()) return {};
-  std::vector<SequencePlan> plans = std::move(spent_plans_.back());
-  spent_plans_.pop_back();
-  return plans;
 }
 
 SessionBackend::SessionBackend(Host* host, BlockContext block,
@@ -177,26 +135,18 @@ CodeCacheStats SessionBackend::code_cache_stats() const {
   return session_->interpreter().code_cache()->stats();
 }
 
-const CodeCache* SessionBackend::code_cache() const {
-  if (!session_.has_value()) return nullptr;
-  return session_->interpreter().code_cache();
-}
-
 const WorldState& SessionBackend::state() const {
   CheckBound();
   return session_->state();
 }
 
-std::unique_ptr<SessionBackend> SessionPool::Acquire(Rng* rng) {
+std::unique_ptr<SessionBackend> SessionPool::Acquire() {
   std::lock_guard<std::mutex> lock(mu_);
   if (free_.empty()) {
     ++created_;
     return std::make_unique<SessionBackend>();
   }
-  size_t pick = rng != nullptr ? rng->NextBelow(free_.size())
-                               : free_.size() - 1;
-  std::unique_ptr<SessionBackend> backend = std::move(free_[pick]);
-  free_[pick] = std::move(free_.back());
+  std::unique_ptr<SessionBackend> backend = std::move(free_.back());
   free_.pop_back();
   return backend;
 }

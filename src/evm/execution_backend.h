@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "evm/code_cache.h"
 #include "evm/executor.h"
 #include "evm/trace.h"
@@ -28,7 +27,7 @@ struct PreparedTx {
 /// A fully encoded, self-contained unit of execution work: every transaction
 /// of one sequence plus the per-sequence environment seed the backend passes
 /// to Host::OnSequenceStart. Plans carry no pointers into fuzzer state, so
-/// they can be queued, shipped to worker threads, and executed in any order.
+/// they stay valid while the planner moves on and execute in any order.
 struct SequencePlan {
   uint64_t host_seed = 0;
   std::vector<PreparedTx> txs;
@@ -101,20 +100,16 @@ struct SequenceOutcome {
 /// The execution substrate a fuzzing campaign drives: deploy once, mark the
 /// deployed state, then execute arbitrarily many sequence plans, each from a
 /// fresh rewind of the mark. Pulling this behind an interface keeps the
-/// fuzzer layer ignorant of how state is hosted (an in-process ChainSession,
-/// a pool of worker sessions behind a queue, or an out-of-process EVM later)
-/// and lets worker pools recycle sessions between jobs.
+/// fuzzer layer ignorant of how state is hosted and lets worker pools
+/// recycle sessions between jobs.
 ///
-/// Execution is plan-in / outcome-out: callers hand over self-contained
-/// SequencePlans and receive self-contained SequenceOutcomes. The mutable
-/// "trace of the most recent Execute (and anything since)" accessors are
-/// gone from this interface — that contract cannot survive concurrency.
-///
-/// Ordering contract: ExecuteSequenceBatch and SubmitBatch/WaitBatch return
-/// outcomes in submission order, and every plan is executed in isolation
-/// (rewound to the MarkDeployed point, host re-armed via OnSequenceStart),
-/// so the outcome of plan i is independent of the other plans in the batch,
-/// of batch boundaries, and of which worker executes it.
+/// Execution is plan-in / outcome-out and synchronous: callers hand over
+/// self-contained SequencePlans and receive self-contained SequenceOutcomes.
+/// Every plan is executed in isolation (rewound to the MarkDeployed point,
+/// host re-armed via OnSequenceStart), so the outcome of a plan is
+/// independent of the other plans in its batch and of batch boundaries.
+/// Parallelism lives one layer up: whole campaigns run concurrently on the
+/// FuzzService workers, each over its own backend.
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
@@ -164,45 +159,17 @@ class ExecutionBackend {
     *out = ExecuteSequence(plan);
   }
 
-  /// Executes `plans` and returns their outcomes in submission order.
-  /// Default: a serial loop over ExecuteSequence; concurrent backends
-  /// override (or inherit via SubmitBatch) and may execute out of order —
-  /// the returned vector is always in submission order.
-  virtual std::vector<SequenceOutcome> ExecuteSequenceBatch(
+  /// Executes `plans` in order, each through ExecuteSequenceInto, and
+  /// returns their outcomes index-aligned with `plans`. The outcome vector
+  /// (and every outcome's trace/cmp capacity) comes from a recycle pool;
+  /// hand it back with RecycleOutcomes once consumed and the steady state
+  /// stops allocating.
+  std::vector<SequenceOutcome> ExecuteSequenceBatch(
       std::span<const SequencePlan> plans);
 
-  /// Handle for an in-flight batch.
-  using BatchTicket = uint64_t;
-
-  /// Submits a batch for (possibly asynchronous) execution and returns a
-  /// ticket to redeem with WaitBatch. Any number of tickets may be
-  /// outstanding at once — the speculative fan-out loop keeps one wave per
-  /// parent in flight — and implementations must not require redemption in
-  /// submission order. The default implementation executes synchronously at
-  /// submit time and stashes the outcomes, which makes the pipelined
-  /// campaign loop run unmodified — and bit-for-bit identically — over a
-  /// plain in-process backend.
-  virtual BatchTicket SubmitBatch(std::vector<SequencePlan> plans);
-
-  /// Blocks until the ticket's batch completed and returns its outcomes in
-  /// submission order. Each ticket may be redeemed exactly once, in any
-  /// order relative to other outstanding tickets.
-  virtual std::vector<SequenceOutcome> WaitBatch(BatchTicket ticket);
-
-  /// Returns redeemed outcome buffers to the backend's reuse pool; the next
-  /// SubmitBatch draws warm buffers from it instead of allocating. Client
-  /// thread only (the thread that calls SubmitBatch/WaitBatch), so the pools
-  /// need no locking. Pools are bounded; excess buffers are simply freed.
+  /// Returns a consumed batch's outcome buffers to the reuse pool. Pools
+  /// are bounded; excess buffers are simply freed.
   void RecycleOutcomes(std::vector<SequenceOutcome> outcomes);
-
-  /// Hands back the plans of a recently redeemed batch so the planner can
-  /// reuse their encoded-calldata capacity. Empty when none are stashed.
-  /// Client thread only.
-  std::vector<SequencePlan> TakeSpentPlans();
-
-  /// Execution workers behind this backend (1 for in-process backends);
-  /// callers may use it to size waves.
-  virtual int worker_count() const { return 1; }
 
   /// Counters of the code cache this backend decodes through (zeros when
   /// unbound). Observability only: the cache is typically the process-wide
@@ -211,30 +178,17 @@ class ExecutionBackend {
 
   virtual const WorldState& state() const = 0;
 
- protected:
-  /// Draws a warm outcome buffer of exactly `n` elements from the recycle
-  /// pool (allocating only what the pool can't supply). Client thread only.
-  std::vector<SequenceOutcome> AcquireOutcomeBuffer(size_t n);
-  /// Parks a redeemed batch's plans for TakeSpentPlans. Client thread only.
-  void StashSpentPlans(std::vector<SequencePlan> plans);
-
-  /// Stash for the synchronous SubmitBatch/WaitBatch default.
-  struct PendingBatch {
-    BatchTicket ticket = 0;
-    std::vector<SequencePlan> plans;
-    std::vector<SequenceOutcome> outcomes;
-  };
-  std::vector<PendingBatch> pending_;
-  BatchTicket next_ticket_ = 1;
-
  private:
+  /// Draws a warm outcome buffer of exactly `n` elements from the recycle
+  /// pool (allocating only what the pool can't supply).
+  std::vector<SequenceOutcome> AcquireOutcomeBuffer(size_t n);
+
   /// Caps every recycle pool; beyond this, buffers are dropped on the floor
   /// (correctness never depends on recycling).
   static constexpr size_t kMaxPooledBuffers = 16;
 
   std::vector<std::vector<SequenceOutcome>> outcome_pool_;
   std::vector<SequenceOutcome> spare_outcomes_;
-  std::vector<std::vector<SequencePlan>> spent_plans_;
 };
 
 /// In-process backend: a ChainSession plus a TraceRecorder wired as its
@@ -278,10 +232,6 @@ class SessionBackend : public ExecutionBackend {
   bool bound() const { return session_.has_value(); }
   /// Escape hatch for callers that need the raw session (tests, tooling).
   ChainSession& session() { return *session_; }
-  /// The cache this backend's interpreter decodes (and JIT-compiles)
-  /// through; nullptr when unbound. Adapters aggregating stats across
-  /// replicas use the identity to avoid double-counting a shared cache.
-  const CodeCache* code_cache() const;
 
  private:
   /// Aborts with a diagnostic when used before Bind() — a contract
@@ -303,9 +253,7 @@ class SessionPool {
   SessionPool() = default;
 
   /// Leases a backend: a recycled one when available, otherwise fresh.
-  /// `rng` (optional, worker-local) picks among free slots; it never
-  /// influences execution results.
-  std::unique_ptr<SessionBackend> Acquire(Rng* rng = nullptr);
+  std::unique_ptr<SessionBackend> Acquire();
 
   /// Returns a leased backend to the pool.
   void Release(std::unique_ptr<SessionBackend> backend);

@@ -2,7 +2,6 @@
 #define MUFUZZ_EVM_HOST_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "common/address.h"
 #include "common/bytes.h"
@@ -57,9 +56,9 @@ class ReentryHandle {
 /// sequence (OnSequenceStart) and each transaction (OnTransactionStart)
 /// instead of the fuzzer poking host-specific setters. A host whose behavior
 /// after OnSequenceStart(seed) is a pure function of (construction
-/// parameters, seed, the call stream) is *sequence-pure*; sequence-pure
-/// hosts may additionally implement CloneForWorker so the async backend can
-/// replicate the environment onto parallel workers with identical semantics.
+/// parameters, seed, the call stream) is *sequence-pure*: a sequence's
+/// outcome never depends on which sequences ran before it, which is what
+/// makes the campaign's plan-ahead wave schedule reproducible.
 class Host {
  public:
   virtual ~Host() = default;
@@ -75,12 +74,6 @@ class Host {
   /// Called by the backend before each transaction of a sequence, with the
   /// transaction's calldata (adversarial hosts re-enter with it).
   virtual void OnTransactionStart(const Bytes& /*calldata*/) {}
-
-  /// Returns an independent replica for a parallel execution worker, or
-  /// nullptr when the host cannot guarantee sequence-purity (the async
-  /// backend refuses such hosts). Replicas must behave identically to the
-  /// original for any (OnSequenceStart seed, call stream).
-  virtual std::unique_ptr<Host> CloneForWorker() const { return nullptr; }
 };
 
 /// Benign host: every external call succeeds and returns no data.
@@ -89,10 +82,6 @@ class AcceptingHost : public Host {
   ExternalCallOutcome OnExternalCall(const ExternalCallRequest&,
                                      ReentryHandle*) override {
     return {true, {}};
-  }
-
-  std::unique_ptr<Host> CloneForWorker() const override {
-    return std::make_unique<AcceptingHost>();
   }
 };
 

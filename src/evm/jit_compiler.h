@@ -39,7 +39,7 @@ struct JitFrameRaw {
 
 /// One contract's native code: the sealed arena plus the per-instruction
 /// entry table dynamic jumps dispatch through. Immutable once built; shared
-/// across sessions and hub replicas via the owning DecodedCode's JitState.
+/// across sessions via the owning DecodedCode's JitState.
 struct CompiledCode {
   using EntryFn = void (*)(JitFrameRaw*);
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/alloc_stats.h"
-#include "evm/async_backend.h"
 
 namespace mufuzz::fuzzer {
 
@@ -41,11 +40,6 @@ Campaign::Campaign(const lang::ContractArtifact* artifact,
   const uint64_t host_stream_seed = rng_.NextU64();
   if (backend != nullptr) {
     backend_ = backend;
-  } else if (config_.async_workers > 0) {
-    evm::AsyncBackendAdapter::Options options;
-    options.workers = config_.async_workers;
-    owned_backend_ = std::make_unique<evm::AsyncBackendAdapter>(options);
-    backend_ = owned_backend_.get();
   } else {
     owned_backend_ = std::make_unique<evm::SessionBackend>();
     backend_ = owned_backend_.get();
@@ -138,16 +132,16 @@ void Campaign::ApplyOutcome(const evm::SequenceOutcome& outcome,
 
 ExecSignals Campaign::ExecuteSequenceNow(const Sequence& seq) {
   if (contract_.IsZero() || artifact_->abi.functions.empty()) return {};
-  // Route through the ticket API so the probe's plan and outcome flow
-  // through the same recycle pools as wave executions.
+  // Route through the batch entry point so the probe's plan and outcome
+  // flow through the same recycle pools as wave executions.
   std::vector<evm::SequencePlan> plans = planner_->AcquirePlanVec();
   plans.push_back(planner_->BuildPlan(seq));
   ++planned_executions_;
   std::vector<evm::SequenceOutcome> outcomes =
-      backend_->WaitBatch(backend_->SubmitBatch(std::move(plans)));
+      backend_->ExecuteSequenceBatch(plans);
   ApplyOutcome(outcomes.front(), &signals_scratch_);
   backend_->RecycleOutcomes(std::move(outcomes));
-  planner_->RecyclePlans(backend_->TakeSpentPlans());
+  planner_->RecyclePlans(std::move(plans));
   return signals_scratch_;
 }
 
@@ -175,7 +169,7 @@ void Campaign::SeedCorpus() {
   if (contract_.IsZero()) return;
 
   // The initial seeds are mutually independent, so they ride the batch API
-  // as one wave: planned in order, submitted together, applied in order.
+  // as one wave: planned in order, executed together, applied in order.
   const bool executable = !artifact_->abi.functions.empty();
   std::vector<Sequence> seqs;
   std::vector<evm::SequencePlan> plans;
@@ -189,12 +183,7 @@ void Campaign::SeedCorpus() {
     }
   }
   std::vector<evm::SequenceOutcome> outcomes;
-  if (executable) {
-    // SubmitBatch instead of ExecuteSequenceBatch(span): same outcomes in
-    // the same order, but the plans move instead of copying and come back
-    // for recycling.
-    outcomes = backend_->WaitBatch(backend_->SubmitBatch(std::move(plans)));
-  }
+  if (executable) outcomes = backend_->ExecuteSequenceBatch(plans);
 
   for (int k = 0; k < config_.initial_seeds; ++k) {
     ExecSignals stats;
@@ -213,7 +202,7 @@ void Campaign::SeedCorpus() {
   }
   if (executable) {
     backend_->RecycleOutcomes(std::move(outcomes));
-    planner_->RecyclePlans(backend_->TakeSpentPlans());
+    planner_->RecyclePlans(std::move(plans));
   }
 
   // Steady state starts here: everything the hot loop needs is allocated.
@@ -230,11 +219,11 @@ bool Campaign::Done() const {
 }
 
 void Campaign::ApplyWave(MutationPlanner::ParentPlan* parent,
-                         std::vector<Sequence> children,
-                         std::vector<evm::SequenceOutcome> outcomes) {
+                         InFlightWave* inflight) {
+  std::vector<Sequence>& children = inflight->wave.children;
   for (size_t i = 0; i < children.size(); ++i) {
     ExecSignals& stats = signals_scratch_;
-    ApplyOutcome(outcomes[i], &stats);
+    ApplyOutcome(inflight->outcomes[i], &stats);
     // UPDATE_ENERGY (Algorithm 1 line 29): productive children extend the
     // parent's budget. Wave semantics: an extension earned by child i is
     // visible when the *next* wave is planned, never retroactively — the
@@ -253,10 +242,10 @@ void Campaign::ApplyWave(MutationPlanner::ParentPlan* parent,
     child.priority = verdict.priority;
     scheduler_->Add(std::move(child));
   }
-  // Spent wave: outcomes back to the backend pool, plans (stashed by
-  // WaitBatch) and child sequences back to the planner pools.
-  backend_->RecycleOutcomes(std::move(outcomes));
-  planner_->RecyclePlans(backend_->TakeSpentPlans());
+  // Spent wave: outcomes back to the backend pool, plans and child
+  // sequences back to the planner pools.
+  backend_->RecycleOutcomes(std::move(inflight->outcomes));
+  planner_->RecyclePlans(std::move(inflight->wave.plans));
   planner_->RecycleChildren(std::move(children));
 }
 
@@ -282,14 +271,12 @@ bool Campaign::SweepParentSet(std::vector<ParentSlot>* parents,
   const uint64_t execs_before = result_.executions;
 
   // Plan phase (rank order): every parent with budget gets its next wave
-  // planned and submitted *before* anyone's outcomes are applied, so an
-  // async backend executes all K waves while this thread mutates — and,
-  // across sweeps, executes sweep k while sweep k+1 is planned. The
-  // plan/apply interleaving is fixed by this loop, not by completion
-  // timing: results are a pure function of (seed, W, K) for any backend.
-  // (The lookahead and the fan-out both interleave rng draws differently
-  // than a serial no-lookahead loop would — W and K, like the seed, are
-  // part of the reproducibility key; see ARCHITECTURE.md.)
+  // planned and executed *before* anyone's outcomes are applied, and sweep
+  // k's waves are applied only after sweep k+1 is planned. The plan/apply
+  // interleaving is fixed by this loop: results are a pure function of
+  // (seed, W, K). (The lookahead and the fan-out both interleave rng draws
+  // differently than a serial no-lookahead loop would — W and K, like the
+  // seed, are part of the reproducibility key; see ARCHITECTURE.md.)
   std::vector<std::optional<InFlightWave>> next(parents->size());
   for (size_t r = 0; r < parents->size(); ++r) {
     ParentSlot& slot = (*parents)[r];
@@ -307,22 +294,16 @@ bool Campaign::SweepParentSet(std::vector<ParentSlot>* parents,
     }
     planned_executions_ += planned.children.size();
     InFlightWave wave;
-    wave.children = std::move(planned.children);
-    wave.ticket = backend_->SubmitBatch(std::move(planned.plans));
+    wave.outcomes = backend_->ExecuteSequenceBatch(planned.plans);
+    wave.wave = std::move(planned);
     next[r].emplace(std::move(wave));
   }
 
   // Apply phase, strictly (parent rank, child index) order — energy
-  // extensions and keep/Add decisions land in this fixed order no matter
-  // which worker finished which wave first.
+  // extensions and keep/Add decisions land in this fixed order.
   for (size_t r = 0; r < parents->size(); ++r) {
     ParentSlot& slot = (*parents)[r];
-    if (slot.inflight.has_value()) {
-      std::vector<evm::SequenceOutcome> outcomes =
-          backend_->WaitBatch(slot.inflight->ticket);
-      ApplyWave(&slot.plan, std::move(slot.inflight->children),
-                std::move(outcomes));
-    }
+    if (slot.inflight.has_value()) ApplyWave(&slot.plan, &*slot.inflight);
     slot.inflight = std::move(next[r]);
   }
 
@@ -396,8 +377,8 @@ void Campaign::StepStream(uint64_t quantum) {
     }
     while (SweepParentSet(&s.parents, budget)) {
       // Pause between pipeline sweeps — never instead of one, so the
-      // schedule is unchanged. The set's waves (if any) stay on the
-      // backend.
+      // schedule is unchanged. The set's unapplied waves (if any) stay
+      // parked with it.
       if (result_.executions >= pause_at) return;
     }
     s.parents.clear();
@@ -413,16 +394,13 @@ bool Campaign::StreamDone() const {
 void Campaign::DrainStream() {
   if (!stream_.has_value()) return;
   StreamState& s = *stream_;
-  // Apply whatever the speculative set has on the backend — in (parent
-  // rank, child index) order, exactly as a continued run would — then
-  // abandon the set: the partial result accounts for every submitted
-  // child of all K parents.
+  // Apply whatever the speculative set has executed — in (parent rank,
+  // child index) order, exactly as a continued run would — then abandon
+  // the set: the partial result accounts for every executed child of all
+  // K parents.
   for (ParentSlot& slot : s.parents) {
     if (!slot.inflight.has_value()) continue;
-    std::vector<evm::SequenceOutcome> outcomes =
-        backend_->WaitBatch(slot.inflight->ticket);
-    ApplyWave(&slot.plan, std::move(slot.inflight->children),
-              std::move(outcomes));
+    ApplyWave(&slot.plan, &*slot.inflight);
     slot.inflight.reset();
   }
   s.parents.clear();
@@ -454,8 +432,7 @@ CampaignResult Campaign::Finalize() {
   result_.code_cache = backend_->code_cache_stats();
   if (contract_.IsZero()) return result_;
 
-  // Canonical finalize view: the last executed plan's residue is
-  // scheduling-dependent on a multi-worker backend, so rewind to the
+  // Canonical finalize view: rewind the last executed plan's residue to the
   // deployed mark before any state-reading oracle runs.
   backend_->Rewind();
   feedback_->Finalize(backend_->state(), contract_, scheduler_->stats(),

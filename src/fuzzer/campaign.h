@@ -37,22 +37,18 @@ struct CampaignConfig {
 
   // ------------------------------------------------------- Wave pipeline --
   /// Children planned per wave (W). Results are a pure function of (seed,
-  /// wave_size): W=1 is the classic serial loop; larger waves batch W
-  /// children per submission so an async backend executes them in parallel.
-  /// Any W is bit-for-bit identical across backends and worker counts.
+  /// wave_size): W=1 is the classic serial loop; larger waves plan (and
+  /// execute) W children before any of their outcomes is applied, which
+  /// changes the rng interleaving — a schedule knob, not a throughput one.
+  /// Any W is bit-for-bit identical across worker counts.
   int wave_size = 1;
-  /// When > 0 and no external backend is supplied, the campaign owns an
-  /// AsyncBackendAdapter with this many execution workers instead of a
-  /// SessionBackend — the wave pipeline then overlaps mutation planning
-  /// with execution.
-  int async_workers = 0;
 
   // --------------------------------------------------- Speculative fan-out --
   /// Parents speculatively expanded per selection round (K). Each round
   /// selects K distinct parents and keeps one wave per parent in flight,
   /// planning and applying strictly in (parent rank, child index) order —
   /// so results are a pure function of (seed, wave_size, fanout), never of
-  /// the backend or its worker count. 0/1 = the serial parent chain,
+  /// where the campaign runs. 0/1 = the serial parent chain,
   /// bit-for-bit identical to the pre-fanout schedule. Like wave_size, K
   /// is part of the reproducibility key: K parents' waves interleave rng
   /// draws differently than K serial chains would.
@@ -80,20 +76,18 @@ struct CampaignConfig {
 ///
 /// Execution is wave-pipelined over a speculative parent set: each
 /// selection round picks K = `fanout` distinct parents, and every pipeline
-/// sweep plans one wave of W children per parent with budget (submitting
-/// all K waves before applying anyone's outcomes), then applies the
+/// sweep plans and executes one wave of W children per parent with budget
+/// (all K waves before anyone's outcomes are applied), then applies the
 /// previous sweep's waves strictly in (parent rank, child index) order.
 /// All randomness flows from Rngs seeded by the config and is drawn in
-/// planning/apply order (never execution-completion order), so results are
-/// identical wherever and however the campaign runs — serially, on a
-/// worker thread, or over an async backend at any worker count. K=1
-/// degenerates to the classic single-parent wave pipeline.
+/// planning/apply order, so results are identical wherever the campaign
+/// runs — serially or on any FuzzService worker. K=1 degenerates to the
+/// classic single-parent wave pipeline.
 class Campaign {
  public:
-  /// When `backend` is null the campaign owns a private backend (a
-  /// SessionBackend, or an AsyncBackendAdapter when
-  /// `config.async_workers > 0`); otherwise it Bind()s the provided one
-  /// (the worker-pool reuse path) and the caller keeps ownership.
+  /// When `backend` is null the campaign owns a private SessionBackend;
+  /// otherwise it Bind()s the provided one (the worker-pool reuse path)
+  /// and the caller keeps ownership.
   ///
   /// When `scheduler` is null the campaign owns a private SeedScheduler;
   /// otherwise it fuzzes out of the provided queue (the island-model path —
@@ -149,7 +143,7 @@ class Campaign {
   /// Advances the monolithic schedule until at least `quantum` more
   /// executions have been applied (or the campaign ran out of budget /
   /// seeds), possibly parking the whole K-parent set — with up to one
-  /// in-flight wave per parent on the backend — across the pause. Call
+  /// executed-but-unapplied wave per parent — across the pause. Call
   /// SeedCorpus() first, then StepStream() until StreamDone().
   void StepStream(uint64_t quantum);
 
@@ -162,7 +156,7 @@ class Campaign {
   /// rank, child index) order, exactly as a continued run would — and then
   /// abandons the set, leaving the pipeline drained mid-schedule: the
   /// early-stop path Cancel needs before Finalize(), with all K parents'
-  /// submitted children accounted for in the partial result. After
+  /// executed children accounted for in the partial result. After
   /// draining, StreamDone() is true.
   void DrainStream();
 
@@ -182,9 +176,9 @@ class Campaign {
     /// Executions planned so far: applied plus in flight. Never regresses
     /// across snapshots.
     uint64_t planned_executions = 0;
-    /// Planned-but-unapplied executions parked on the backend — the
-    /// speculative waves a streamed campaign keeps across pauses, so
-    /// progress doesn't look stalled at round boundaries on large waves.
+    /// Executions run but not yet applied — the speculative waves a
+    /// streamed campaign keeps across pauses, so progress doesn't look
+    /// stalled at round boundaries on large waves.
     uint64_t inflight_executions = 0;
     /// Parents in the currently parked speculative set (streaming only;
     /// 0 at set boundaries and on the stepped path, whose rounds drain).
@@ -211,26 +205,25 @@ class Campaign {
 
   /// Applies one executed sequence's outcome to coverage, distances,
   /// oracles, energy observations, interesting constants, and the
-  /// result counters — strictly in submission order. Writes into `stats`
+  /// result counters — strictly in plan order. Writes into `stats`
   /// (reset first) so the hot path reuses one scratch ExecSignals instead
   /// of allocating a touched_pcs vector per execution.
   void ApplyOutcome(const evm::SequenceOutcome& outcome, ExecSignals* stats);
 
-  /// The apply stage for one wave: per child (in submission order) feedback,
-  /// UPDATE_ENERGY against the parent, and the keep/Add decision. Recycles
-  /// the spent outcomes, plans, and child sequences when done.
-  void ApplyWave(MutationPlanner::ParentPlan* parent,
-                 std::vector<Sequence> children,
-                 std::vector<evm::SequenceOutcome> outcomes);
-
-  /// One submitted-but-not-yet-applied wave.
+  /// One planned wave, executed at plan time, whose outcomes are not
+  /// applied yet.
   struct InFlightWave {
-    std::vector<Sequence> children;
-    evm::ExecutionBackend::BatchTicket ticket = 0;
+    MutationPlanner::Wave wave;
+    std::vector<evm::SequenceOutcome> outcomes;
   };
 
+  /// The apply stage for one wave: per child (in plan order) feedback,
+  /// UPDATE_ENERGY against the parent, and the keep/Add decision. Recycles
+  /// the spent outcomes, plans, and child sequences when done.
+  void ApplyWave(MutationPlanner::ParentPlan* parent, InFlightWave* inflight);
+
   /// One parent of the current speculative set: its plan snapshot plus the
-  /// wave (at most one) it has on the backend.
+  /// wave (at most one) awaiting its apply stage.
   struct ParentSlot {
     MutationPlanner::ParentPlan plan;
     std::optional<InFlightWave> inflight;
@@ -243,7 +236,7 @@ class Campaign {
   std::vector<ParentSlot> BeginParentSet(
       const MutationPlanner::MaskHook& mask_hook);
 
-  /// One pipeline sweep over the set: plans and submits the next wave for
+  /// One pipeline sweep over the set: plans and executes the next wave for
   /// every parent with budget (rank order, bounded by `bound` total
   /// planned executions), then applies each parent's previous wave in
   /// (parent rank, child index) order. Returns true while the set still
@@ -283,7 +276,7 @@ class Campaign {
   std::unique_ptr<FeedbackEngine> feedback_;
   std::unique_ptr<MutationPlanner> planner_;
 
-  /// Executions planned (submitted or applied). Runs ahead of
+  /// Executions planned (executed or applied). Runs ahead of
   /// result_.executions by the in-flight count; equal whenever the pipeline
   /// is drained (round and parent boundaries).
   uint64_t planned_executions_ = 0;

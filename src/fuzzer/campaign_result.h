@@ -46,7 +46,7 @@ struct CampaignResult {
   bool cancelled = false;
   /// Code-cache counters sampled at finalization. Diagnostics only: the
   /// cache is usually process-wide, so hits/misses depend on what else ran
-  /// in the process (other campaigns, worker replica count) — which is why
+  /// in the process (other campaigns, worker count) — which is why
   /// operator== below excludes this field.
   evm::CodeCacheStats code_cache;
 

@@ -1,8 +1,6 @@
 #ifndef MUFUZZ_FUZZER_FUZZING_HOST_H_
 #define MUFUZZ_FUZZER_FUZZING_HOST_H_
 
-#include <memory>
-
 #include "common/rng.h"
 #include "evm/host.h"
 
@@ -16,14 +14,11 @@ namespace mufuzz::fuzzer {
 /// The host is *sequence-pure*: OnSequenceStart reseeds the failure-
 /// injection stream from the sequence's environment seed, so a sequence's
 /// outcome is a function of (construction parameters, sequence seed, call
-/// stream) — never of which sequences ran before it. That is what lets the
-/// async backend replicate this host onto parallel workers (CloneForWorker)
-/// with bit-for-bit identical behavior at any worker count.
+/// stream) — never of which sequences ran before it.
 class FuzzingHost : public evm::Host {
  public:
   FuzzingHost(uint64_t seed, double failure_probability, int max_reentries)
       : rng_(seed),
-        seed_(seed),
         failure_probability_(failure_probability),
         max_reentries_(max_reentries) {}
 
@@ -39,14 +34,6 @@ class FuzzingHost : public evm::Host {
   void OnTransactionStart(const Bytes& calldata) override {
     reentries_used_ = 0;
     reentry_calldata_ = calldata;
-  }
-
-  /// A fresh replica with the identical construction seed: replicas agree
-  /// with the original on deployment (both start from `seed`) and on every
-  /// sequence (both reseed per OnSequenceStart).
-  std::unique_ptr<evm::Host> CloneForWorker() const override {
-    return std::make_unique<FuzzingHost>(seed_, failure_probability_,
-                                         max_reentries_);
   }
 
   evm::ExternalCallOutcome OnExternalCall(
@@ -72,7 +59,6 @@ class FuzzingHost : public evm::Host {
 
  private:
   Rng rng_;
-  uint64_t seed_;
   double failure_probability_;
   int max_reentries_;
   int reentries_used_ = 0;

@@ -49,7 +49,7 @@ class MutationPlanner {
   };
 
   /// One planned wave: the mutated child sequences (kept for the apply
-  /// stage's keep/Add decision) and their encoded plans (shipped to the
+  /// stage's keep/Add decision) and their encoded plans (executed by the
   /// backend), index-aligned. Both vectors are drawn from the planner's
   /// recycle pools — hand them back via RecycleChildren / RecyclePlans when
   /// spent, and the steady-state planning path stops allocating.
@@ -81,9 +81,8 @@ class MutationPlanner {
   /// only, like every planner call.
   void RecycleChildren(std::vector<Sequence> children);
 
-  /// Returns spent plans — typically `backend->TakeSpentPlans()` after a
-  /// WaitBatch — so the next BuildPlan encodes into their warm calldata
-  /// buffers instead of allocating.
+  /// Returns spent plans (their wave applied) so the next BuildPlan
+  /// encodes into their warm calldata buffers instead of allocating.
   void RecyclePlans(std::vector<evm::SequencePlan> plans);
 
   /// UPDATE_ENERGY (Algorithm 1 line 29), applied by the apply stage:
@@ -106,7 +105,7 @@ class MutationPlanner {
   /// evict-hook target). Beyond the cap the seed is simply freed.
   void RecycleSeed(FuzzSeed seed);
 
-  /// A pooled empty plan vector for one-off (probe) submissions, so the
+  /// A pooled empty plan vector for one-off (probe) executions, so the
   /// mask-probe path shares the wave path's vector recycling.
   std::vector<evm::SequencePlan> AcquirePlanVec();
 

@@ -26,7 +26,6 @@ void Usage(const char* argv0) {
       "  --host A              IPv4 listen address (default 127.0.0.1)\n"
       "  --port N              TCP port; 0 = ephemeral (default 7337)\n"
       "  --workers N           campaign worker threads (default: auto)\n"
-      "  --backend-workers N   async execution workers; 0 = in-thread\n"
       "  --max-live-jobs N     global admission bound; 0 = unbounded\n"
       "  --max-live-jobs-per-tenant N   per-tenant bound; 0 = unbounded\n"
       "  --step-slots N        fair-share step slices per round; 0 = all\n"
@@ -75,8 +74,6 @@ int main(int argc, char** argv) {
       options.port = static_cast<int>(n);
     } else if (flag == "--workers") {
       options.service.workers = static_cast<int>(n);
-    } else if (flag == "--backend-workers") {
-      options.service.backend_workers = static_cast<int>(n);
     } else if (flag == "--max-live-jobs") {
       options.service.max_live_jobs = static_cast<size_t>(n);
     } else if (flag == "--max-live-jobs-per-tenant") {

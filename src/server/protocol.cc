@@ -127,7 +127,6 @@ void WriteConfig(const fuzzer::CampaignConfig& config, WireWriter* w) {
   w->I32(config.coverage_samples);
   w->I32(config.mask_stride_divisor);
   w->I32(config.wave_size);
-  w->I32(config.async_workers);
   w->I32(config.fanout);
   w->U8(static_cast<uint8_t>(config.dispatch));
   w->U64(config.jit_threshold);
@@ -155,7 +154,6 @@ Status ReadConfig(WireReader* r, fuzzer::CampaignConfig* config) {
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->coverage_samples));
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->mask_stride_divisor));
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->wave_size));
-  MUFUZZ_RETURN_IF_ERROR(r->I32(&config->async_workers));
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->fanout));
   uint8_t dispatch;
   MUFUZZ_RETURN_IF_ERROR(r->U8(&dispatch));
@@ -392,9 +390,6 @@ Bytes EncodeStats(const engine::ServiceStats& stats) {
   w.U64(stats.queued_jobs);
   w.U64(stats.executions);
   w.F64(stats.executions_per_sec);
-  w.I32(stats.hub_workers);
-  w.U64(stats.hub_queue_depth);
-  w.U64(stats.hub_queue_capacity);
   w.U64(stats.sessions_created);
   w.U32(static_cast<uint32_t>(stats.tenants.size()));
   for (const engine::TenantStats& tenant : stats.tenants) {
@@ -430,11 +425,6 @@ Status DecodeStats(BytesView payload, engine::ServiceStats* stats) {
   stats->queued_jobs = static_cast<size_t>(size);
   MUFUZZ_RETURN_IF_ERROR(r.U64(&stats->executions));
   MUFUZZ_RETURN_IF_ERROR(r.F64(&stats->executions_per_sec));
-  MUFUZZ_RETURN_IF_ERROR(r.I32(&stats->hub_workers));
-  MUFUZZ_RETURN_IF_ERROR(r.U64(&size));
-  stats->hub_queue_depth = static_cast<size_t>(size);
-  MUFUZZ_RETURN_IF_ERROR(r.U64(&size));
-  stats->hub_queue_capacity = static_cast<size_t>(size);
   MUFUZZ_RETURN_IF_ERROR(r.U64(&size));
   stats->sessions_created = static_cast<size_t>(size);
   uint32_t count;

@@ -16,7 +16,6 @@ namespace mufuzz::engine {
 namespace {
 
 using corpus::CorpusEntry;
-using fuzzer::CampaignConfig;
 using fuzzer::CampaignResult;
 using fuzzer::StrategyConfig;
 
@@ -68,15 +67,18 @@ TEST(FuzzServiceValidationTest, RejectsNegativeJobWaveSize) {
   EXPECT_NE(ticket.status().message().find("wave_size"), std::string::npos);
 }
 
-TEST(FuzzServiceValidationTest, RejectsNegativeJobAsyncWorkers) {
+TEST(FuzzServiceValidationTest, RejectsNegativeJobInitialSeeds) {
+  // A negative corpus size would reach std::vector::reserve on a pool
+  // thread and terminate the process; it must be a typed rejection.
   FuzzService service;
   FuzzJob job = MakeJob("bad", corpus::CrowdsaleExample().source, 1, 50);
-  job.config.async_workers = -1;
+  job.config.initial_seeds = -1;
   Result<JobTicket> ticket = service.Submit(job);
   ASSERT_FALSE(ticket.ok());
   EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(ticket.status().message().find("async_workers"),
+  EXPECT_NE(ticket.status().message().find("initial_seeds"),
             std::string::npos);
+  EXPECT_TRUE(service.WaitAll().empty());
 }
 
 TEST(FuzzServiceValidationTest, RejectsNegativeJobMaxExecutions) {
@@ -98,18 +100,6 @@ TEST(FuzzServiceValidationTest, RejectsNegativeServiceWaveSize) {
   ASSERT_FALSE(ticket.ok());
   EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(ticket.status().message().find("wave_size"), std::string::npos);
-}
-
-TEST(FuzzServiceValidationTest, RejectsNegativeServiceBackendWorkers) {
-  ServiceOptions options;
-  options.backend_workers = -1;
-  FuzzService service(options);
-  Result<JobTicket> ticket =
-      service.Submit(MakeJob("job", corpus::CrowdsaleExample().source, 1, 50));
-  ASSERT_FALSE(ticket.ok());
-  EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(ticket.status().message().find("backend_workers"),
-            std::string::npos);
 }
 
 TEST(FuzzServiceValidationTest, RejectsNegativeMigrationTopK) {
@@ -253,40 +243,6 @@ TEST(FuzzServiceDeterminismTest, RoundQuantumNeverChangesResults) {
     JobOutcome outcome = service.Wait(ticket.value());
     ASSERT_TRUE(outcome.result.has_value());
     EXPECT_EQ(direct, *outcome.result);
-  }
-}
-
-TEST(FuzzServiceDeterminismTest, SharedHubMatchesPrivateAdapters) {
-  // One AsyncExecutionHub serving every campaign must be invisible to
-  // results: compare against per-campaign adapters and the serial direct
-  // path with the same wave size.
-  FuzzJob job = MakeJob("hub", corpus::CrowdsaleExample().source, 5, 150);
-  job.config.wave_size = 4;
-
-  CampaignConfig direct_config = job.config;
-  direct_config.async_workers = 2;
-  auto artifact = lang::CompileContract(job.source);
-  ASSERT_TRUE(artifact.ok());
-  CampaignResult direct = fuzzer::RunCampaign(*artifact, direct_config);
-
-  for (bool share : {true, false}) {
-    SCOPED_TRACE(share ? "shared hub" : "private adapters");
-    ServiceOptions options;
-    options.workers = 2;
-    options.backend_workers = 2;
-    options.share_backend = share;
-    FuzzService service(options);
-    std::vector<JobTicket> tickets;
-    for (int i = 0; i < 3; ++i) {  // several campaigns share the hub
-      Result<JobTicket> ticket = service.Submit(job);
-      ASSERT_TRUE(ticket.ok());
-      tickets.push_back(ticket.value());
-    }
-    for (JobTicket ticket : tickets) {
-      JobOutcome outcome = service.Wait(ticket);
-      ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
-      EXPECT_EQ(direct, *outcome.result);
-    }
   }
 }
 

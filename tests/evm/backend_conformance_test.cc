@@ -1,11 +1,13 @@
-// Parameterized conformance suite for the ExecutionBackend contract: every
-// backend — the in-process SessionBackend and the AsyncBackendAdapter at
-// 1/2/4 workers — must satisfy the same plan-in/outcome-out semantics:
+// Parameterized conformance suite for the ExecutionBackend contract: the
+// in-process SessionBackend under every interpreter tier (decoded, the
+// byte-switch oracle, and the JIT) must satisfy the same plan-in/outcome-out
+// semantics:
 //  - Bind/Deploy/MarkDeployed/Rewind round-trips leave the slate clean;
 //  - outcomes are self-contained values, isolated between sequences (batch
 //    neighbors and re-executions never bleed into each other);
-//  - batch results equal serial results, in submission order;
-//  - results are bit-for-bit identical across backends, which is the
+//  - batch results equal serial results, in plan order, and recycled
+//    outcome buffers carry nothing over into the next batch;
+//  - results are bit-for-bit identical across tiers, which is the
 //    foundation of the campaign-level determinism tests.
 
 #include <gtest/gtest.h>
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "corpus/builtin.h"
-#include "evm/async_backend.h"
 #include "evm/execution_backend.h"
 #include "fuzzer/abi_codec.h"
 #include "fuzzer/fuzzing_host.h"
@@ -26,14 +27,11 @@ namespace {
 
 struct BackendCase {
   std::string name;
-  int async_workers;  ///< 0 = SessionBackend
+  DispatchMode dispatch;
 };
 
-std::unique_ptr<ExecutionBackend> MakeBackend(const BackendCase& c) {
-  if (c.async_workers == 0) return std::make_unique<SessionBackend>();
-  AsyncBackendAdapter::Options options;
-  options.workers = c.async_workers;
-  return std::make_unique<AsyncBackendAdapter>(options);
+std::unique_ptr<ExecutionBackend> MakeBackend() {
+  return std::make_unique<SessionBackend>();
 }
 
 /// Everything observable about an outcome, flattened for EXPECT_EQ diffs.
@@ -79,9 +77,19 @@ class BackendConformanceTest : public ::testing::TestWithParam<BackendCase> {
         /*max_reentries=*/2);
   }
 
+  /// The interpreter tier under test; jit_threshold 1 compiles the contract
+  /// on its first execution so the JIT case really runs native code.
+  EvmConfig TierConfig() const {
+    EvmConfig config;
+    config.dispatch = GetParam().dispatch;
+    config.jit_threshold = 1;
+    return config;
+  }
+
   /// Binds, funds, deploys, and marks — the setup phase every campaign runs.
-  void Prepare(ExecutionBackend* backend) {
-    backend->Bind(host_.get());
+  /// The default `config` is the reference tier (decoded dispatch).
+  void Prepare(ExecutionBackend* backend, EvmConfig config = EvmConfig()) {
+    backend->Bind(host_.get(), BlockContext(), config);
     backend->FundAccount(deployer_, U256::PowerOfTen(24));
     auto addr = backend->DeployContract(artifact_.runtime_code,
                                         artifact_.ctor_code, {}, deployer_,
@@ -128,8 +136,8 @@ class BackendConformanceTest : public ::testing::TestWithParam<BackendCase> {
 };
 
 TEST_P(BackendConformanceTest, BindDeployMarkRewindRoundTrip) {
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend(GetParam());
-  Prepare(backend.get());
+  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  Prepare(backend.get(), TierConfig());
 
   const Account* account = backend->state().Find(contract_);
   ASSERT_NE(account, nullptr);
@@ -150,8 +158,8 @@ TEST_P(BackendConformanceTest, BindDeployMarkRewindRoundTrip) {
 }
 
 TEST_P(BackendConformanceTest, RebindResetsAllSessionState) {
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend(GetParam());
-  Prepare(backend.get());
+  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  Prepare(backend.get(), TierConfig());
   EXPECT_GT(backend->state().account_count(), 0u);
 
   backend->Bind(host_.get());
@@ -159,8 +167,8 @@ TEST_P(BackendConformanceTest, RebindResetsAllSessionState) {
 }
 
 TEST_P(BackendConformanceTest, MatchesSessionBackendReference) {
-  // The cross-backend contract: any backend produces exactly what the
-  // serial in-process reference produces, outcome for outcome.
+  // The cross-tier contract: every tier produces exactly what the decoded
+  // reference produces, outcome for outcome.
   SessionBackend reference;
   Prepare(&reference);
   std::vector<SequencePlan> plans = SamplePlans();
@@ -169,24 +177,22 @@ TEST_P(BackendConformanceTest, MatchesSessionBackendReference) {
     expected.push_back(reference.ExecuteSequence(plan));
   }
 
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend(GetParam());
-  Prepare(backend.get());
-  std::vector<SequenceOutcome> actual = backend->ExecuteSequenceBatch(
-      std::span<const SequencePlan>(plans.data(), plans.size()));
+  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  Prepare(backend.get(), TierConfig());
+  std::vector<SequenceOutcome> actual = backend->ExecuteSequenceBatch(plans);
   EXPECT_EQ(Fingerprints(actual), Fingerprints(expected));
 }
 
 TEST_P(BackendConformanceTest, BatchEqualsSerialOnSameBackend) {
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend(GetParam());
-  Prepare(backend.get());
+  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  Prepare(backend.get(), TierConfig());
   std::vector<SequencePlan> plans = SamplePlans();
 
   std::vector<SequenceOutcome> serial;
   for (const SequencePlan& plan : plans) {
     serial.push_back(backend->ExecuteSequence(plan));
   }
-  std::vector<SequenceOutcome> batch = backend->ExecuteSequenceBatch(
-      std::span<const SequencePlan>(plans.data(), plans.size()));
+  std::vector<SequenceOutcome> batch = backend->ExecuteSequenceBatch(plans);
   EXPECT_EQ(Fingerprints(batch), Fingerprints(serial));
 }
 
@@ -196,14 +202,13 @@ TEST_P(BackendConformanceTest, OutcomesAreIsolatedBetweenSequences) {
   std::vector<SequencePlan> plans = SamplePlans();
   const SequencePlan& a = plans[1];
 
-  std::unique_ptr<ExecutionBackend> alone = MakeBackend(GetParam());
-  Prepare(alone.get());
+  std::unique_ptr<ExecutionBackend> alone = MakeBackend();
+  Prepare(alone.get(), TierConfig());
   std::string alone_fp = Fingerprint(alone->ExecuteSequence(a));
 
-  std::unique_ptr<ExecutionBackend> crowded = MakeBackend(GetParam());
-  Prepare(crowded.get());
-  std::vector<SequenceOutcome> outcomes = crowded->ExecuteSequenceBatch(
-      std::span<const SequencePlan>(plans.data(), plans.size()));
+  std::unique_ptr<ExecutionBackend> crowded = MakeBackend();
+  Prepare(crowded.get(), TierConfig());
+  std::vector<SequenceOutcome> outcomes = crowded->ExecuteSequenceBatch(plans);
   EXPECT_EQ(Fingerprint(outcomes[1]), alone_fp);
 
   // Re-execution of the identical plan reproduces the identical outcome,
@@ -211,43 +216,46 @@ TEST_P(BackendConformanceTest, OutcomesAreIsolatedBetweenSequences) {
   EXPECT_EQ(Fingerprint(crowded->ExecuteSequence(a)), alone_fp);
 }
 
-TEST_P(BackendConformanceTest, TicketsRedeemInSubmissionOrderSemantics) {
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend(GetParam());
-  Prepare(backend.get());
+TEST_P(BackendConformanceTest, SplitBatchesMatchSerialReference) {
+  // Batch boundaries are invisible: the plans split across two batches,
+  // executed back to back, map to their own outcomes in plan order.
+  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  Prepare(backend.get(), TierConfig());
   std::vector<SequencePlan> plans = SamplePlans();
 
-  std::vector<SequencePlan> first(plans.begin(), plans.begin() + 3);
-  std::vector<SequencePlan> second(plans.begin() + 3, plans.end());
-  ExecutionBackend::BatchTicket t1 = backend->SubmitBatch(first);
-  ExecutionBackend::BatchTicket t2 = backend->SubmitBatch(second);
-
-  // Redeem out of submission order: outcomes still map to their own batch,
-  // in their batch's submission order.
-  std::vector<SequenceOutcome> out2 = backend->WaitBatch(t2);
-  std::vector<SequenceOutcome> out1 = backend->WaitBatch(t1);
+  std::span<const SequencePlan> all(plans);
+  std::vector<SequenceOutcome> out1 =
+      backend->ExecuteSequenceBatch(all.first(3));
+  std::vector<SequenceOutcome> out2 =
+      backend->ExecuteSequenceBatch(all.subspan(3));
 
   SessionBackend reference;
   Prepare(&reference);
+  ASSERT_EQ(out1.size(), 3u);
+  ASSERT_EQ(out2.size(), plans.size() - 3);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(Fingerprint(out1[i]), Fingerprint(reference.ExecuteSequence(plans[i])));
+    EXPECT_EQ(Fingerprint(out1[i]),
+              Fingerprint(reference.ExecuteSequence(plans[i])));
   }
-  for (size_t i = 0; i < second.size(); ++i) {
+  for (size_t i = 0; i < out2.size(); ++i) {
     EXPECT_EQ(Fingerprint(out2[i]),
               Fingerprint(reference.ExecuteSequence(plans[3 + i])));
   }
 }
 
-TEST_P(BackendConformanceTest, SpeculativeFanOutHoldsManyTicketsInFlight) {
-  // The shape the K-parent campaign loop drives: one wave per parent, all
-  // submitted before any is redeemed, redeemed in an order that is not the
-  // submission order. Every batch must come back intact — its own outcomes,
-  // in its own submission order, equal to the serial reference.
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend(GetParam());
-  Prepare(backend.get());
+TEST_P(BackendConformanceTest, RecycledOutcomeBuffersCarryNoStaleState) {
+  // The shape the K-parent campaign loop drives: one differently sized
+  // wave per parent, all held at once, recycled in an order that is not
+  // the execution order, then the buffers reused by waves of other sizes.
+  // Every outcome must equal the serial reference — no transaction slot,
+  // trace, or touched-pc list may survive from a buffer's previous batch.
+  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  Prepare(backend.get(), TierConfig());
   std::vector<SequencePlan> plans = SamplePlans();
+  SessionBackend reference;
+  Prepare(&reference);
 
   constexpr size_t kParents = 4;
-  std::vector<ExecutionBackend::BatchTicket> tickets;
   std::vector<std::vector<SequencePlan>> waves;
   for (size_t parent = 0; parent < kParents; ++parent) {
     // Parent `p` gets a wave of p+1 plans with per-parent host seeds, so
@@ -258,38 +266,39 @@ TEST_P(BackendConformanceTest, SpeculativeFanOutHoldsManyTicketsInFlight) {
       plan.host_seed += 0x100 * (parent + 1);
       wave.push_back(std::move(plan));
     }
-    waves.push_back(wave);
-    tickets.push_back(backend->SubmitBatch(std::move(wave)));
-  }
-  if (auto* adapter = dynamic_cast<AsyncBackendAdapter*>(backend.get())) {
-    EXPECT_EQ(adapter->inflight_batches(), kParents);
+    waves.push_back(std::move(wave));
   }
 
-  // Redeem 2, 0, 3, 1 — neither submission nor reverse order.
-  std::vector<std::vector<SequenceOutcome>> outcomes(kParents);
-  for (size_t parent : {2u, 0u, 3u, 1u}) {
-    outcomes[parent] = backend->WaitBatch(tickets[parent]);
-  }
-  if (auto* adapter = dynamic_cast<AsyncBackendAdapter*>(backend.get())) {
-    EXPECT_EQ(adapter->inflight_batches(), 0u);
-  }
-
-  SessionBackend reference;
-  Prepare(&reference);
-  for (size_t parent = 0; parent < kParents; ++parent) {
-    ASSERT_EQ(outcomes[parent].size(), waves[parent].size()) << parent;
+  auto check = [&](const std::vector<SequenceOutcome>& outcomes,
+                   size_t parent) {
+    ASSERT_EQ(outcomes.size(), waves[parent].size()) << parent;
     for (size_t j = 0; j < waves[parent].size(); ++j) {
-      EXPECT_EQ(Fingerprint(outcomes[parent][j]),
+      EXPECT_EQ(Fingerprint(outcomes[j]),
                 Fingerprint(reference.ExecuteSequence(waves[parent][j])))
           << "parent " << parent << " plan " << j;
+    }
+  };
+
+  // Smallest wave first, recycled 2, 0, 3, 1; then largest first, so every
+  // buffer is reused at a different size than it was filled at.
+  for (const std::vector<size_t>& order :
+       {std::vector<size_t>{0, 1, 2, 3}, std::vector<size_t>{3, 2, 1, 0}}) {
+    std::vector<std::vector<SequenceOutcome>> outcomes(kParents);
+    for (size_t parent : order) {
+      outcomes[parent] = backend->ExecuteSequenceBatch(waves[parent]);
+    }
+    for (size_t parent : {2u, 0u, 3u, 1u}) {
+      check(outcomes[parent], parent);
+      backend->RecycleOutcomes(std::move(outcomes[parent]));
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendConformanceTest,
-    ::testing::Values(BackendCase{"session", 0}, BackendCase{"async1", 1},
-                      BackendCase{"async2", 2}, BackendCase{"async4", 4}),
+    ::testing::Values(BackendCase{"session", DispatchMode::kDecoded},
+                      BackendCase{"byte_switch", DispatchMode::kByteSwitch},
+                      BackendCase{"jit", DispatchMode::kJit}),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return info.param.name;
     });

@@ -3,11 +3,11 @@
 // of things results may depend on.
 //
 //  1. fanout=1 (explicit or default) reproduces the serial parent chain
-//     bit-for-bit over any backend — K, like W, only changes results when
-//     it actually changes.
-//  2. For any fixed K, results are independent of the backend worker count
-//     (1/2/4) and of sync vs async execution: all K in-flight waves apply
-//     in (parent rank, child index) order, never completion order.
+//     bit-for-bit — K, like W, only changes results when it actually
+//     changes.
+//  2. For any fixed K, results are independent of the FuzzService worker
+//     count (1/2/4): all K in-flight waves apply in (parent rank, child
+//     index) order.
 //  3. The same holds through the engine layer: fanned-out batches, island
 //     archipelagos, streamed jobs at any round quantum, and
 //     streamed-then-cancelled jobs are all bit-for-bit reproducible.
@@ -43,54 +43,67 @@ std::vector<corpus::CorpusEntry> DiffCorpus() {
   return entries;
 }
 
-CampaignResult RunWith(const lang::ContractArtifact& artifact, uint64_t seed,
-                       int fanout, int wave_size, int async_workers,
-                       int execs = 200) {
+CampaignConfig MakeConfig(uint64_t seed, int fanout, int wave_size,
+                          int execs = 200) {
   CampaignConfig config;
   config.strategy = StrategyConfig::MuFuzz();
   config.seed = seed;
   config.max_executions = execs;
   config.wave_size = wave_size;
   config.fanout = fanout;
-  config.async_workers = async_workers;
-  return RunCampaign(artifact, config);
+  return config;
+}
+
+CampaignResult RunWith(const lang::ContractArtifact& artifact, uint64_t seed,
+                       int fanout, int wave_size, int execs = 200) {
+  return RunCampaign(artifact, MakeConfig(seed, fanout, wave_size, execs));
 }
 
 TEST(FanoutDiffTest, Fanout1ReproducesSerialParentChainBitForBit) {
   for (const corpus::CorpusEntry& entry : DiffCorpus()) {
     auto artifact = lang::CompileContract(entry.source);
     ASSERT_TRUE(artifact.ok()) << entry.name;
-    // The default config (fanout unset = 1) over the serial backend is the
-    // pre-fanout schedule; explicit fanout=1 — and fanout=0, the "no
-    // speculation" spelling — must match it over every backend width.
+    // fanout=1 (the default) is the pre-fanout schedule; fanout=0, the "no
+    // speculation" spelling, must match it.
     CampaignResult serial = RunWith(*artifact, 7, /*fanout=*/1,
-                                    /*wave_size=*/4, /*async_workers=*/0);
+                                    /*wave_size=*/4);
     CampaignResult no_spec = RunWith(*artifact, 7, /*fanout=*/0,
-                                     /*wave_size=*/4, /*async_workers=*/0);
+                                     /*wave_size=*/4);
     EXPECT_EQ(serial, no_spec) << entry.name << " fanout=0 vs fanout=1";
-    for (int workers : {1, 2, 4}) {
-      CampaignResult async = RunWith(*artifact, 7, /*fanout=*/1,
-                                     /*wave_size=*/4, workers);
-      EXPECT_EQ(serial, async)
-          << entry.name << " with " << workers << " backend worker(s)";
-    }
   }
 }
 
-TEST(FanoutDiffTest, Fanout4IsBackendWorkerCountIndependent) {
+TEST(FanoutDiffTest, Fanout4IsServiceWorkerCountIndependent) {
+  std::vector<engine::FuzzJob> jobs;
+  std::vector<CampaignResult> references;
   for (const corpus::CorpusEntry& entry : DiffCorpus()) {
     auto artifact = lang::CompileContract(entry.source);
     ASSERT_TRUE(artifact.ok()) << entry.name;
-    // K=4 over the synchronous backend is the reference: the async runs at
-    // 1/2/4 hub workers must all match it exactly — four waves in flight,
-    // applied in rank order no matter which replica finishes first.
-    CampaignResult reference = RunWith(*artifact, 9, /*fanout=*/4,
-                                       /*wave_size=*/4, /*async_workers=*/0);
-    for (int workers : {1, 2, 4}) {
-      CampaignResult async = RunWith(*artifact, 9, /*fanout=*/4,
-                                     /*wave_size=*/4, workers);
-      EXPECT_EQ(reference, async)
-          << entry.name << " with " << workers << " backend worker(s)";
+    engine::FuzzJob job;
+    job.name = entry.name;
+    job.source = entry.source;
+    job.config = MakeConfig(9, /*fanout=*/4, /*wave_size=*/4);
+    // K=4 through a direct RunCampaign is the reference: four waves in
+    // flight, applied in rank order on whichever worker runs the job.
+    references.push_back(RunCampaign(*artifact, job.config));
+    jobs.push_back(std::move(job));
+  }
+  for (int workers : {1, 2, 4}) {
+    engine::ServiceOptions options;
+    options.workers = workers;
+    options.round_quantum = 16;
+    engine::FuzzService service(options);
+    std::vector<engine::JobTicket> tickets;
+    for (const engine::FuzzJob& job : jobs) {
+      Result<engine::JobTicket> ticket = service.Submit(job);
+      ASSERT_TRUE(ticket.ok());
+      tickets.push_back(ticket.value());
+    }
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      engine::JobOutcome outcome = service.Wait(tickets[i]);
+      ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
+      EXPECT_EQ(references[i], *outcome.result)
+          << jobs[i].name << " with " << workers << " service worker(s)";
     }
   }
 }
@@ -99,9 +112,9 @@ TEST(FanoutDiffTest, FanoutCampaignIsDeterministicAndCountsSelections) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
   ASSERT_TRUE(artifact.ok());
   CampaignResult r1 = RunWith(*artifact, 3, /*fanout=*/4, /*wave_size=*/8,
-                              /*async_workers=*/2, /*execs=*/300);
+                              /*execs=*/300);
   CampaignResult r2 = RunWith(*artifact, 3, /*fanout=*/4, /*wave_size=*/8,
-                              /*async_workers=*/2, /*execs=*/300);
+                              /*execs=*/300);
   EXPECT_EQ(r1, r2);
   EXPECT_GT(r1.executions, 0u);
   EXPECT_GT(r1.branch_coverage, 0.0);
@@ -128,7 +141,6 @@ TEST(FanoutDiffTest, FanoutBatchIsRunnerWorkerCountIndependent) {
     options.workers = runner_workers;
     options.wave_size = 4;
     options.fanout = 4;
-    options.backend_workers = 2;
     return engine::RunBatch(jobs, options);
   };
   std::vector<engine::JobOutcome> w1 = run(1);
@@ -151,9 +163,9 @@ TEST(FanoutDiffTest, FanoutBatchIsRunnerWorkerCountIndependent) {
 }
 
 TEST(FanoutDiffTest, FanoutComposesWithIslands) {
-  // Islands × fan-out × waves × backend workers, diffed across runner
-  // worker counts: migration rounds are barriers, so each island's K-parent
-  // rounds nest inside its exchange interval unchanged.
+  // Islands × fan-out × waves, diffed across runner worker counts:
+  // migration rounds are barriers, so each island's K-parent rounds nest
+  // inside its exchange interval unchanged.
   std::vector<engine::FuzzJob> jobs;
   for (int island = 0; island < 3; ++island) {
     engine::FuzzJob job;
@@ -171,7 +183,6 @@ TEST(FanoutDiffTest, FanoutComposesWithIslands) {
     options.exchange_interval = 40;
     options.wave_size = 4;
     options.fanout = 4;
-    options.backend_workers = 2;
     return engine::RunBatch(jobs, options);
   };
   std::vector<engine::JobOutcome> w1 = run(1);
@@ -193,7 +204,6 @@ TEST(FanoutDiffTest, FanoutStreamedResultIsQuantumIndependent) {
     options.workers = 2;
     options.wave_size = 4;
     options.fanout = 4;
-    options.backend_workers = 2;
     options.round_quantum = quantum;
     engine::FuzzService service(options);
     engine::FuzzJob job;
@@ -218,7 +228,6 @@ TEST(FanoutDiffTest, FanoutStreamedThenCancelledJobIsPartialButValid) {
   options.workers = 1;
   options.wave_size = 4;
   options.fanout = 4;
-  options.backend_workers = 2;
   options.round_quantum = 16;  // fine-grained rounds → prompt cancel
   engine::FuzzService service(options);
   engine::FuzzJob job;
@@ -242,7 +251,7 @@ TEST(FanoutDiffTest, FanoutStreamedThenCancelledJobIsPartialButValid) {
   engine::JobOutcome outcome = service.Wait(ticket.value());
   ASSERT_TRUE(outcome.result.has_value());
   EXPECT_TRUE(outcome.result->cancelled);
-  // Partial but valid, with every submitted child of all K parked parents
+  // Partial but valid, with every executed child of all K parked parents
   // applied by the drain: executions account for the full in-flight set,
   // and the final snapshot reports nothing speculative left.
   EXPECT_GT(outcome.result->executions, 0u);

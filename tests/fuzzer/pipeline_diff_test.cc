@@ -1,12 +1,11 @@
 // Differential tests for the wave-pipelined campaign: the determinism story
 // the ROADMAP demands, pinned end to end.
 //
-//  1. W=1 over the asynchronous backend reproduces the serial loop
-//     bit-for-bit (same plans, same apply order — the queue, the worker
-//     threads, the pooled sessions, and the host replicas are all
-//     transparent).
-//  2. For any fixed wave size W, results are independent of the backend
-//     worker count (1/2/4) and of sync vs async execution.
+//  1. W=1 over a pooled, reused SessionBackend reproduces the serial loop
+//     on the campaign's private backend bit-for-bit (a recycled session
+//     carries nothing from its previous campaign).
+//  2. For any fixed wave size W, results are independent of the
+//     FuzzService worker count (1/2/4) and equal a direct RunCampaign.
 //  3. The same holds through the engine layer: pipelined batches and
 //     pipelined islands are bit-for-bit identical at any runner worker
 //     count.
@@ -18,11 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "corpus/builtin.h"
 #include "corpus/datasets.h"
+#include "engine/fuzz_service.h"
 #include "engine/parallel_runner.h"
 #include "fuzzer/campaign.h"
 #include "lang/compiler.h"
@@ -40,43 +41,62 @@ std::vector<corpus::CorpusEntry> DiffCorpus() {
   return entries;
 }
 
-CampaignResult RunWith(const lang::ContractArtifact& artifact, uint64_t seed,
-                       int wave_size, int async_workers, int execs = 200) {
+CampaignConfig MakeConfig(uint64_t seed, int wave_size, int execs = 200) {
   CampaignConfig config;
   config.strategy = StrategyConfig::MuFuzz();
   config.seed = seed;
   config.max_executions = execs;
   config.wave_size = wave_size;
-  config.async_workers = async_workers;
-  return RunCampaign(artifact, config);
+  return config;
 }
 
-TEST(PipelineDiffTest, AsyncW1ReproducesSerialLoopBitForBit) {
+TEST(PipelineDiffTest, W1OverPooledBackendReproducesSerialLoopBitForBit) {
+  // One pool, one session recycled through every contract in turn: each
+  // campaign Bind()s a backend that last served a different contract.
+  evm::SessionPool pool;
   for (const corpus::CorpusEntry& entry : DiffCorpus()) {
     auto artifact = lang::CompileContract(entry.source);
     ASSERT_TRUE(artifact.ok()) << entry.name;
-    CampaignResult serial = RunWith(*artifact, 7, /*wave_size=*/1,
-                                    /*async_workers=*/0);
-    for (int workers : {1, 2, 4}) {
-      CampaignResult async = RunWith(*artifact, 7, /*wave_size=*/1, workers);
-      EXPECT_EQ(serial, async)
-          << entry.name << " with " << workers << " backend worker(s)";
-    }
+    CampaignConfig config = MakeConfig(7, /*wave_size=*/1);
+    CampaignResult serial = RunCampaign(*artifact, config);
+    std::unique_ptr<evm::SessionBackend> session = pool.Acquire();
+    CampaignResult pooled = RunCampaign(*artifact, config, session.get());
+    pool.Release(std::move(session));
+    EXPECT_EQ(serial, pooled) << entry.name;
   }
+  EXPECT_EQ(pool.created(), 1u);
 }
 
 TEST(PipelineDiffTest, WaveResultsAreWorkerCountIndependent) {
+  std::vector<engine::FuzzJob> jobs;
+  std::vector<CampaignResult> references;
   for (const corpus::CorpusEntry& entry : DiffCorpus()) {
     auto artifact = lang::CompileContract(entry.source);
     ASSERT_TRUE(artifact.ok()) << entry.name;
-    // W=4 over the synchronous backend is the reference: the async
-    // executions at 1/2/4 workers must all match it exactly.
-    CampaignResult reference = RunWith(*artifact, 9, /*wave_size=*/4,
-                                       /*async_workers=*/0);
-    for (int workers : {1, 2, 4}) {
-      CampaignResult async = RunWith(*artifact, 9, /*wave_size=*/4, workers);
-      EXPECT_EQ(reference, async)
-          << entry.name << " with " << workers << " backend worker(s)";
+    engine::FuzzJob job;
+    job.name = entry.name;
+    job.source = entry.source;
+    job.config = MakeConfig(9, /*wave_size=*/4);
+    // W=4 through a direct RunCampaign is the reference.
+    references.push_back(RunCampaign(*artifact, job.config));
+    jobs.push_back(std::move(job));
+  }
+  for (int workers : {1, 2, 4}) {
+    engine::ServiceOptions options;
+    options.workers = workers;
+    options.round_quantum = 16;
+    engine::FuzzService service(options);
+    std::vector<engine::JobTicket> tickets;
+    for (const engine::FuzzJob& job : jobs) {
+      Result<engine::JobTicket> ticket = service.Submit(job);
+      ASSERT_TRUE(ticket.ok());
+      tickets.push_back(ticket.value());
+    }
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      engine::JobOutcome outcome = service.Wait(tickets[i]);
+      ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
+      EXPECT_EQ(references[i], *outcome.result)
+          << jobs[i].name << " with " << workers << " service worker(s)";
     }
   }
 }
@@ -84,10 +104,9 @@ TEST(PipelineDiffTest, WaveResultsAreWorkerCountIndependent) {
 TEST(PipelineDiffTest, PipelinedCampaignIsDeterministic) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
   ASSERT_TRUE(artifact.ok());
-  CampaignResult r1 = RunWith(*artifact, 3, /*wave_size=*/8,
-                              /*async_workers=*/2, /*execs=*/300);
-  CampaignResult r2 = RunWith(*artifact, 3, /*wave_size=*/8,
-                              /*async_workers=*/2, /*execs=*/300);
+  CampaignConfig config = MakeConfig(3, /*wave_size=*/8, /*execs=*/300);
+  CampaignResult r1 = RunCampaign(*artifact, config);
+  CampaignResult r2 = RunCampaign(*artifact, config);
   EXPECT_EQ(r1, r2);
   EXPECT_GT(r1.executions, 0u);
   EXPECT_GT(r1.branch_coverage, 0.0);
@@ -108,7 +127,6 @@ TEST(PipelineDiffTest, EnginePipelinedBatchIsRunnerWorkerCountIndependent) {
     engine::RunnerOptions options;
     options.workers = runner_workers;
     options.wave_size = 4;
-    options.backend_workers = 2;
     return engine::RunBatch(jobs, options);
   };
   std::vector<engine::JobOutcome> w1 = run(1);
@@ -122,8 +140,8 @@ TEST(PipelineDiffTest, EnginePipelinedBatchIsRunnerWorkerCountIndependent) {
 }
 
 TEST(PipelineDiffTest, PipelinedIslandsComposeAndStayDeterministic) {
-  // Islands × waves × backend workers, diffed across runner worker counts:
-  // the full composition of PR 3's sharded corpora with this PR's pipeline.
+  // Islands × waves, diffed across runner worker counts: sharded island
+  // corpora composed with the wave pipeline.
   std::vector<engine::FuzzJob> jobs;
   for (int island = 0; island < 3; ++island) {
     engine::FuzzJob job;
@@ -140,7 +158,6 @@ TEST(PipelineDiffTest, PipelinedIslandsComposeAndStayDeterministic) {
     options.workers = runner_workers;
     options.exchange_interval = 40;
     options.wave_size = 4;
-    options.backend_workers = 2;
     return engine::RunBatch(jobs, options);
   };
   std::vector<engine::JobOutcome> w1 = run(1);

@@ -280,6 +280,38 @@ TEST_F(ProtocolSocketTest, TruncatedFrameLeavesDaemonServing) {
   ExpectStatsWorksOn(next);
 }
 
+TEST_F(ProtocolSocketTest, NegativeInitialSeedsAnswersErrorAndKeepsServing) {
+  // A SUBMIT whose config asks for a negative seed corpus must be refused
+  // with a typed error frame — never reach the campaign, where it would
+  // take the whole daemon down — and the daemon must keep serving jobs.
+  RawConn conn(server_->port());
+  ASSERT_TRUE(conn.connected());
+  SubmitRequest request;
+  request.name = "negative-corpus";
+  request.source = corpus::CrowdsaleExample().source;
+  request.config.max_executions = 40;
+  request.config.initial_seeds = -1;
+  ASSERT_TRUE(WriteFrame(conn.fd(), static_cast<uint8_t>(Verb::kSubmit),
+                         EncodeSubmitRequest(request)));
+  uint8_t verb;
+  Bytes payload;
+  conn.ReadResponse(&verb, &payload);
+  EXPECT_EQ(verb, static_cast<uint8_t>(Verb::kRError));
+  Status st = DecodeError(payload);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("initial_seeds"), std::string::npos);
+  ExpectStatsWorksOn(conn);
+
+  MufuzzClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  request.config.initial_seeds = 4;
+  auto ticket = client.Submit(request);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  auto outcome = client.Wait(*ticket);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->has_result) << outcome->error;
+}
+
 TEST_F(ProtocolSocketTest, CompileFailureIsInBandAndKeepsClientUsable) {
   MufuzzClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
