@@ -81,6 +81,21 @@ void DivMod256(const U256& a, const U256& b, U256* q, U256* r) {
     *r = U256(a.low64() % b.low64());
     return;
   }
+  // 64-bit divisor: schoolbook division one limb at a time. The running
+  // remainder stays below b, so each 128/64 step's quotient fits a limb.
+  if (b.FitsU64()) {
+    const uint64_t d = b.low64();
+    uint64_t quot[4];
+    uint64_t rem = 0;
+    for (int i = 3; i >= 0; --i) {
+      u128 cur = (static_cast<u128>(rem) << 64) | a.limb(i);
+      quot[i] = static_cast<uint64_t>(cur / d);
+      rem = static_cast<uint64_t>(cur % d);
+    }
+    *q = U256(quot[0], quot[1], quot[2], quot[3]);
+    *r = U256(rem);
+    return;
+  }
   uint64_t num[4] = {a.limb(0), a.limb(1), a.limb(2), a.limb(3)};
   uint64_t quot[4];
   DivModWide(num, 4, b, quot, r);

@@ -98,15 +98,15 @@ struct SequenceOutcome {
 };
 
 /// The execution substrate a fuzzing campaign drives: deploy once, mark the
-/// deployed state, then execute arbitrarily many sequence plans, each from a
-/// fresh rewind of the mark. Pulling this behind an interface keeps the
-/// fuzzer layer ignorant of how state is hosted and lets worker pools
+/// deployed state, then execute arbitrarily many sequence plans, each as if
+/// from a fresh rewind of the mark. Pulling this behind an interface keeps
+/// the fuzzer layer ignorant of how state is hosted and lets worker pools
 /// recycle sessions between jobs.
 ///
 /// Execution is plan-in / outcome-out and synchronous: callers hand over
 /// self-contained SequencePlans and receive self-contained SequenceOutcomes.
-/// Every plan is executed in isolation (rewound to the MarkDeployed point,
-/// host re-armed via OnSequenceStart), so the outcome of a plan is
+/// Every plan's outcome equals the outcome of running it alone from the
+/// MarkDeployed point with the host re-armed via OnSequenceStart, so it is
 /// independent of the other plans in its batch and of batch boundaries.
 /// Parallelism lives one layer up: whole campaigns run concurrently on the
 /// FuzzService workers, each over its own backend.
@@ -145,7 +145,7 @@ class ExecutionBackend {
   /// proportional to the state touched since the mark (journal unwind).
   virtual void Rewind() = 0;
 
-  /// Executes one plan from a fresh rewind: arms the host
+  /// Executes one plan as if from a fresh rewind: arms the host
   /// (OnSequenceStart(plan.host_seed), then OnTransactionStart per tx) and
   /// applies each transaction, collecting a self-contained outcome.
   virtual SequenceOutcome ExecuteSequence(const SequencePlan& plan) = 0;
@@ -170,6 +170,12 @@ class ExecutionBackend {
   /// Returns a consumed batch's outcome buffers to the reuse pool. Pools
   /// are bounded; excess buffers are simply freed.
   void RecycleOutcomes(std::vector<SequenceOutcome> outcomes);
+
+  /// Frees buffers the backend keeps only to run faster (SessionBackend's
+  /// retained prefix); outcomes are unaffected. A campaign calls it when it
+  /// pauses, so a service holding hundreds of suspended jobs does not pin
+  /// one set per job.
+  virtual void Trim() {}
 
   /// Counters of the code cache this backend decodes through (zeros when
   /// unbound). Observability only: the cache is typically the process-wide
@@ -196,6 +202,21 @@ class ExecutionBackend {
 /// Bind() reconstructs the session in place, so one SessionBackend can serve
 /// many campaigns back to back without reallocation churn at the call sites
 /// that hold it.
+///
+/// Prefix resume: consecutive plans of a campaign mostly share a leading run
+/// of transactions (the mutators change one transaction or the tail of a
+/// parent sequence). The backend keeps a session mark after each
+/// transaction of the last executed plan, together with its request and
+/// outcome, for as long as no transaction of that plan has reached
+/// Host::OnExternalCall. The next plan restores the mark at the end of the
+/// longest such prefix it repeats request for request, copies those
+/// outcomes (with its own tags), replays the host's OnSequenceStart and
+/// OnTransactionStart calls for them, and executes only the rest. A
+/// host-free transaction is a pure function of the pre-state and the
+/// request, so this is exactly the outcome of a run from the deployed
+/// mark. Bind, Unbind, DeployContract, FundAccount, MarkDeployed and Rewind
+/// drop the retained prefix; Unbind and Trim free it. Nothing is retained
+/// before MarkDeployed.
 class SessionBackend : public ExecutionBackend {
  public:
   /// Constructs an unbound backend (the pool path); call Bind() before use.
@@ -224,12 +245,17 @@ class SessionBackend : public ExecutionBackend {
   /// are stolen from the interpreter instead of copied.
   void ExecuteSequenceInto(const SequencePlan& plan,
                            SequenceOutcome* out) override;
+  void Trim() override;
 
   CodeCacheStats code_cache_stats() const override;
 
   const WorldState& state() const override;
 
   bool bound() const { return session_.has_value(); }
+  /// Transactions whose outcome was copied from the retained prefix instead
+  /// of executed, since construction. Observability only: outcomes are the
+  /// same either way.
+  uint64_t reused_txs() const { return reused_txs_; }
   /// Escape hatch for callers that need the raw session (tests, tooling).
   ChainSession& session() { return *session_; }
 
@@ -238,10 +264,29 @@ class SessionBackend : public ExecutionBackend {
   /// violation that must not degrade to silent UB in release builds.
   void CheckBound() const;
 
+  /// Forgets the retained prefix (its marks may no longer describe the
+  /// session). Entries keep their buffers for reuse.
+  void DropPrefix() { prefix_len_ = 0; }
+
+  /// One transaction of the retained prefix: the request it answered, its
+  /// outcome, and the session mark right after it.
+  struct PrefixTx {
+    TransactionRequest request;
+    TxOutcome outcome;
+    ChainSession::SessionSnapshot mark{};
+  };
+
   TraceRecorder trace_;
   Host* host_ = nullptr;
   std::optional<ChainSession> session_;
-  ChainSession::SessionSnapshot deployed_{};
+  /// Unset until MarkDeployed(); until then Rewind() restores a zero mark
+  /// (a no-op on the world state) and no prefix is retained.
+  std::optional<ChainSession::SessionSnapshot> deployed_;
+  /// prefix_[0, prefix_len_) is the retained prefix; later entries are
+  /// stale but keep their capacity.
+  std::vector<PrefixTx> prefix_;
+  size_t prefix_len_ = 0;
+  uint64_t reused_txs_ = 0;
 };
 
 /// Thread-safe pool of reusable SessionBackends. Workers lease a backend for

@@ -20,6 +20,12 @@ struct TransactionRequest {
   U256 value;
   Bytes data;
   uint64_t gas = 8000000;
+
+  friend bool operator==(const TransactionRequest& a,
+                         const TransactionRequest& b) {
+    return a.gas == b.gas && a.to == b.to && a.sender == b.sender &&
+           a.value == b.value && a.data == b.data;
+  }
 };
 
 /// A lightweight chain session: a world state plus an interpreter, with

@@ -1,5 +1,7 @@
 #include "evm/interpreter.h"
 
+#include <algorithm>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -26,6 +28,33 @@ std::unordered_set<uint32_t> FindJumpdests(BytesView code) {
 }
 
 }  // namespace
+
+U256 Keccak256Memo::Hash(BytesView input) {
+  if (input.size() > kMaxInput) {
+    auto digest = Keccak256(input);
+    return U256::FromBytesBE(BytesView(digest.data(), 32)).value();
+  }
+  // Fold the input's 8-byte words (zero-padded tail) multiplicatively; the
+  // top bits mix every word and pick the entry.
+  uint64_t h = input.size();
+  for (size_t off = 0; off < input.size(); off += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, input.data() + off,
+                std::min<size_t>(8, input.size() - off));
+    h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  }
+  Entry& e = entries_[h >> (64 - kIndexBits)];
+  if (e.len == input.size() &&
+      (input.empty() ||
+       std::memcmp(e.input, input.data(), input.size()) == 0)) {
+    return e.digest;
+  }
+  auto digest = Keccak256(input);
+  e.len = static_cast<uint8_t>(input.size());
+  if (!input.empty()) std::memcpy(e.input, input.data(), input.size());
+  e.digest = U256::FromBytesBE(BytesView(digest.data(), 32)).value();
+  return e.digest;
+}
 
 const char* OutcomeToString(Outcome outcome) {
   switch (outcome) {
@@ -883,6 +912,7 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
             req.gas = gas_forwarded;
             req.kind = op;
             req.depth = call.depth;
+            ++host_calls_;
             ExternalCallOutcome outcome = host_->OnExternalCall(req, this);
             success = outcome.success;
             child_output = std::move(outcome.return_data);

@@ -1,6 +1,7 @@
 #ifndef MUFUZZ_EVM_INTERPRETER_H_
 #define MUFUZZ_EVM_INTERPRETER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -95,6 +96,41 @@ struct ExecResult {
   bool Reverted() const { return outcome == Outcome::kRevert; }
 };
 
+/// BLOCKHASH's preimage: the block number as 8 big-endian bytes, built on
+/// the stack so the handler stays allocation-free.
+inline std::array<uint8_t, 8> BlockhashSeed(uint64_t number) {
+  std::array<uint8_t, 8> seed;
+  for (int i = 0; i < 8; ++i) {
+    seed[i] = static_cast<uint8_t>(number >> (56 - 8 * i));
+  }
+  return seed;
+}
+
+/// Direct-mapped memo of KECCAK256 over short inputs. Contracts hash the
+/// same few 32/64-byte words (mapping slots: key || slot index) over and
+/// over, so a small table keyed on the exact input bytes turns almost every
+/// hash into a compare. Entries are overwritten on collision; a hit returns
+/// exactly what Keccak256 would.
+class Keccak256Memo {
+ public:
+  /// Inputs longer than this bypass the table.
+  static constexpr size_t kMaxInput = 64;
+
+  U256 Hash(BytesView input);
+
+ private:
+  static constexpr int kIndexBits = 5;
+  static constexpr size_t kEntries = size_t{1} << kIndexBits;
+
+  struct Entry {
+    uint8_t len = 0xff;  ///< input length; 0xff marks an empty entry
+    uint8_t input[kMaxInput];
+    U256 digest;
+  };
+
+  std::array<Entry, kEntries> entries_;
+};
+
 /// The EVM bytecode interpreter with instrumentation hooks.
 ///
 /// One instance executes transactions against a WorldState. Nested CALLs to
@@ -135,6 +171,12 @@ class Interpreter : public ReentryHandle {
 
   /// The code cache this interpreter decodes through (never null).
   CodeCache* code_cache() const { return cache_; }
+
+  /// External calls handed to Host::OnExternalCall so far (monotonic). The
+  /// execution backend diffs it around a transaction: a transaction that
+  /// never consulted the host is a pure function of the pre-state and the
+  /// request.
+  uint64_t host_calls() const { return host_calls_; }
 
  private:
   friend class Frame;
@@ -200,6 +242,10 @@ class Interpreter : public ReentryHandle {
   int32_t next_call_id_ = 0;
   uint64_t steps_ = 0;
   int reenter_depth_ = 0;
+  uint64_t host_calls_ = 0;
+  /// Used by the decoded loop and the JIT; the byte-switch oracle calls
+  /// Keccak256 directly, so the tier differential checks the memo.
+  Keccak256Memo keccak_memo_;
   /// Reusable, uninitialized operand-stack buffers for compiled (kJit)
   /// frames, one per active call depth — a compiled frame writes every slot
   /// before reading it, so construction would be pure overhead, and the

@@ -419,9 +419,7 @@ dispatch_top:
     if (!memory.ViewOut(offset, length, &input)) {
       return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
     }
-    auto digest = Keccak256(input);
-    U256 r = U256::FromBytesBE(BytesView(digest.data(), 32)).value();
-    PUSH_W(Word(r, mem_taint_range(offset, length)));
+    PUSH_W(Word(keccak_memo_.Hash(input), mem_taint_range(offset, length)));
     NEXT();
   }
 
@@ -561,9 +559,7 @@ dispatch_top:
   HANDLER(Blockhash) {
     PRELUDE();
     Word n = stack.PopUnsafe();
-    Bytes seed;
-    AppendU64BE(&seed, n.value.low64());
-    auto digest = Keccak256(seed);
+    auto digest = Keccak256(BlockhashSeed(n.value.low64()));
     if (observer_ != nullptr) {
       observer_->OnBlockRead(
           {ins->pc, static_cast<Op>(ins->opcode), call.depth});
@@ -798,141 +794,148 @@ dispatch_top:
 
   HANDLER(CallFamily) {
     PRELUDE();
-    const Op op = static_cast<Op>(ins->opcode);
-    bool has_value = (op == Op::kCall || op == Op::kCallcode);
-    Word gas_w = stack.PopUnsafe();
-    Word to_w = stack.PopUnsafe();
-    Word value_w;
-    if (has_value) value_w = stack.PopUnsafe();
-    Word in_off = stack.PopUnsafe();
-    Word in_len = stack.PopUnsafe();
-    Word out_off = stack.PopUnsafe();
-    Word out_len = stack.PopUnsafe();
+    // The handler's locals live in this block so they are destroyed before
+    // NEXT(): a computed-goto dispatch leaves the handler without running
+    // destructors, which leaked the call buffers.
+    Word status;
+    {
+      const Op op = static_cast<Op>(ins->opcode);
+      bool has_value = (op == Op::kCall || op == Op::kCallcode);
+      Word gas_w = stack.PopUnsafe();
+      Word to_w = stack.PopUnsafe();
+      Word value_w;
+      if (has_value) value_w = stack.PopUnsafe();
+      Word in_off = stack.PopUnsafe();
+      Word in_len = stack.PopUnsafe();
+      Word out_off = stack.PopUnsafe();
+      Word out_len = stack.PopUnsafe();
 
-    if (!in_off.value.FitsU64() || !in_len.value.FitsU64() ||
-        !out_off.value.FitsU64() || !out_len.value.FitsU64()) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
-    }
-    Bytes input;
-    if (!memory.CopyOut(in_off.value.low64(), in_len.value.low64(),
-                        &input)) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
-    }
-
-    Address target = Address::FromWord(to_w.value);
-    U256 value = has_value ? value_w.value : U256::Zero();
-    if (!value.IsZero()) {
-      if (!charge(9000)) return out_of_gas();
-    }
-    uint64_t gas_requested =
-        gas_w.value.FitsU64() ? gas_w.value.low64() : gas;
-    uint64_t gas_forwarded = std::min(gas_requested, gas);
-    if (!value.IsZero()) gas_forwarded += 2300;  // call stipend
-
-    int32_t call_id = next_call_id_++;
-    CallEvent ev;
-    ev.pc = ins->pc;
-    ev.kind = op;
-    ev.target = target;
-    ev.value = value;
-    ev.gas = gas_forwarded;
-    ev.target_taint = to_w.taint;
-    ev.value_taint = has_value ? value_w.taint : kTaintNone;
-    ev.depth = call.depth;
-    ev.call_id = call_id;
-    ev.caller_guard_seen = caller_guard_seen;
-
-    bool success = false;
-    Bytes child_output;
-    const Account* target_acct = state_->Find(target);
-    bool target_has_code = target_acct != nullptr &&
-                           target_acct->HasCode() &&
-                           op != Op::kCallcode;
-    ev.to_external = !target_has_code;
-
-    if (call.is_static && !value.IsZero()) {
-      success = false;
-    } else if (target_has_code) {
-      // Nested message call into another in-state contract.
-      MessageCall child;
-      if (op == Op::kDelegatecall) {
-        child.to = call.to;              // keep storage context
-        child.code_address = target;     // borrow code
-        child.caller = call.caller;
-        child.value = call.value;
-      } else {
-        child.to = target;
-        child.code_address = target;
-        child.caller = call.to;
-        child.value = value;
-      }
-      child.origin = call.origin;
-      child.data = input;
-      child.gas = gas_forwarded;
-      child.is_static = call.is_static || op == Op::kStaticcall;
-      child.depth = call.depth + 1;
-
-      size_t snapshot = state_->Snapshot();
-      bool transfer_ok = true;
-      if (!value.IsZero() && op == Op::kCall) {
-        transfer_ok = state_->Transfer(call.to, target, value);
-      }
-      if (transfer_ok) {
-        ExecResult child_result = RunFrame(child);
-        uint64_t used = std::min(child_result.gas_used, gas);
-        gas -= used;
-        success = child_result.Success();
-        child_output = std::move(child_result.output);
-        if (success) {
-          state_->Commit(snapshot);
-        } else {
-          state_->RevertTo(snapshot);
-        }
-      } else {
-        state_->RevertTo(snapshot);
-        success = false;
-      }
-    } else {
-      // External (code-less) target: host decides; value moves first.
-      bool transfer_ok = true;
-      if (!value.IsZero()) {
-        transfer_ok = state_->Transfer(call.to, target, value);
-      }
-      if (transfer_ok) {
-        ExternalCallRequest req;
-        req.caller = call.to;
-        req.target = target;
-        req.value = value;
-        req.data = input;
-        req.gas = gas_forwarded;
-        req.kind = op;
-        req.depth = call.depth;
-        ExternalCallOutcome outcome = host_->OnExternalCall(req, this);
-        success = outcome.success;
-        child_output = std::move(outcome.return_data);
-        if (!success && !value.IsZero()) {
-          // Failed call returns the value.
-          state_->Transfer(target, call.to, value);
-        }
-      } else {
-        success = false;
-      }
-    }
-
-    ev.success = success;
-    if (observer_ != nullptr) observer_->OnCall(ev);
-
-    return_data = child_output;
-    uint64_t copy_len =
-        std::min<uint64_t>(out_len.value.low64(), child_output.size());
-    if (copy_len > 0) {
-      if (!memory.CopyIn(out_off.value.low64(), child_output, 0,
-                         copy_len)) {
+      if (!in_off.value.FitsU64() || !in_len.value.FitsU64() ||
+          !out_off.value.FitsU64() || !out_len.value.FitsU64()) {
         return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
       }
+      Bytes input;
+      if (!memory.CopyOut(in_off.value.low64(), in_len.value.low64(),
+                          &input)) {
+        return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      }
+
+      Address target = Address::FromWord(to_w.value);
+      U256 value = has_value ? value_w.value : U256::Zero();
+      if (!value.IsZero()) {
+        if (!charge(9000)) return out_of_gas();
+      }
+      uint64_t gas_requested =
+          gas_w.value.FitsU64() ? gas_w.value.low64() : gas;
+      uint64_t gas_forwarded = std::min(gas_requested, gas);
+      if (!value.IsZero()) gas_forwarded += 2300;  // call stipend
+
+      int32_t call_id = next_call_id_++;
+      CallEvent ev;
+      ev.pc = ins->pc;
+      ev.kind = op;
+      ev.target = target;
+      ev.value = value;
+      ev.gas = gas_forwarded;
+      ev.target_taint = to_w.taint;
+      ev.value_taint = has_value ? value_w.taint : kTaintNone;
+      ev.depth = call.depth;
+      ev.call_id = call_id;
+      ev.caller_guard_seen = caller_guard_seen;
+
+      bool success = false;
+      Bytes child_output;
+      const Account* target_acct = state_->Find(target);
+      bool target_has_code = target_acct != nullptr &&
+                             target_acct->HasCode() &&
+                             op != Op::kCallcode;
+      ev.to_external = !target_has_code;
+
+      if (call.is_static && !value.IsZero()) {
+        success = false;
+      } else if (target_has_code) {
+        // Nested message call into another in-state contract.
+        MessageCall child;
+        if (op == Op::kDelegatecall) {
+          child.to = call.to;              // keep storage context
+          child.code_address = target;     // borrow code
+          child.caller = call.caller;
+          child.value = call.value;
+        } else {
+          child.to = target;
+          child.code_address = target;
+          child.caller = call.to;
+          child.value = value;
+        }
+        child.origin = call.origin;
+        child.data = input;
+        child.gas = gas_forwarded;
+        child.is_static = call.is_static || op == Op::kStaticcall;
+        child.depth = call.depth + 1;
+
+        size_t snapshot = state_->Snapshot();
+        bool transfer_ok = true;
+        if (!value.IsZero() && op == Op::kCall) {
+          transfer_ok = state_->Transfer(call.to, target, value);
+        }
+        if (transfer_ok) {
+          ExecResult child_result = RunFrame(child);
+          uint64_t used = std::min(child_result.gas_used, gas);
+          gas -= used;
+          success = child_result.Success();
+          child_output = std::move(child_result.output);
+          if (success) {
+            state_->Commit(snapshot);
+          } else {
+            state_->RevertTo(snapshot);
+          }
+        } else {
+          state_->RevertTo(snapshot);
+          success = false;
+        }
+      } else {
+        // External (code-less) target: host decides; value moves first.
+        bool transfer_ok = true;
+        if (!value.IsZero()) {
+          transfer_ok = state_->Transfer(call.to, target, value);
+        }
+        if (transfer_ok) {
+          ExternalCallRequest req;
+          req.caller = call.to;
+          req.target = target;
+          req.value = value;
+          req.data = input;
+          req.gas = gas_forwarded;
+          req.kind = op;
+          req.depth = call.depth;
+          ++host_calls_;
+          ExternalCallOutcome outcome = host_->OnExternalCall(req, this);
+          success = outcome.success;
+          child_output = std::move(outcome.return_data);
+          if (!success && !value.IsZero()) {
+            // Failed call returns the value.
+            state_->Transfer(target, call.to, value);
+          }
+        } else {
+          success = false;
+        }
+      }
+
+      ev.success = success;
+      if (observer_ != nullptr) observer_->OnCall(ev);
+
+      return_data = child_output;
+      uint64_t copy_len =
+          std::min<uint64_t>(out_len.value.low64(), child_output.size());
+      if (copy_len > 0) {
+        if (!memory.CopyIn(out_off.value.low64(), child_output, 0,
+                           copy_len)) {
+          return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+        }
+      }
+      status = Word(success ? U256::One() : U256::Zero(), kTaintCallResult);
+      status.call_id = call_id;
     }
-    Word status(success ? U256::One() : U256::Zero(), kTaintCallResult);
-    status.call_id = call_id;
     PUSH_W(status);
     NEXT();
   }

@@ -452,8 +452,7 @@ struct JitExec {
     if (!Charge(f, 6 * ((length + 31) / 32))) return FailOutOfGas(f);
     BytesView input;
     if (!f.memory().ViewOut(offset, length, &input)) return FailMem(f);
-    auto digest = Keccak256(input);
-    U256 r = U256::FromBytesBE(BytesView(digest.data(), 32)).value();
+    U256 r = f.it->keccak_memo_.Hash(input);
     if (!PushW(f, Word(r, MemTaintRange(f, offset, length)))) {
       return kCtlDone;
     }
@@ -617,9 +616,7 @@ struct JitExec {
     Frame& f = F(raw);
     if (!Prelude(f, ins)) return kCtlDone;
     Word n = PopW(f);
-    Bytes seed;
-    AppendU64BE(&seed, n.value.low64());
-    auto digest = Keccak256(seed);
+    auto digest = Keccak256(BlockhashSeed(n.value.low64()));
     if (f.it->observer_ != nullptr) {
       f.it->observer_->OnBlockRead(
           {ins->pc, static_cast<Op>(ins->opcode), f.call->depth});
@@ -994,6 +991,7 @@ struct JitExec {
         req.gas = gas_forwarded;
         req.kind = op;
         req.depth = call.depth;
+        ++it->host_calls_;
         ExternalCallOutcome outcome = it->host_->OnExternalCall(req, it);
         success = outcome.success;
         child_output = std::move(outcome.return_data);

@@ -204,6 +204,8 @@ void Campaign::SeedCorpus() {
     backend_->RecycleOutcomes(std::move(outcomes));
     planner_->RecyclePlans(std::move(plans));
   }
+  // A service seeds every job before stepping any of them.
+  backend_->Trim();
 
   // Steady state starts here: everything the hot loop needs is allocated.
   if (AllocStatsEnabled()) {
@@ -342,6 +344,7 @@ void Campaign::StepRound(uint64_t round_executions) {
     while (SweepParentSet(&parents, target)) {
     }
   }
+  backend_->Trim();
 }
 
 void Campaign::StepStream(uint64_t quantum) {
@@ -358,6 +361,12 @@ void Campaign::StepStream(uint64_t quantum) {
   // the next call.
   const uint64_t budget = static_cast<uint64_t>(config_.max_executions);
   const uint64_t pause_at = result_.executions + quantum;
+  // Every return is a pause; the service may run hundreds of other jobs
+  // before this one resumes.
+  struct TrimOnPause {
+    evm::ExecutionBackend* backend;
+    ~TrimOnPause() { backend->Trim(); }
+  } trim_on_pause{backend_};
 
   MutationPlanner::MaskHook mask_hook = [this](FuzzSeed* seed) {
     MaybeComputeMask(seed);

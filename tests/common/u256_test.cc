@@ -85,6 +85,30 @@ TEST(U256Test, DivModReconstruction) {
   }
 }
 
+TEST(U256Test, DivModBy64BitDivisorReconstruction) {
+  // Full-width dividends over divisors that fit one limb (the limb-wise
+  // fast path), including its edges and dividends below the divisor.
+  Rng rng(0xd1f);
+  const uint64_t fixed[] = {1, uint64_t{1} << 32, UINT64_MAX};
+  for (int i = 0; i < 600; ++i) {
+    U256 a(rng.NextU64(), rng.NextU64(), rng.NextU64(), rng.NextU64());
+    if (i % 7 == 0) a = U256(rng.NextU64());
+    uint64_t d = i < 300 ? fixed[i % 3] : rng.NextU64() >> rng.NextBelow(64);
+    if (d == 0) d = 3;
+    U256 b(d);
+    U256 q = a / b;
+    U256 r = a % b;
+    EXPECT_TRUE(r < b) << "a=" << a.ToHex() << " b=" << b.ToHex();
+    EXPECT_FALSE(U256::MulOverflows(q, b));
+    EXPECT_EQ(q * b + r, a) << "a=" << a.ToHex() << " b=" << b.ToHex();
+  }
+  EXPECT_EQ(U256::Max() / U256(1), U256::Max());
+  EXPECT_EQ(U256::Max() % U256(1), U256(0));
+  EXPECT_EQ(U256::Max() / U256(uint64_t{1} << 32), U256::Max() >> 32);
+  EXPECT_EQ(U256(5) / U256(UINT64_MAX), U256(0));
+  EXPECT_EQ(U256(5) % U256(UINT64_MAX), U256(5));
+}
+
 TEST(U256Test, SignedDivision) {
   U256 minus_six = -U256(6);
   EXPECT_EQ(minus_six.Sdiv(U256(2)), -U256(3));

@@ -9,6 +9,8 @@
 //    outcome buffers carry nothing over into the next batch;
 //  - results are bit-for-bit identical across tiers, which is the
 //    foundation of the campaign-level determinism tests.
+// Outcomes are compared through the event-complete Fingerprint of
+// outcome_fingerprint.h; prefix_resume_test.cc holds the resume suite.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "fuzzer/abi_codec.h"
 #include "fuzzer/fuzzing_host.h"
 #include "lang/compiler.h"
+#include "outcome_fingerprint.h"
 
 namespace mufuzz::evm {
 namespace {
@@ -32,27 +35,6 @@ struct BackendCase {
 
 std::unique_ptr<ExecutionBackend> MakeBackend() {
   return std::make_unique<SessionBackend>();
-}
-
-/// Everything observable about an outcome, flattened for EXPECT_EQ diffs.
-std::string Fingerprint(const SequenceOutcome& outcome) {
-  std::string fp = "instr=" + std::to_string(outcome.instructions) +
-                   " pcs=" + std::to_string(outcome.touched_pcs.size());
-  for (uint32_t pc : outcome.touched_pcs) fp += "," + std::to_string(pc);
-  for (const TxOutcome& txo : outcome.txs) {
-    fp += " | tag=" + std::to_string(txo.tag) +
-          " ok=" + std::to_string(txo.success) +
-          " out=" + std::to_string(static_cast<int>(txo.outcome)) +
-          " gas=" + std::to_string(txo.gas_used) +
-          " in=" + std::to_string(txo.trace.instruction_count()) +
-          " cmps=" + std::to_string(txo.cmps.size()) +
-          " calls=" + std::to_string(txo.trace.calls().size()) +
-          " stores=" + std::to_string(txo.trace.stores().size()) + " br=";
-    for (const BranchEvent& ev : txo.trace.branches()) {
-      fp += std::to_string(ev.pc) + (ev.taken ? "t" : "f") + ";";
-    }
-  }
-  return fp;
 }
 
 std::vector<std::string> Fingerprints(

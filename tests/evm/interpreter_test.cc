@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/keccak.h"
+#include "common/rng.h"
 #include "evm/bytecode_builder.h"
 #include "evm/executor.h"
 
@@ -64,6 +67,33 @@ U256 OutputWord(const ExecResult& result) {
   return U256::FromBytesBE(
              BytesView(result.output.data(), result.output.size()))
       .value();
+}
+
+TEST(Keccak256MemoTest, AgreesWithKeccakOnHitsCollisionsAndLongInputs) {
+  // A stream of inputs drawn from a pool larger than the table, so entries
+  // are overwritten and re-filled; lengths straddle the 64-byte cap, and
+  // inputs differing in one byte must never share a digest.
+  Rng rng(0x5a3);
+  std::vector<Bytes> pool;
+  for (size_t len : {0, 1, 8, 31, 32, 33, 63, 64, 65, 96}) {
+    for (int k = 0; k < 12; ++k) {
+      Bytes input(len);
+      for (uint8_t& b : input) b = static_cast<uint8_t>(rng.NextBelow(4));
+      pool.push_back(input);
+      if (!input.empty()) {
+        input[rng.NextBelow(input.size())] ^= 0x80;
+        pool.push_back(input);
+      }
+    }
+  }
+  Keccak256Memo memo;
+  for (int i = 0; i < 4000; ++i) {
+    const Bytes& input = pool[rng.NextBelow(pool.size())];
+    auto digest = Keccak256(input);
+    ASSERT_EQ(memo.Hash(input),
+              U256::FromBytesBE(BytesView(digest.data(), 32)).value())
+        << "len " << input.size();
+  }
 }
 
 TEST_F(InterpreterTest, StopSucceedsWithEmptyOutput) {
