@@ -50,8 +50,7 @@ inline std::optional<fuzzer::CampaignResult> RunOne(
 /// bit-for-bit.
 inline std::vector<engine::FuzzJob> MakeDatasetJobs(
     const std::vector<corpus::CorpusEntry>& dataset,
-    const fuzzer::StrategyConfig& strategy, int execs, uint64_t base_seed,
-    evm::DispatchMode dispatch = evm::DispatchMode::kDecoded) {
+    const fuzzer::StrategyConfig& strategy, int execs, uint64_t base_seed) {
   std::vector<engine::FuzzJob> jobs;
   jobs.reserve(dataset.size());
   for (size_t i = 0; i < dataset.size(); ++i) {
@@ -61,7 +60,6 @@ inline std::vector<engine::FuzzJob> MakeDatasetJobs(
     job.config.strategy = strategy;
     job.config.seed = base_seed + i;
     job.config.max_executions = execs;
-    job.config.dispatch = dispatch;
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -75,7 +73,7 @@ inline std::vector<engine::FuzzJob> MakeDatasetJobs(
 inline std::vector<engine::FuzzJob> MakeIslandJobs(
     const std::vector<corpus::CorpusEntry>& dataset,
     const fuzzer::StrategyConfig& strategy, int execs, uint64_t base_seed,
-    int islands, evm::DispatchMode dispatch = evm::DispatchMode::kDecoded) {
+    int islands) {
   std::vector<engine::FuzzJob> jobs;
   jobs.reserve(dataset.size() * static_cast<size_t>(islands));
   for (size_t i = 0; i < dataset.size(); ++i) {
@@ -87,7 +85,6 @@ inline std::vector<engine::FuzzJob> MakeIslandJobs(
       job.config.seed = base_seed + i * static_cast<uint64_t>(islands) +
                         static_cast<uint64_t>(k);
       job.config.max_executions = execs;
-      job.config.dispatch = dispatch;
       job.island_group = static_cast<int>(i);
       jobs.push_back(std::move(job));
     }
@@ -156,10 +153,7 @@ inline std::vector<engine::JobOutcome> StreamJobs(
 /// CI bench-smoke migration diff checks. With `stream` the jobs go through
 /// a live FuzzService one at a time instead of the batch shim — identical
 /// output by the service determinism contract (the reproduce harness diffs
-/// the two). `dispatch` selects the interpreter tier (kJit tier-compiles
-/// hot contracts); it is a throughput knob, never a semantics knob, so the
-/// aggregate must be identical across modes (the reproduce harness diffs
-/// that too). `fanout` > 0 overrides every job's speculative expansion
+/// the two). `fanout` > 0 overrides every job's speculative expansion
 /// width K — like wave_size it is part of the reproducibility key, and like
 /// wave_size the aggregate stays identical across worker counts (the
 /// reproduce harness's fan-out leg diffs that).
@@ -168,15 +162,13 @@ inline AggregateCoverage AggregateOverDataset(
     const fuzzer::StrategyConfig& strategy, int execs, uint64_t seed,
     int points = 20, int workers = 0, int islands = 1,
     int exchange_interval = 0, int migration_top_k = 2, int wave_size = 0,
-    bool stream = false,
-    evm::DispatchMode dispatch = evm::DispatchMode::kDecoded,
-    int fanout = 0) {
+    bool stream = false, int fanout = 0) {
   AggregateCoverage agg;
   agg.curve.assign(points, 0);
   std::vector<engine::FuzzJob> jobs =
       islands > 1
-          ? MakeIslandJobs(dataset, strategy, execs, seed, islands, dispatch)
-          : MakeDatasetJobs(dataset, strategy, execs, seed, dispatch);
+          ? MakeIslandJobs(dataset, strategy, execs, seed, islands)
+          : MakeDatasetJobs(dataset, strategy, execs, seed);
   std::vector<engine::JobOutcome> outcomes;
   if (stream) {
     engine::ServiceOptions options;

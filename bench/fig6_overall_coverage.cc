@@ -32,19 +32,11 @@ int main(int argc, char** argv) {
   // live FuzzService instead of the batch compat shim — identical output
   // by the service determinism contract (the reproduce harness diffs it).
   bool stream = argc > 7 && std::atoi(argv[7]) != 0;
-  // Optional dispatch tier: non-zero runs every campaign's interpreter in
-  // kJit mode (tier-compiled native code; decoded fallback elsewhere). The
-  // reproduce harness diffs this against the decoded golden — the tier must
-  // never change a single output line.
-  mufuzz::evm::DispatchMode dispatch =
-      (argc > 8 && std::atoi(argv[8]) != 0)
-          ? mufuzz::evm::DispatchMode::kJit
-          : mufuzz::evm::DispatchMode::kDecoded;
   // Optional speculative fan-out: K parents expanded per campaign round.
   // Like W, K changes results (it is part of the reproducibility key), so
   // the reproduce harness diffs a fixed K across worker counts rather than
   // against the serial golden.
-  int fanout = argc > 9 ? std::atoi(argv[9]) : 0;
+  int fanout = argc > 8 ? std::atoi(argv[8]) : 0;
   auto wall_start = std::chrono::steady_clock::now();
 
   auto small = mufuzz::corpus::BuildD1Small(small_n, seed);
@@ -79,10 +71,6 @@ int main(int argc, char** argv) {
                 "(worker-count independent)\n",
                 fanout);
   }
-  if (dispatch == mufuzz::evm::DispatchMode::kJit) {
-    // "worker" keeps this line inside the CI diff's volatile-line filter.
-    std::printf("dispatch: jit native tier on each worker\n");
-  }
   std::printf("\n");
   PrintRule();
   std::printf("%-12s %16s %16s %10s\n", "tool", "small contracts",
@@ -92,13 +80,13 @@ int main(int argc, char** argv) {
     double s = AggregateOverDataset(small, tool, 400, seed, /*points=*/20,
                                     workers, islands, exchange_interval,
                                     /*migration_top_k=*/2, wave_size, stream,
-                                    dispatch, fanout)
+                                    fanout)
                    .mean_final *
                100.0;
     double l = AggregateOverDataset(large, tool, 500, seed + 777,
                                     /*points=*/20, workers, islands,
                                     exchange_interval, /*migration_top_k=*/2,
-                                    wave_size, stream, dispatch, fanout)
+                                    wave_size, stream, fanout)
                    .mean_final *
                100.0;
     std::printf("%-12s %15.1f%% %15.1f%% %9.1f%%\n", tool.name.c_str(), s, l,

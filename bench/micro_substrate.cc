@@ -16,7 +16,6 @@
 #include "evm/code_cache.h"
 #include "evm/execution_backend.h"
 #include "evm/executor.h"
-#include "evm/jit_compiler.h"
 #include "fuzzer/abi_codec.h"
 #include "fuzzer/campaign.h"
 #include "fuzzer/energy.h"
@@ -111,30 +110,9 @@ void BM_DecodeContract(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeContract);
 
-/// Baseline-JIT compilation of a real contract's decoded IR to native
-/// subroutine-threaded code — the one-time tier-up cost MaybeJit pays once
-/// per hot contract. Pair with BM_DecodeContract for the full cold-to-native
-/// pipeline cost.
-void BM_JitCompile(benchmark::State& state) {
-  if (!evm::JitAvailable()) {
-    state.SkipWithError("JIT unavailable on this build/platform");
-    return;
-  }
-  auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
-  auto decoded = evm::DecodeCode(artifact->runtime_code);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evm::JitCompile(*decoded));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          artifact->runtime_code.size());
-}
-BENCHMARK(BM_JitCompile);
-
 /// An arithmetic/jump loop heavy in the fusable shapes (PUSH;PUSH;ADD,
 /// DUP;SLOAD, PUSH;JUMPI), isolating raw dispatch cost from session
-/// plumbing. Arg 0 = byte-switch oracle, Arg 1 = decoded IR dispatch,
-/// Arg 2 = JIT native tier (compiled eagerly; falls back to decoded on
-/// non-JIT builds).
+/// plumbing. Arg 0 = byte-switch oracle, Arg 1 = decoded IR dispatch.
 void BM_DispatchLoop(benchmark::State& state) {
   constexpr uint32_t kIterations = 2000;
   Bytes code;
@@ -169,10 +147,8 @@ void BM_DispatchLoop(benchmark::State& state) {
   world.SetCode(contract, code);
   evm::CodeCache cache;
   evm::EvmConfig config;
-  config.dispatch = state.range(0) == 0   ? evm::DispatchMode::kByteSwitch
-                    : state.range(0) == 1 ? evm::DispatchMode::kDecoded
-                                          : evm::DispatchMode::kJit;
-  config.jit_threshold = 0;
+  config.dispatch = state.range(0) == 0 ? evm::DispatchMode::kByteSwitch
+                                        : evm::DispatchMode::kDecoded;
   config.code_cache = &cache;
   evm::Interpreter interp(&world, &host, evm::BlockContext(), config);
   evm::MessageCall call;
@@ -186,7 +162,7 @@ void BM_DispatchLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kIterations);
 }
-BENCHMARK(BM_DispatchLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DispatchLoop)->Arg(0)->Arg(1);
 
 /// The execution layer's hot path: a batch of 16 sequence plans through
 /// ExecuteSequenceBatch on the in-process SessionBackend, with the outcome
@@ -234,21 +210,16 @@ void BM_ExecuteSequenceBatch(benchmark::State& state) {
 BENCHMARK(BM_ExecuteSequenceBatch)->Unit(benchmark::kMicrosecond);
 
 /// A complete fuzzing campaign (the unit of every table/figure run).
-/// Arg 0 = decoded dispatch, Arg 1 = JIT tier at the default threshold —
-/// the end-to-end win of tier-compiling the one contract a campaign
-/// hammers. Results are bit-for-bit identical across both rows.
 void BM_CampaignHundredExecs(benchmark::State& state) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
   for (auto _ : state) {
     fuzzer::CampaignConfig config;
     config.seed = 1;
     config.max_executions = 100;
-    config.dispatch = state.range(0) == 0 ? evm::DispatchMode::kDecoded
-                                          : evm::DispatchMode::kJit;
     benchmark::DoNotOptimize(fuzzer::RunCampaign(*artifact, config));
   }
 }
-BENCHMARK(BM_CampaignHundredExecs)->Arg(0)->Arg(1);
+BENCHMARK(BM_CampaignHundredExecs);
 
 /// The staged campaign loop against BM_CampaignHundredExecs at wave size 8:
 /// what the plan-ahead/apply-behind schedule costs over the serial loop.

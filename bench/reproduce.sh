@@ -80,26 +80,13 @@ fi
 # widens the schedule, worker counts must still never touch it.
 if [ "$MODE" != "--update" ]; then
   echo "[reproduce] fig6 fan-out K=4 worker-count independence"
-  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 1 0 4 0 0 4) \
+  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 1 0 4 0 4) \
     2>/dev/null | strip_volatile > "$OUT_DIR/fig6_fanout_w1.txt"
-  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 4 0 4 0 0 4) \
+  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 4 0 4 0 4) \
     2>/dev/null | strip_volatile > "$OUT_DIR/fig6_fanout_w4.txt"
   if ! diff -u "$OUT_DIR/fig6_fanout_w1.txt" "$OUT_DIR/fig6_fanout_w4.txt"
   then
     echo "[reproduce] DIFF: fan-out results depend on worker count" >&2
-    status=1
-  fi
-fi
-
-# JIT leg: fig6 with every campaign's interpreter on the native tier
-# (trailing `1` = kJit dispatch) must match the decoded-dispatch golden
-# bit-for-bit — the tier is throughput, never semantics.
-if [ "$MODE" != "--update" ]; then
-  echo "[reproduce] fig6 decoded dispatch vs jit native tier"
-  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 1 0 0 0 1) 2>/dev/null \
-    | strip_volatile > "$OUT_DIR/fig6_jit.txt"
-  if ! diff -u "$GOLDEN_DIR/fig6.txt" "$OUT_DIR/fig6_jit.txt"; then
-    echo "[reproduce] DIFF: jit tier diverged from decoded dispatch" >&2
     status=1
   fi
 fi

@@ -110,6 +110,12 @@ Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
         "job \"" + job.name +
         "\": CampaignConfig::max_executions must be >= 0");
   }
+  // Energy below 1 grants no parent a child, so the campaign would plan
+  // nothing and never reach its execution budget.
+  if (job.config.base_energy < 1) {
+    return Status::InvalidArgument(
+        "job \"" + job.name + "\": CampaignConfig::base_energy must be >= 1");
+  }
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/keccak.h"
-#include "evm/jit_compiler.h"
 
 namespace mufuzz::evm {
 
@@ -351,66 +350,10 @@ std::shared_ptr<const DecodedCode> CodeCache::GetOrDecode(const Bytes& code) {
   return it->second;
 }
 
-const CompiledCode* CodeCache::MaybeJit(const DecodedCode& decoded,
-                                        uint64_t threshold) {
-  DecodedCode::JitState& jit = decoded.jit;
-
-  const CompiledCode* compiled = jit.compiled.load(std::memory_order_acquire);
-  if (compiled == nullptr && !jit.bailed.load(std::memory_order_relaxed)) {
-    // Tier-up: the frame that crosses the threshold compiles; threshold 0
-    // makes the very first frame compile and run natively (what the
-    // differential tests pin).
-    uint64_t n = jit.execs.fetch_add(1, std::memory_order_relaxed);
-    if (n >= threshold) {
-      if (!JitAvailable()) {
-        jit.bailed.store(true, std::memory_order_relaxed);
-      } else {
-        // Compile outside any lock — racing sessions may both compile; the
-        // first install wins and the loser's artifact is dropped (the
-        // shared-cache race test exercises exactly this).
-        auto start = std::chrono::steady_clock::now();
-        std::shared_ptr<const CompiledCode> fresh = JitCompile(decoded);
-        auto elapsed = std::chrono::steady_clock::now() - start;
-        jit_compile_ns_.fetch_add(
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                    .count()),
-            std::memory_order_relaxed);
-
-        std::lock_guard<std::mutex> lock(jit.mu);
-        if (jit.compiled.load(std::memory_order_relaxed) == nullptr &&
-            !jit.bailed.load(std::memory_order_relaxed)) {
-          if (fresh == nullptr) {
-            jit.bailed.store(true, std::memory_order_relaxed);
-            jit_bailouts_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            jit.owner = std::move(fresh);
-            jit.compiled.store(jit.owner.get(), std::memory_order_release);
-            jit_compiled_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        compiled = jit.compiled.load(std::memory_order_acquire);
-      }
-    }
-  }
-
-  if (compiled != nullptr) {
-    jit_frames_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    interp_frames_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return compiled;
-}
-
 CodeCacheStats CodeCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CodeCacheStats s = stats_;
   s.entries = map_.size();
-  s.jit_compiled = jit_compiled_.load(std::memory_order_relaxed);
-  s.jit_compile_ns = jit_compile_ns_.load(std::memory_order_relaxed);
-  s.jit_bailouts = jit_bailouts_.load(std::memory_order_relaxed);
-  s.jit_frames = jit_frames_.load(std::memory_order_relaxed);
-  s.interp_frames = interp_frames_.load(std::memory_order_relaxed);
   return s;
 }
 

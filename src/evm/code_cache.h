@@ -2,7 +2,6 @@
 #define MUFUZZ_EVM_CODE_CACHE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -14,8 +13,6 @@
 #include "evm/opcodes.h"
 
 namespace mufuzz::evm {
-
-struct CompiledCode;
 
 /// Handler selector for one decoded instruction. The decoded-dispatch loop
 /// (interpreter_decoded.cc) keys its computed-goto table — or the portable
@@ -133,26 +130,6 @@ struct DecodedCode {
   /// valid JUMPDEST; -1 elsewhere. Sized code.size() for O(1) validation —
   /// this replaces the per-frame FindJumpdests unordered_set.
   std::vector<int32_t> pc_to_insn;
-
-  /// kJit tier-up state, piggybacked on the cached decode so the compiled
-  /// artifact is shared exactly like the IR is: per code hash, insert-only,
-  /// across sessions. All members are logically part of the cache, not of
-  /// the (otherwise immutable) decode — hence mutable, and guarded as
-  /// documented.
-  struct JitState {
-    /// Frames executed on this code across all sharers; drives tier-up.
-    std::atomic<uint64_t> execs{0};
-    /// The installed artifact, set exactly once (acquire/release). Read on
-    /// every frame; non-null means run native.
-    std::atomic<const CompiledCode*> compiled{nullptr};
-    /// True once compilation bailed out; pins the decoded interpreter so
-    /// the compiler is not re-run every frame.
-    std::atomic<bool> bailed{false};
-    /// Serializes compile attempts and owns the artifact's lifetime.
-    std::mutex mu;
-    std::shared_ptr<const CompiledCode> owner;
-  };
-  mutable JitState jit;
 };
 
 /// Decodes raw bytecode into the linear IR (leader marking, block
@@ -167,12 +144,6 @@ struct CodeCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t decode_ns = 0;  ///< total wall time spent decoding
-  // kJit compile telemetry, aggregated the same way.
-  uint64_t jit_compiled = 0;      ///< contracts compiled to native code
-  uint64_t jit_compile_ns = 0;    ///< total wall time spent compiling
-  uint64_t jit_bailouts = 0;      ///< compile attempts that fell back
-  uint64_t jit_frames = 0;        ///< frames run natively
-  uint64_t interp_frames = 0;     ///< kJit frames run on the decoded loop
 
   friend bool operator==(const CodeCacheStats&, const CodeCacheStats&) =
       default;
@@ -186,15 +157,6 @@ struct CodeCacheStats {
 class CodeCache {
  public:
   std::shared_ptr<const DecodedCode> GetOrDecode(const Bytes& code);
-
-  /// kJit tier-up: counts the frame against `decoded`'s exec counter and
-  /// returns the native artifact to run it with, or nullptr to run the
-  /// decoded interpreter (below threshold, unsupported build, or compile
-  /// bailout). Compiles at the threshold crossing — outside the per-code
-  /// mutex, first install wins. Thread-safe and callable from any session
-  /// sharing the cache.
-  const CompiledCode* MaybeJit(const DecodedCode& decoded,
-                               uint64_t threshold);
 
   CodeCacheStats stats() const;
   size_t size() const;
@@ -219,13 +181,6 @@ class CodeCache {
                      std::shared_ptr<const DecodedCode>, KeyHasher>
       map_;
   CodeCacheStats stats_;
-  // Compile telemetry is updated outside mu_ (MaybeJit runs on the frame
-  // hot path), hence atomic; folded into stats() snapshots.
-  std::atomic<uint64_t> jit_compiled_{0};
-  std::atomic<uint64_t> jit_compile_ns_{0};
-  std::atomic<uint64_t> jit_bailouts_{0};
-  std::atomic<uint64_t> jit_frames_{0};
-  std::atomic<uint64_t> interp_frames_{0};
 };
 
 }  // namespace mufuzz::evm

@@ -157,19 +157,8 @@ ExecResult Interpreter::RunFrame(const MessageCall& call) {
     code_acct->decoded = cache_->GetOrDecode(code_acct->code);
   }
   std::shared_ptr<const DecodedCode> decoded = code_acct->decoded;
-  switch (config_.dispatch) {
-    case DispatchMode::kJit: {
-      const CompiledCode* compiled =
-          cache_->MaybeJit(*decoded, config_.jit_threshold);
-      if (compiled != nullptr) {
-        return RunFrameJit(call, *decoded, *compiled);
-      }
-      return RunFrameDecoded(call, *decoded);
-    }
-    case DispatchMode::kDecoded:
-      return RunFrameDecoded(call, *decoded);
-    case DispatchMode::kByteSwitch:
-      break;
+  if (config_.dispatch == DispatchMode::kDecoded) {
+    return RunFrameDecoded(call, *decoded);
   }
   return RunFrameBytes(call, *decoded);
 }

@@ -18,7 +18,6 @@ namespace mufuzz::evm {
 
 class CodeCache;
 struct DecodedCode;
-struct CompiledCode;
 
 /// Which execution loop runs the frames.
 enum class DispatchMode : uint8_t {
@@ -30,12 +29,6 @@ enum class DispatchMode : uint8_t {
   /// it re-derives jump targets and immediates from raw bytes, so the
   /// decoded-dispatch tests cross-check two independent decodings.
   kByteSwitch,
-  /// Tiered execution: contracts start on the decoded loop and are compiled
-  /// to native subroutine-threaded code (jit_compiler.h) once they cross
-  /// EvmConfig::jit_threshold executions. Bit-for-bit equivalent to the
-  /// other two modes; degrades to kDecoded on unsupported builds and on
-  /// compile bailouts.
-  kJit,
 };
 
 /// Interpreter limits. The step cap is a belt-and-braces guard on top of gas
@@ -45,10 +38,6 @@ struct EvmConfig {
   int max_call_depth = 12;
   uint64_t max_steps = 2000000;
   DispatchMode dispatch = DispatchMode::kDecoded;
-  /// kJit tier-up counter: compile a contract's code after this many frame
-  /// executions of its hash (across all sessions sharing the cache). 0
-  /// compiles eagerly on first execution — what the differential tests use.
-  uint64_t jit_threshold = 8;
   /// Cache for pre-decoded bytecode; nullptr means CodeCache::Global() (one
   /// decode per contract per process, shared across sessions and workers).
   CodeCache* code_cache = nullptr;
@@ -179,8 +168,6 @@ class Interpreter : public ReentryHandle {
   uint64_t host_calls() const { return host_calls_; }
 
  private:
-  friend class Frame;
-  friend struct JitExec;
   /// Runs one call frame (recursively for nested calls): resolves the
   /// callee's DecodedCode (memoized on the account, shared via the cache)
   /// and hands off to the configured dispatch loop. State snapshots for
@@ -197,13 +184,6 @@ class Interpreter : public ReentryHandle {
   /// observer event (events carry original byte pcs, not IR indices).
   ExecResult RunFrameDecoded(const MessageCall& call,
                              const DecodedCode& decoded);
-
-  /// Runs a frame through the compiled artifact (jit_compiler.cc). Same
-  /// equivalence contract as RunFrameDecoded; complex ops call back into
-  /// the same C++ paths, so journal, cmp records, and events are shared
-  /// code, not re-implementations.
-  ExecResult RunFrameJit(const MessageCall& call, const DecodedCode& decoded,
-                         const CompiledCode& compiled);
 
   /// Checks out the next free frame arena (Reset, ready to use). Arenas are
   /// pooled with stack discipline — every live frame holds exactly one, so
@@ -243,14 +223,9 @@ class Interpreter : public ReentryHandle {
   uint64_t steps_ = 0;
   int reenter_depth_ = 0;
   uint64_t host_calls_ = 0;
-  /// Used by the decoded loop and the JIT; the byte-switch oracle calls
-  /// Keccak256 directly, so the tier differential checks the memo.
+  /// Used by the decoded loop; the byte-switch oracle calls Keccak256
+  /// directly, so the tier differential checks the memo.
   Keccak256Memo keccak_memo_;
-  /// Reusable, uninitialized operand-stack buffers for compiled (kJit)
-  /// frames, one per active call depth — a compiled frame writes every slot
-  /// before reading it, so construction would be pure overhead, and the
-  /// decoded loop's lazily-grown std::vector stack never pays it either.
-  std::vector<std::unique_ptr<unsigned char[]>> jit_stacks_;
   /// Stack-disciplined pool of frame arenas (see FrameArena): arenas_[i]
   /// belongs to the i-th live frame on this interpreter's call stack.
   /// Capacity persists for the session lifetime, so steady-state frames

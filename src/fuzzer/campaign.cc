@@ -44,10 +44,7 @@ Campaign::Campaign(const lang::ContractArtifact* artifact,
     owned_backend_ = std::make_unique<evm::SessionBackend>();
     backend_ = owned_backend_.get();
   }
-  evm::EvmConfig evm_config;
-  evm_config.dispatch = config_.dispatch;
-  evm_config.jit_threshold = config_.jit_threshold;
-  backend_->Bind(host_.get(), evm::BlockContext(), evm_config);
+  backend_->Bind(host_.get(), evm::BlockContext(), evm::EvmConfig());
 
   std::vector<Address> senders = MakeSenderPool();
   codec_ = std::make_unique<AbiCodec>(&artifact_->abi, senders);

@@ -29,7 +29,7 @@ struct CampaignConfig {
   uint64_t seed = 1;
   int max_executions = 1500;    ///< sequence executions
   int initial_seeds = 4;
-  int base_energy = 6;          ///< mutations per selected seed
+  int base_energy = 6;          ///< mutations per selected seed (>= 1)
   double call_failure_probability = 0.25;
   U256 initial_contract_balance = U256(100) * U256::PowerOfTen(18);
   int coverage_samples = 25;    ///< points on the coverage-over-time curve
@@ -53,14 +53,6 @@ struct CampaignConfig {
   /// is part of the reproducibility key: K parents' waves interleave rng
   /// draws differently than K serial chains would.
   int fanout = 1;
-
-  // ------------------------------------------------------ Execution tier --
-  /// Dispatch tier the campaign's interpreter runs (kDecoded default;
-  /// kJit tier-compiles hot contracts). Results are bit-for-bit identical
-  /// across all modes — this is a throughput knob, not a semantics knob.
-  evm::DispatchMode dispatch = evm::DispatchMode::kDecoded;
-  /// kJit tier-up threshold (see EvmConfig::jit_threshold).
-  uint64_t jit_threshold = 8;
 };
 
 /// One fuzzing campaign over one contract: deploy once, then iterate

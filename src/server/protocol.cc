@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "analysis/bug_types.h"
-#include "evm/interpreter.h"
 
 namespace mufuzz::server {
 
@@ -128,8 +127,6 @@ void WriteConfig(const fuzzer::CampaignConfig& config, WireWriter* w) {
   w->I32(config.mask_stride_divisor);
   w->I32(config.wave_size);
   w->I32(config.fanout);
-  w->U8(static_cast<uint8_t>(config.dispatch));
-  w->U64(config.jit_threshold);
 }
 
 Status ReadConfig(WireReader* r, fuzzer::CampaignConfig* config) {
@@ -155,14 +152,6 @@ Status ReadConfig(WireReader* r, fuzzer::CampaignConfig* config) {
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->mask_stride_divisor));
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->wave_size));
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->fanout));
-  uint8_t dispatch;
-  MUFUZZ_RETURN_IF_ERROR(r->U8(&dispatch));
-  if (dispatch > static_cast<uint8_t>(evm::DispatchMode::kJit)) {
-    return Status::ParseError("unknown dispatch mode " +
-                              std::to_string(dispatch));
-  }
-  config->dispatch = static_cast<evm::DispatchMode>(dispatch);
-  MUFUZZ_RETURN_IF_ERROR(r->U64(&config->jit_threshold));
   return Status::OK();
 }
 

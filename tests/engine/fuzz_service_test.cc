@@ -91,6 +91,22 @@ TEST(FuzzServiceValidationTest, RejectsNegativeJobMaxExecutions) {
             std::string::npos);
 }
 
+TEST(FuzzServiceValidationTest, RejectsNonPositiveJobBaseEnergy) {
+  // Energy below 1 plans no children: the campaign would spin forever
+  // short of its budget, so it must be refused at submission.
+  for (int energy : {0, -3}) {
+    FuzzService service;
+    FuzzJob job = MakeJob("bad", corpus::CrowdsaleExample().source, 1, 50);
+    job.config.base_energy = energy;
+    Result<JobTicket> ticket = service.Submit(job);
+    ASSERT_FALSE(ticket.ok()) << "base_energy " << energy;
+    EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(ticket.status().message().find("base_energy"),
+              std::string::npos);
+    EXPECT_TRUE(service.WaitAll().empty());
+  }
+}
+
 TEST(FuzzServiceValidationTest, RejectsNegativeServiceWaveSize) {
   ServiceOptions options;
   options.wave_size = -4;

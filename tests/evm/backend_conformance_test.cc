@@ -1,7 +1,6 @@
 // Parameterized conformance suite for the ExecutionBackend contract: the
-// in-process SessionBackend under every interpreter tier (decoded, the
-// byte-switch oracle, and the JIT) must satisfy the same plan-in/outcome-out
-// semantics:
+// in-process SessionBackend under both interpreter tiers (decoded and the
+// byte-switch oracle) must satisfy the same plan-in/outcome-out semantics:
 //  - Bind/Deploy/MarkDeployed/Rewind round-trips leave the slate clean;
 //  - outcomes are self-contained values, isolated between sequences (batch
 //    neighbors and re-executions never bleed into each other);
@@ -27,11 +26,6 @@
 
 namespace mufuzz::evm {
 namespace {
-
-struct BackendCase {
-  std::string name;
-  DispatchMode dispatch;
-};
 
 std::unique_ptr<ExecutionBackend> MakeBackend() {
   return std::make_unique<SessionBackend>();
@@ -59,12 +53,10 @@ class BackendConformanceTest : public ::testing::TestWithParam<BackendCase> {
         /*max_reentries=*/2);
   }
 
-  /// The interpreter tier under test; jit_threshold 1 compiles the contract
-  /// on its first execution so the JIT case really runs native code.
+  /// The interpreter tier under test.
   EvmConfig TierConfig() const {
     EvmConfig config;
     config.dispatch = GetParam().dispatch;
-    config.jit_threshold = 1;
     return config;
   }
 
@@ -279,8 +271,7 @@ TEST_P(BackendConformanceTest, RecycledOutcomeBuffersCarryNoStaleState) {
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendConformanceTest,
     ::testing::Values(BackendCase{"session", DispatchMode::kDecoded},
-                      BackendCase{"byte_switch", DispatchMode::kByteSwitch},
-                      BackendCase{"jit", DispatchMode::kJit}),
+                      BackendCase{"byte_switch", DispatchMode::kByteSwitch}),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return info.param.name;
     });

@@ -1,17 +1,13 @@
-// Differential suite for the decoded-dispatch and JIT interpreters: the
-// byte-switch loop (which re-derives jump targets and immediates from raw
-// bytes) is the oracle, the pre-decoded IR loop and the native tier
-// (DispatchMode::kJit, compiled eagerly via jit_threshold = 0) are the
-// subjects. Every run is compared on outcome, output, gas, the comparison
-// records, the full observer event stream (including the raw per-step
-// (pc, opcode, depth) tuples), and the final world state — both subjects
-// must be bit-for-bit the byte path. On builds where JitAvailable() is
-// false the kJit legs still run and prove the graceful kDecoded fallback.
+// Differential suite for the decoded-dispatch interpreter: the byte-switch
+// loop (which re-derives jump targets and immediates from raw bytes) is the
+// oracle, the pre-decoded IR loop is the subject. Every run is compared on
+// outcome, output, gas, the comparison records, the full observer event
+// stream (including the raw per-step (pc, opcode, depth) tuples), and the
+// final world state — the subject must be bit-for-bit the byte path.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +20,6 @@
 #include "evm/executor.h"
 #include "evm/host.h"
 #include "evm/interpreter.h"
-#include "evm/jit_compiler.h"
 #include "evm/opcodes.h"
 #include "evm/stack.h"
 #include "evm/trace.h"
@@ -192,7 +187,6 @@ RawRun RunRaw(DispatchMode mode, const Bytes& code, const Bytes& calldata,
   EvmConfig config;
   config.dispatch = mode;
   config.code_cache = cache;
-  config.jit_threshold = 0;  // kJit: compile eagerly, first frame runs native
   Interpreter interp(&r.state, &host, BlockContext(), config);
   interp.set_observer(&r.trace);
   MessageCall call;
@@ -208,7 +202,7 @@ RawRun RunRaw(DispatchMode mode, const Bytes& code, const Bytes& calldata,
   return r;
 }
 
-/// Runs `code` under all three dispatch modes and asserts every observable
+/// Runs `code` under both dispatch modes and asserts every observable
 /// is identical. Returns the byte-switch result for extra assertions.
 ExecResult ExpectModesAgree(const Bytes& code, const Bytes& calldata = {},
                             const U256& value = U256(),
@@ -216,19 +210,16 @@ ExecResult ExpectModesAgree(const Bytes& code, const Bytes& calldata = {},
   CodeCache cache;
   RawRun oracle =
       RunRaw(DispatchMode::kByteSwitch, code, calldata, value, gas, &cache);
-  for (DispatchMode mode : {DispatchMode::kDecoded, DispatchMode::kJit}) {
-    SCOPED_TRACE(mode == DispatchMode::kDecoded ? "subject=decoded"
-                                                : "subject=jit");
-    RawRun subject = RunRaw(mode, code, calldata, value, gas, &cache);
-    EXPECT_EQ(oracle.exec.outcome, subject.exec.outcome)
-        << OutcomeToString(oracle.exec.outcome) << " vs "
-        << OutcomeToString(subject.exec.outcome);
-    EXPECT_EQ(oracle.exec.output, subject.exec.output);
-    EXPECT_EQ(oracle.exec.gas_used, subject.exec.gas_used);
-    ExpectSameCmps(oracle.cmps, subject.cmps);
-    ExpectSameTrace(oracle.trace, subject.trace);
-    EXPECT_EQ(oracle.state.accounts(), subject.state.accounts());
-  }
+  RawRun subject =
+      RunRaw(DispatchMode::kDecoded, code, calldata, value, gas, &cache);
+  EXPECT_EQ(oracle.exec.outcome, subject.exec.outcome)
+      << OutcomeToString(oracle.exec.outcome) << " vs "
+      << OutcomeToString(subject.exec.outcome);
+  EXPECT_EQ(oracle.exec.output, subject.exec.output);
+  EXPECT_EQ(oracle.exec.gas_used, subject.exec.gas_used);
+  ExpectSameCmps(oracle.cmps, subject.cmps);
+  ExpectSameTrace(oracle.trace, subject.trace);
+  EXPECT_EQ(oracle.state.accounts(), subject.state.accounts());
   return oracle.exec;
 }
 
@@ -540,7 +531,6 @@ CorpusRun RunCorpusEntry(const lang::ContractArtifact& artifact,
   EvmConfig config;
   config.dispatch = mode;
   config.code_cache = &cache;
-  config.jit_threshold = 0;
   AcceptingHost host;
   ChainSession chain(&host, BlockContext(), config);
   chain.interpreter().set_observer(&run.trace);
@@ -593,23 +583,20 @@ TEST(DecodedDispatchTest, BuiltinCorpusAgreesWithByteOracle) {
     const uint64_t seed = 1000 + e;
     CorpusRun oracle =
         RunCorpusEntry(*artifact, DispatchMode::kByteSwitch, seed);
-    for (DispatchMode mode : {DispatchMode::kDecoded, DispatchMode::kJit}) {
-      SCOPED_TRACE(mode == DispatchMode::kDecoded ? "subject=decoded"
-                                                  : "subject=jit");
-      CorpusRun subject = RunCorpusEntry(*artifact, mode, seed);
+    CorpusRun subject =
+        RunCorpusEntry(*artifact, DispatchMode::kDecoded, seed);
 
-      ASSERT_EQ(oracle.deploy_ok, subject.deploy_ok);
-      ASSERT_EQ(oracle.results.size(), subject.results.size());
-      for (size_t i = 0; i < oracle.results.size(); ++i) {
-        SCOPED_TRACE("tx " + std::to_string(i));
-        EXPECT_EQ(oracle.results[i].outcome, subject.results[i].outcome);
-        EXPECT_EQ(oracle.results[i].output, subject.results[i].output);
-        EXPECT_EQ(oracle.results[i].gas_used, subject.results[i].gas_used);
-        ExpectSameCmps(oracle.cmps[i], subject.cmps[i]);
-      }
-      ExpectSameTrace(oracle.trace, subject.trace);
-      EXPECT_EQ(oracle.accounts, subject.accounts);
+    ASSERT_EQ(oracle.deploy_ok, subject.deploy_ok);
+    ASSERT_EQ(oracle.results.size(), subject.results.size());
+    for (size_t i = 0; i < oracle.results.size(); ++i) {
+      SCOPED_TRACE("tx " + std::to_string(i));
+      EXPECT_EQ(oracle.results[i].outcome, subject.results[i].outcome);
+      EXPECT_EQ(oracle.results[i].output, subject.results[i].output);
+      EXPECT_EQ(oracle.results[i].gas_used, subject.results[i].gas_used);
+      ExpectSameCmps(oracle.cmps[i], subject.cmps[i]);
     }
+    ExpectSameTrace(oracle.trace, subject.trace);
+    EXPECT_EQ(oracle.accounts, subject.accounts);
   }
 }
 
@@ -687,8 +674,7 @@ TEST(CodeCacheConcurrencyTest, ConcurrentMixedDispatchAgrees) {
         for (int iter = 0; iter < kIters; ++iter) {
           for (const Bytes& code : programs) {
             for (DispatchMode mode :
-                 {DispatchMode::kDecoded, DispatchMode::kByteSwitch,
-                  DispatchMode::kJit}) {
+                 {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
               RawRun r = RunRaw(mode, code, {}, U256(), 200000, &cache);
               logs[t].push_back(static_cast<uint64_t>(r.exec.outcome));
               logs[t].push_back(r.exec.gas_used);
@@ -707,114 +693,7 @@ TEST(CodeCacheConcurrencyTest, ConcurrentMixedDispatchAgrees) {
   EXPECT_EQ(stats.entries, programs.size());
   EXPECT_GE(stats.misses, programs.size());
   EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<uint64_t>(kThreads) * kIters * programs.size() * 3);
-  // Each kJit run is one top-level frame; with threshold 0 every one of
-  // them runs natively once the install wins (even the compiling frame),
-  // and each program compiles exactly once no matter how many threads
-  // raced. On non-JIT builds the tier bails and every frame interprets.
-  const uint64_t jit_runs =
-      static_cast<uint64_t>(kThreads) * kIters * programs.size();
-  if (JitAvailable()) {
-    EXPECT_EQ(stats.jit_compiled, programs.size());
-    EXPECT_EQ(stats.jit_frames, jit_runs);
-    EXPECT_EQ(stats.interp_frames, 0u);
-    EXPECT_EQ(stats.jit_bailouts, 0u);
-  } else {
-    EXPECT_EQ(stats.jit_compiled, 0u);
-    EXPECT_EQ(stats.jit_frames, 0u);
-    EXPECT_EQ(stats.interp_frames, jit_runs);
-  }
-}
-
-TEST(CodeCacheConcurrencyTest, ConcurrentJitCompileRaceInstallsOnce) {
-  // Many threads hit the same cold contract under kJit (threshold 0) at
-  // once: every thread may compile, but exactly one artifact installs and
-  // all frames execute through it with identical observables. This is the
-  // compile-outside-lock / first-install-wins race under TSan.
-  CodeCache cache;
-  const Bytes code = ReturnConstant(42);
-  constexpr int kRacers = 8;
-  constexpr int kRuns = 4;
-  std::vector<std::vector<uint64_t>> logs(kRacers);
-  {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kRacers; ++t) {
-      threads.emplace_back([&, t] {
-        for (int run = 0; run < kRuns; ++run) {
-          RawRun r = RunRaw(DispatchMode::kJit, code, {}, U256(), 100000,
-                            &cache);
-          logs[t].push_back(static_cast<uint64_t>(r.exec.outcome));
-          logs[t].push_back(r.exec.gas_used);
-          logs[t].push_back(r.exec.output.empty() ? 0 : r.exec.output[31]);
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
-  for (int t = 0; t < kRacers; ++t) {
-    ASSERT_EQ(logs[t].size(), static_cast<size_t>(kRuns) * 3);
-    EXPECT_EQ(logs[t], logs[0]) << "racer " << t;
-  }
-  EXPECT_EQ(logs[0][0], static_cast<uint64_t>(Outcome::kSuccess));
-  EXPECT_EQ(logs[0][2], 42u);
-
-  CodeCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  if (JitAvailable()) {
-    EXPECT_EQ(stats.jit_compiled, 1u);  // losers' artifacts were dropped
-    EXPECT_EQ(stats.jit_frames, static_cast<uint64_t>(kRacers) * kRuns);
-    EXPECT_EQ(stats.interp_frames, 0u);
-  } else {
-    EXPECT_EQ(stats.jit_compiled, 0u);
-    EXPECT_EQ(stats.interp_frames, static_cast<uint64_t>(kRacers) * kRuns);
-  }
-}
-
-TEST(CodeCacheConcurrencyTest, JitTierUpHonorsThreshold) {
-  // threshold = 3: frames 0..2 interpret, frame 3 crosses the counter and
-  // compiles (and itself runs natively), frame 4 takes the fast path.
-  WorldState state;
-  AcceptingHost host;
-  CodeCache cache;
-  const Address contract = Address::FromUint(0xc0de);
-  state.SetCode(contract, ReturnConstant(9));
-  EvmConfig config;
-  config.dispatch = DispatchMode::kJit;
-  config.code_cache = &cache;
-  config.jit_threshold = 3;
-  Interpreter interp(&state, &host, BlockContext(), config);
-  MessageCall call;
-  call.to = contract;
-  call.code_address = contract;
-  call.caller = Address::FromUint(0xab01);
-  call.origin = call.caller;
-  call.gas = 100000;
-
-  std::optional<ExecResult> first;
-  for (int i = 0; i < 5; ++i) {
-    SCOPED_TRACE("exec " + std::to_string(i));
-    ExecResult r = interp.ExecuteTransaction(call);
-    EXPECT_EQ(r.outcome, Outcome::kSuccess);
-    ASSERT_EQ(r.output.size(), 32u);
-    EXPECT_EQ(r.output[31], 9);
-    if (!first.has_value()) {
-      first = r;
-    } else {
-      EXPECT_EQ(first->gas_used, r.gas_used);  // tier change is invisible
-    }
-  }
-
-  CodeCacheStats stats = cache.stats();
-  if (JitAvailable()) {
-    EXPECT_EQ(stats.jit_compiled, 1u);
-    EXPECT_EQ(stats.interp_frames, 3u);
-    EXPECT_EQ(stats.jit_frames, 2u);
-    EXPECT_GT(stats.jit_compile_ns, 0u);
-  } else {
-    EXPECT_EQ(stats.jit_compiled, 0u);
-    EXPECT_EQ(stats.interp_frames, 5u);
-    EXPECT_EQ(stats.jit_frames, 0u);
-  }
+            static_cast<uint64_t>(kThreads) * kIters * programs.size() * 2);
 }
 
 }  // namespace

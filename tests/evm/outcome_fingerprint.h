@@ -1,12 +1,22 @@
 #ifndef MUFUZZ_TESTS_EVM_OUTCOME_FINGERPRINT_H_
 #define MUFUZZ_TESTS_EVM_OUTCOME_FINGERPRINT_H_
 
+#include <ostream>
 #include <string>
 #include <type_traits>
 
 #include "evm/execution_backend.h"
 
 namespace mufuzz::evm {
+
+/// One interpreter tier of a parameterized backend suite.
+struct BackendCase {
+  std::string name;
+  DispatchMode dispatch;
+};
+
+/// Prints the case by name, so test names carry no object bytes.
+inline void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.name; }
 
 /// Appends `fields` to `fp`, space-separated, as one event record.
 template <typename... Fields>

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,14 +22,6 @@
 
 namespace mufuzz::evm {
 namespace {
-
-struct BackendCase {
-  std::string name;
-  DispatchMode dispatch;
-};
-
-/// Prints the case by name, so test names carry no object bytes.
-void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.name; }
 
 /// FuzzingHost that counts the external calls it serviced, so a test can
 /// check that its plan streams really reached the host, and digests the
@@ -74,7 +65,6 @@ class PrefixReuseDiffTest : public ::testing::TestWithParam<BackendCase> {
   EvmConfig TierConfig() const {
     EvmConfig config;
     config.dispatch = GetParam().dispatch;
-    config.jit_threshold = 1;
     return config;
   }
 
@@ -288,8 +278,7 @@ TEST_P(PrefixReuseDiffTest, HostConsultingTransactionEndsTheSharedPrefix) {
 INSTANTIATE_TEST_SUITE_P(
     AllTiers, PrefixReuseDiffTest,
     ::testing::Values(BackendCase{"decoded", DispatchMode::kDecoded},
-                      BackendCase{"byte_switch", DispatchMode::kByteSwitch},
-                      BackendCase{"jit", DispatchMode::kJit}),
+                      BackendCase{"byte_switch", DispatchMode::kByteSwitch}),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return info.param.name;
     });

@@ -77,7 +77,6 @@ TEST(ProtocolTest, SubmitRequestRoundTripsEveryField) {
   request.config.call_failure_probability = 0.125;
   request.config.initial_contract_balance = U256(1, 2, 3, 4);
   request.config.strategy.mask_guided = false;
-  request.config.jit_threshold = 42;
 
   SubmitRequest decoded;
   ASSERT_TRUE(
@@ -96,7 +95,6 @@ TEST(ProtocolTest, SubmitRequestRoundTripsEveryField) {
   EXPECT_TRUE(decoded.config.initial_contract_balance ==
               request.config.initial_contract_balance);
   EXPECT_EQ(decoded.config.strategy.mask_guided, false);
-  EXPECT_EQ(decoded.config.jit_threshold, request.config.jit_threshold);
 }
 
 TEST(ProtocolTest, RejectsOutOfRangeEnums) {
@@ -305,6 +303,37 @@ TEST_F(ProtocolSocketTest, NegativeInitialSeedsAnswersErrorAndKeepsServing) {
   MufuzzClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   request.config.initial_seeds = 4;
+  auto ticket = client.Submit(request);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  auto outcome = client.Wait(*ticket);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->has_result) << outcome->error;
+}
+
+TEST_F(ProtocolSocketTest, ZeroBaseEnergyAnswersErrorAndKeepsServing) {
+  // Energy 0 plans no children, so the campaign would never reach its
+  // budget and would pin a worker forever; the SUBMIT must be refused.
+  RawConn conn(server_->port());
+  ASSERT_TRUE(conn.connected());
+  SubmitRequest request;
+  request.name = "zero-energy";
+  request.source = corpus::CrowdsaleExample().source;
+  request.config.max_executions = 40;
+  request.config.base_energy = 0;
+  ASSERT_TRUE(WriteFrame(conn.fd(), static_cast<uint8_t>(Verb::kSubmit),
+                         EncodeSubmitRequest(request)));
+  uint8_t verb;
+  Bytes payload;
+  conn.ReadResponse(&verb, &payload);
+  EXPECT_EQ(verb, static_cast<uint8_t>(Verb::kRError));
+  Status st = DecodeError(payload);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("base_energy"), std::string::npos);
+  ExpectStatsWorksOn(conn);
+
+  MufuzzClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  request.config.base_energy = 1;
   auto ticket = client.Submit(request);
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
   auto outcome = client.Wait(*ticket);
