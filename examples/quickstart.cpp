@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
                              : "not found (try more executions)");
 
   // 4. Scale out: the same campaign across four seeds, fanned over the
-  //    engine layer's worker pool — how the bench suite runs whole datasets.
+  //    engine layer's service workers — how the bench suite runs whole
+  //    datasets.
   std::vector<mufuzz::engine::FuzzJob> jobs;
   for (uint64_t s = 1; s <= 4; ++s) {
     mufuzz::engine::FuzzJob job;

@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   int execs = argc > 1 ? std::atoi(argv[1]) : 2000;
   int workers = argc > 2 ? std::atoi(argv[2]) : 0;
 
-  // 1. A long-lived service: a persistent worker pool that interleaves
-  //    whatever campaign rounds are ready. round_quantum is the progress/
-  //    cancel granularity — it never changes results.
+  // 1. A long-lived service: worker threads that each run whichever job
+  //    slice is ready next. round_quantum is the progress/cancel
+  //    granularity — it never changes results.
   engine::ServiceOptions options;
   options.workers = workers;
   options.round_quantum = 64;

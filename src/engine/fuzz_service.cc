@@ -49,8 +49,10 @@ FuzzService::FuzzService(ServiceOptions options) : options_(options) {
   options_.round_quantum = std::max(1, options_.round_quantum);
   paused_ = options_.start_paused;
   last_metrics_log_ = Clock::now();
-  pool_ = std::make_unique<WorkerPool>(workers_);
-  coordinator_ = std::thread([this] { CoordinatorMain(); });
+  threads_.reserve(static_cast<size_t>(workers_));
+  for (int i = 0; i < workers_; ++i) {
+    threads_.emplace_back([this] { WorkerMain(); });
+  }
 }
 
 FuzzService::~FuzzService() {
@@ -62,7 +64,7 @@ FuzzService::~FuzzService() {
     }
   }
   work_cv_.notify_all();
-  if (coordinator_.joinable()) coordinator_.join();
+  for (std::thread& thread : threads_) thread.join();
 }
 
 // ------------------------------------------------------------- Validation --
@@ -174,20 +176,28 @@ Result<JobTicket> FuzzService::Submit(FuzzJob job) {
   std::string tenant = ResolveTenant(job.tenant);
   Status admitted = AdmitLocked(tenant, 1);
   if (!admitted.ok()) return admitted;
-  JobTicket ticket = next_ticket_++;
+  std::unique_ptr<JobRecord> record =
+      NewRecordLocked(std::move(job), std::move(tenant));
+  const JobTicket ticket = record->ticket;
+  live_jobs_.emplace(ticket, record.get());
+  jobs_.emplace(ticket, std::move(record));
+  if (idle_workers_ > 0) work_cv_.notify_one();
+  return ticket;
+}
+
+std::unique_ptr<FuzzService::JobRecord> FuzzService::NewRecordLocked(
+    FuzzJob job, std::string tenant) {
   auto record = std::make_unique<JobRecord>();
-  record->ticket = ticket;
+  record->ticket = next_ticket_++;
   record->job = std::move(job);
   record->config = EffectiveConfig(record->job);
   record->outcome.name = record->job.name;
   record->progress.state = JobState::kQueued;
   record->progress.fanout = std::max(1, record->config.fanout);
+  record->tenant_record = &tenants_[tenant];
   record->tenant = std::move(tenant);
   record->admitted_at = Clock::now();
-  live_jobs_.emplace(ticket, record.get());
-  jobs_.emplace(ticket, std::move(record));
-  work_cv_.notify_all();
-  return ticket;
+  return record;
 }
 
 Result<GroupTicket> FuzzService::SubmitIslandGroup(std::vector<FuzzJob> jobs) {
@@ -251,16 +261,10 @@ Result<GroupTicket> FuzzService::SubmitIslandGroup(std::vector<FuzzJob> jobs) {
   auto group = std::make_unique<GroupRecord>();
   GroupTicket group_ticket;
   for (FuzzJob& job : jobs) {
-    JobTicket ticket = next_ticket_++;
-    auto record = std::make_unique<JobRecord>();
-    record->ticket = ticket;
-    record->job = std::move(job);
-    record->config = EffectiveConfig(record->job);
-    record->outcome.name = record->job.name;
-    record->progress.state = JobState::kQueued;
-    record->progress.fanout = std::max(1, record->config.fanout);
-    record->tenant = ResolveTenant(record->job.tenant);
-    record->admitted_at = Clock::now();
+    std::string tenant = ResolveTenant(job.tenant);
+    std::unique_ptr<JobRecord> record =
+        NewRecordLocked(std::move(job), std::move(tenant));
+    const JobTicket ticket = record->ticket;
     record->group = group.get();
     group->members.push_back(record.get());
     group_ticket.members.push_back(ticket);
@@ -270,7 +274,7 @@ Result<GroupTicket> FuzzService::SubmitIslandGroup(std::vector<FuzzJob> jobs) {
   group->open_members = static_cast<int>(group->members.size());
   live_groups_.push_back(group.get());
   groups_.push_back(std::move(group));
-  work_cv_.notify_all();
+  if (idle_workers_ > 0) work_cv_.notify_one();
   return group_ticket;
 }
 
@@ -286,8 +290,7 @@ JobProgress FuzzService::Poll(JobTicket ticket) const {
     progress.state = JobState::kDone;
   } else if (record->cancel_requested) {
     progress.state = JobState::kCancelling;
-  } else if (record->stage == Stage::kActive ||
-             record->stage == Stage::kFinalizing) {
+  } else if (record->stage == Stage::kActive) {
     progress.state = JobState::kRunning;
   } else {
     progress.state = JobState::kQueued;
@@ -326,7 +329,8 @@ void FuzzService::Cancel(JobTicket ticket) {
   auto it = jobs_.find(ticket);
   if (it == jobs_.end() || it->second->stage == Stage::kDone) return;
   it->second->cancel_requested = true;
-  work_cv_.notify_all();
+  // A step the step_slots cap held back becomes an uncapped finalize.
+  if (idle_workers_ > 0) work_cv_.notify_one();
 }
 
 void FuzzService::CancelGroup(const GroupTicket& group) {
@@ -379,8 +383,7 @@ ServiceStats FuzzService::StatsLocked() const {
   std::map<std::string, std::pair<size_t, uint64_t>> live_now;  // queued, exec
   for (const auto& [ticket, record] : live_jobs_) {
     auto& entry = live_now[record->tenant];
-    if (record->stage == Stage::kAdmitted || record->stage == Stage::kCompiled ||
-        record->stage == Stage::kConstruct) {
+    if (record->stage == Stage::kAdmitted) {
       ++entry.first;
       ++stats.queued_jobs;
     }
@@ -415,252 +418,260 @@ uint64_t FuzzService::TotalExecutionsLocked() const {
   return total;
 }
 
-// ------------------------------------------------------------ Coordinator --
+// ---------------------------------------------------------------- Workers --
 
 bool FuzzService::AllDoneLocked() const { return live_jobs_.empty(); }
 
-void FuzzService::CoordinatorMain() {
+void FuzzService::WorkerMain() {
+  Slice slice;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    RoundPlan plan;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stop_ || (!paused_ && !AllDoneLocked());
-      });
-      if (stop_ && AllDoneLocked()) return;
-      PlanRoundLocked(&plan);
+    if (!PickSliceLocked(&slice)) {
+      if (stop_ && AllDoneLocked()) {
+        work_cv_.notify_all();  // the other workers exit too
+        return;
+      }
+      ++idle_workers_;
+      work_cv_.wait(lock);
+      --idle_workers_;
+      continue;
     }
-    if (!plan.tasks.empty()) {
-      pool_->ParallelEach(plan.tasks.size(),
-                          [&](size_t i) { plan.tasks[i](); });
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      SettleRoundLocked(plan);
-    }
+    lock.unlock();
+    RunSlice(slice);
+    lock.lock();
+    SettleSliceLocked(slice);
   }
 }
 
-void FuzzService::PlanRoundLocked(RoundPlan* plan) {
-  const uint64_t quantum = static_cast<uint64_t>(options_.round_quantum);
-  const uint64_t interval =
-      static_cast<uint64_t>(std::max(1, options_.exchange_interval));
+bool FuzzService::PickSliceLocked(Slice* slice) {
+  if (paused_ && !stop_) return false;
   const auto now = Clock::now();
-  // Standalone jobs ready to step this round; the fair-share gate below
-  // decides which of them actually get a slot.
-  std::vector<JobRecord*> step_candidates;
+  const bool steps_open =
+      options_.step_slots == 0 || steps_running_ < options_.step_slots;
+  JobRecord* best = nullptr;  // the chosen slice's key record
+  GroupRecord* best_group = nullptr;
+  Slice::Kind best_kind = Slice::Kind::kSetup;
+  size_t runnable = 0;
+  // The fair-share order over slices, keyed by the job a slice belongs to
+  // (an island group by its first member): least-charged tenant first, then
+  // higher priority, then lower ticket.
+  auto runs_before = [](const JobRecord* a, const JobRecord* b) {
+    const uint64_t wa = a->tenant_record->stepped_quanta;
+    const uint64_t wb = b->tenant_record->stepped_quanta;
+    if (wa != wb) return wa < wb;
+    if (a->job.priority != b->job.priority) {
+      return a->job.priority > b->job.priority;
+    }
+    return a->ticket < b->ticket;
+  };
+  auto consider = [&](JobRecord* key, GroupRecord* group, Slice::Kind kind) {
+    ++runnable;
+    if (best == nullptr || runs_before(key, best)) {
+      best = key;
+      best_group = group;
+      best_kind = kind;
+    }
+  };
 
   // Iterate with an explicit iterator: a cancel-before-start completes the
   // job inline, which erases its live_jobs_ node — advance first.
   for (auto it = live_jobs_.begin(); it != live_jobs_.end();) {
     JobRecord* r = it->second;
     ++it;
+    if (r->group != nullptr || r->running) continue;
     CheckDeadlineLocked(r, now);
-    switch (r->stage) {
-      case Stage::kAdmitted:
-        if (r->cancel_requested) {
-          CancelBeforeStartLocked(r);
-          break;
-        }
-        if (r->group == nullptr) {
-          plan->setups.push_back(r);
-          plan->tasks.push_back([this, r] { SetupStandalone(r); });
-        } else {
-          plan->compiles.push_back(r);
-          plan->tasks.push_back([this, r] { CompileIslandMember(r); });
-        }
-        break;
-      case Stage::kCompiled:
-        // Waiting for every group member to compile; the settle phase
-        // builds the sharder and promotes the whole group together. A
-        // cancel here lands before any campaign ran: the member drops out
-        // of the group exactly like a compile failure.
-        if (r->cancel_requested) CancelBeforeStartLocked(r);
-        break;
-      case Stage::kConstruct:
-        if (r->cancel_requested) {
-          // Island id and queue are already assigned, but no campaign ever
-          // ran — the member's (empty) queue simply stays in the
-          // archipelago, exporting nothing.
-          CancelBeforeStartLocked(r);
-          break;
-        }
-        plan->setups.push_back(r);
-        plan->tasks.push_back([this, r] { ConstructIslandMember(r); });
-        break;
-      case Stage::kActive:
-        if (r->group == nullptr) {
-          if (r->cancel_requested || r->campaign->StreamDone()) {
-            r->finalize_cancelled =
-                r->cancel_requested && !r->campaign->StreamDone();
-            r->stage = Stage::kFinalizing;
-            plan->finals.push_back(r);
-            plan->tasks.push_back([this, r] { FinalizeJob(r); });
-          } else {
-            step_candidates.push_back(r);
-          }
-        } else {
-          if (r->cancel_requested && !r->campaign->Done()) {
-            r->finalize_cancelled = true;
-            r->stage = Stage::kFinalizing;
-            plan->finals.push_back(r);
-            plan->tasks.push_back([this, r] { FinalizeJob(r); });
-          } else if (!r->campaign->Done()) {
-            // Island rounds are barrier-coupled across the archipelago, so
-            // they are never gated — but their work still charges the
-            // tenant's fair-share deficit.
-            r->group->stepped_this_round = true;
-            tenants_[r->tenant].stepped_quanta += interval;
-            if (r->progress.first_step_round < 0) {
-              r->progress.first_step_round =
-                  static_cast<int64_t>(rounds_done_);
-            }
-            plan->steps.push_back(r);
-            plan->tasks.push_back([r, interval] {
-              auto start = Clock::now();
-              r->campaign->StepRound(interval);
-              r->active_ms += MsBetween(start, Clock::now());
-            });
-          }
-          // A member that exhausted its budget keeps exporting/importing in
-          // migration rounds and finalizes when the whole group is done.
-        }
-        break;
-      case Stage::kFinalizing:
-        // Set by group completion last settle; schedule the finalize now.
-        plan->finals.push_back(r);
-        plan->tasks.push_back([this, r] { FinalizeJob(r); });
-        break;
-      case Stage::kDone:
-        break;
-    }
-  }
-
-  // Deficit fair-share over the standalone candidates: repeatedly pick the
-  // job whose tenant has the least stepped work so far (ties: higher job
-  // priority, then lower ticket), charging the tenant one quantum per pick
-  // so the next pick sees the updated deficit. With no step_slots gate
-  // every candidate is picked — in the same deterministic order — and the
-  // charge keeps the tenants' deficit counters honest either way.
-  const size_t slots =
-      options_.step_slots > 0 ? static_cast<size_t>(options_.step_slots)
-                              : step_candidates.size();
-  size_t picked = 0;
-  while (picked < slots && !step_candidates.empty()) {
-    size_t best = 0;
-    for (size_t i = 1; i < step_candidates.size(); ++i) {
-      const JobRecord* a = step_candidates[i];
-      const JobRecord* b = step_candidates[best];
-      const uint64_t wa = tenants_[a->tenant].stepped_quanta;
-      const uint64_t wb = tenants_[b->tenant].stepped_quanta;
-      if (wa != wb ? wa < wb
-                   : (a->job.priority != b->job.priority
-                          ? a->job.priority > b->job.priority
-                          : a->ticket < b->ticket)) {
-        best = i;
+    if (r->stage == Stage::kAdmitted) {
+      if (r->cancel_requested) {
+        CancelBeforeStartLocked(r);
+      } else {
+        consider(r, nullptr, Slice::Kind::kSetup);
       }
-    }
-    JobRecord* r = step_candidates[best];
-    step_candidates.erase(step_candidates.begin() +
-                          static_cast<long>(best));
-    tenants_[r->tenant].stepped_quanta += quantum;
-    if (r->progress.first_step_round < 0) {
-      r->progress.first_step_round = static_cast<int64_t>(rounds_done_);
-    }
-    plan->steps.push_back(r);
-    plan->tasks.push_back([r, quantum] {
-      auto start = Clock::now();
-      r->campaign->StepStream(quantum);
-      r->active_ms += MsBetween(start, Clock::now());
-    });
-    ++picked;
-  }
-}
-
-void FuzzService::SettleRoundLocked(const RoundPlan& plan) {
-  // Island compiles: survivors wait for their group, failures finish here.
-  for (JobRecord* r : plan.compiles) {
-    if (r->artifact != nullptr) {
-      r->stage = Stage::kCompiled;
-    } else {
-      MarkDoneLocked(r);
+    } else if (r->cancel_requested || r->campaign->StreamDone()) {
+      consider(r, nullptr, Slice::Kind::kFinalize);
+    } else if (steps_open) {
+      consider(r, nullptr, Slice::Kind::kStep);
     }
   }
-
-  // Standalone setups and island constructs.
-  for (JobRecord* r : plan.setups) {
-    if (r->campaign == nullptr) {
-      MarkDoneLocked(r);  // compile failed (standalone path)
-      continue;
-    }
-    r->stage = Stage::kActive;
-    SnapshotProgressLocked(r);
-  }
-
-  // Step slices: count rounds and refresh the between-rounds snapshots.
-  for (JobRecord* r : plan.steps) {
-    if (r->group == nullptr) ++r->rounds;
-    SnapshotProgressLocked(r);
-  }
-
-  // Finalized jobs — processed before the group sweep so a group whose
-  // last member finalized this round retires (and frees its queues) now.
-  for (JobRecord* r : plan.finals) MarkDoneLocked(r);
-
-  // Groups: build sharders once every member compiled, run one serial
-  // migration per group that stepped, detect completion, retire drained
-  // groups (freeing their seed queues) from the live list.
   for (size_t g = 0; g < live_groups_.size();) {
     GroupRecord* group = live_groups_[g];
-    if (group->finished) {
-      if (group->open_members == 0) {
-        for (JobRecord* m : group->members) m->queue = nullptr;
-        group->sharder.reset();
-        live_groups_.erase(live_groups_.begin() + static_cast<long>(g));
-        continue;
-      }
+    if (group->running) {
       ++g;
       continue;
     }
-    ++g;
-    if (!group->built) {
-      bool ready = true;
-      for (JobRecord* m : group->members) {
-        if (m->stage != Stage::kCompiled && m->stage != Stage::kDone) {
-          ready = false;
-          break;
-        }
-      }
-      if (ready) BuildSharderLocked(group);
-      continue;
-    }
-    if (group->stepped_this_round) {
-      group->sharder->RunMigrationRound(options_.migration_top_k);
-      ++group->migration_rounds;
-      group->stepped_this_round = false;
-      for (JobRecord* m : group->members) {
-        if (m->stage == Stage::kActive) {
-          m->progress.round_index = group->migration_rounds;
-        }
-      }
-    }
-    bool all_done = true;
     for (JobRecord* m : group->members) {
       if (m->stage == Stage::kDone) continue;
-      if (m->stage == Stage::kActive && m->campaign->Done()) continue;
-      all_done = false;
-      break;
-    }
-    if (all_done) {
-      group->finished = true;
-      for (JobRecord* m : group->members) {
-        if (m->stage == Stage::kActive) m->stage = Stage::kFinalizing;
+      CheckDeadlineLocked(m, now);
+      // A member cancelled before the setup slice drops out of the group
+      // like a compile failure: it gets no island id.
+      if (m->stage == Stage::kAdmitted && m->cancel_requested) {
+        CancelBeforeStartLocked(m);
       }
     }
+    if (group->open_members == 0) {
+      UpdateGroupLocked(group);  // retires it from live_groups_[g]
+      continue;
+    }
+    ++g;
+    if (group->stage == Stage::kAdmitted) {
+      consider(group->members[0], group, Slice::Kind::kSetup);
+    } else if (group->finishing) {
+      consider(group->members[0], group, Slice::Kind::kFinalize);
+    } else if (steps_open) {
+      consider(group->members[0], group, Slice::Kind::kStep);
+    }
   }
+  if (best == nullptr) return false;
 
+  slice->kind = best_kind;
+  slice->job = best_group == nullptr ? best : nullptr;
+  slice->group = best_group;
+  slice->members.clear();
+  if (best_kind == Slice::Kind::kStep) ++steps_running_;
+  if (best_group == nullptr) {
+    best->running = true;
+    if (best_kind == Slice::Kind::kFinalize) {
+      best->finalize_cancelled =
+          best->cancel_requested && !best->campaign->StreamDone();
+    } else if (best_kind == Slice::Kind::kStep) {
+      best->tenant_record->stepped_quanta +=
+          static_cast<uint64_t>(options_.round_quantum);
+      if (best->progress.first_step_round < 0) {
+        best->progress.first_step_round = static_cast<int64_t>(rounds_done_);
+      }
+    }
+  } else {
+    best_group->running = true;
+    const uint64_t interval =
+        static_cast<uint64_t>(std::max(1, options_.exchange_interval));
+    for (JobRecord* m : best_group->members) {
+      if (m->stage == Stage::kDone) continue;
+      if (best_kind == Slice::Kind::kStep) {
+        // A member that exhausted its budget keeps exporting/importing in
+        // migration rounds and finalizes when the whole group is done.
+        if (m->campaign->Done()) continue;
+        m->finalize_cancelled = m->cancel_requested;
+        if (!m->finalize_cancelled) {
+          m->tenant_record->stepped_quanta += interval;
+          if (m->progress.first_step_round < 0) {
+            m->progress.first_step_round = static_cast<int64_t>(rounds_done_);
+          }
+        }
+      }
+      slice->members.push_back(m);
+    }
+  }
+  // Other runnable slices are left: hand one to an idle worker.
+  if (runnable > 1 && idle_workers_ > 0) work_cv_.notify_one();
+  return true;
+}
+
+void FuzzService::RunSlice(const Slice& slice) {
+  if (slice.group != nullptr) {
+    switch (slice.kind) {
+      case Slice::Kind::kSetup:
+        SetupGroup(slice.group, slice.members);
+        break;
+      case Slice::Kind::kStep:
+        StepGroup(slice.group, slice.members);
+        break;
+      case Slice::Kind::kFinalize:
+        for (JobRecord* m : slice.members) FinalizeJob(m);
+        break;
+    }
+    return;
+  }
+  JobRecord* r = slice.job;
+  switch (slice.kind) {
+    case Slice::Kind::kSetup:
+      SetupStandalone(r);
+      break;
+    case Slice::Kind::kStep: {
+      auto start = Clock::now();
+      r->campaign->StepStream(static_cast<uint64_t>(options_.round_quantum));
+      r->active_ms += MsBetween(start, Clock::now());
+      break;
+    }
+    case Slice::Kind::kFinalize:
+      FinalizeJob(r);
+      break;
+  }
+}
+
+void FuzzService::SettleSliceLocked(const Slice& slice) {
+  if (slice.kind == Slice::Kind::kStep) --steps_running_;
+  if (GroupRecord* group = slice.group) {
+    group->running = false;
+    switch (slice.kind) {
+      case Slice::Kind::kSetup:
+        group->stage = Stage::kActive;
+        for (JobRecord* m : slice.members) {
+          if (m->campaign == nullptr) {
+            MarkDoneLocked(m);  // compile failed
+            continue;
+          }
+          m->stage = Stage::kActive;
+          SnapshotProgressLocked(m);
+        }
+        break;
+      case Slice::Kind::kStep: {
+        bool stepped = false;
+        for (JobRecord* m : slice.members) {
+          if (m->finalize_cancelled) {
+            MarkDoneLocked(m);
+          } else {
+            stepped = true;
+          }
+        }
+        if (stepped) ++group->migration_rounds;
+        for (JobRecord* m : group->members) {
+          if (m->stage == Stage::kActive) SnapshotProgressLocked(m);
+        }
+        break;
+      }
+      case Slice::Kind::kFinalize:
+        for (JobRecord* m : slice.members) MarkDoneLocked(m);
+        break;
+    }
+    UpdateGroupLocked(group);
+  } else {
+    JobRecord* r = slice.job;
+    r->running = false;
+    switch (slice.kind) {
+      case Slice::Kind::kSetup:
+        if (r->campaign == nullptr) {
+          MarkDoneLocked(r);  // compile failed
+          break;
+        }
+        r->stage = Stage::kActive;
+        SnapshotProgressLocked(r);
+        break;
+      case Slice::Kind::kStep:
+        ++r->rounds;
+        SnapshotProgressLocked(r);
+        break;
+      case Slice::Kind::kFinalize:
+        MarkDoneLocked(r);
+        break;
+    }
+  }
   ++rounds_done_;
-  SampleRoundLocked(Clock::now());
+  SampleSliceLocked(Clock::now());
+}
+
+void FuzzService::UpdateGroupLocked(GroupRecord* group) {
+  if (group->open_members == 0) {
+    // Retire: the campaigns are gone, so the seed queues can go too.
+    for (JobRecord* m : group->members) m->queue = nullptr;
+    group->sharder.reset();
+    live_groups_.erase(
+        std::find(live_groups_.begin(), live_groups_.end(), group));
+    return;
+  }
+  if (group->stage != Stage::kActive || group->finishing) return;
+  for (JobRecord* m : group->members) {
+    if (m->stage == Stage::kActive && !m->campaign->Done()) return;
+  }
+  group->finishing = true;
 }
 
 void FuzzService::CheckDeadlineLocked(JobRecord* r,
@@ -678,10 +689,10 @@ void FuzzService::CheckDeadlineLocked(JobRecord* r,
   r->cancel_requested = true;
   r->progress.deadline_expired = true;
   ++deadline_hits_;
-  ++tenants_[r->tenant].deadline_hits;
+  ++r->tenant_record->deadline_hits;
 }
 
-void FuzzService::SampleRoundLocked(
+void FuzzService::SampleSliceLocked(
     std::chrono::steady_clock::time_point now) {
   rate_samples_.emplace_back(now, TotalExecutionsLocked());
   while (rate_samples_.size() > 64) rate_samples_.pop_front();
@@ -711,24 +722,7 @@ void FuzzService::SampleRoundLocked(
                tenants.c_str());
 }
 
-void FuzzService::BuildSharderLocked(GroupRecord* group) {
-  std::vector<std::unique_ptr<fuzzer::SeedScheduler>> queues;
-  std::vector<JobRecord*> survivors;
-  for (JobRecord* m : group->members) {
-    if (m->stage != Stage::kCompiled) continue;  // compile failed / cancelled
-    m->island_id = static_cast<int>(survivors.size());
-    queues.push_back(std::make_unique<fuzzer::SeedScheduler>(
-        m->config.strategy.distance_feedback));
-    m->queue = queues.back().get();
-    survivors.push_back(m);
-  }
-  group->sharder =
-      std::make_unique<fuzzer::ShardedSeedScheduler>(std::move(queues));
-  group->built = true;
-  for (JobRecord* m : survivors) m->stage = Stage::kConstruct;
-}
-
-// --------------------------------------------------- Task bodies (no lock) --
+// -------------------------------------------------- Slice bodies (no lock) --
 
 void FuzzService::ResolveArtifact(JobRecord* r) {
   if (r->job.artifact != nullptr) {
@@ -756,20 +750,55 @@ void FuzzService::SetupStandalone(JobRecord* r) {
   r->active_ms += MsBetween(start, Clock::now());
 }
 
-void FuzzService::CompileIslandMember(JobRecord* r) {
-  auto start = Clock::now();
-  ResolveArtifact(r);
-  r->active_ms += MsBetween(start, Clock::now());
+void FuzzService::SetupGroup(GroupRecord* group,
+                             const std::vector<JobRecord*>& members) {
+  for (JobRecord* m : members) {
+    auto start = Clock::now();
+    ResolveArtifact(m);
+    m->active_ms += MsBetween(start, Clock::now());
+  }
+  // Island ids are dense over the members that compiled, in submission
+  // order.
+  std::vector<std::unique_ptr<fuzzer::SeedScheduler>> queues;
+  for (JobRecord* m : members) {
+    if (m->artifact == nullptr) continue;
+    m->island_id = static_cast<int>(queues.size());
+    queues.push_back(std::make_unique<fuzzer::SeedScheduler>(
+        m->config.strategy.distance_feedback));
+    m->queue = queues.back().get();
+  }
+  group->sharder =
+      std::make_unique<fuzzer::ShardedSeedScheduler>(std::move(queues));
+  for (JobRecord* m : members) {
+    if (m->artifact == nullptr) continue;
+    auto start = Clock::now();
+    // The campaign owns its SessionBackend: an island campaign's session must
+    // survive across rounds, so pooled leasing would pin it anyway.
+    m->campaign = std::make_unique<fuzzer::Campaign>(
+        m->artifact, m->config, nullptr, m->queue, m->island_id);
+    m->campaign->SeedCorpus();
+    m->active_ms += MsBetween(start, Clock::now());
+  }
 }
 
-void FuzzService::ConstructIslandMember(JobRecord* r) {
-  auto start = Clock::now();
-  // The campaign owns its SessionBackend: an island campaign's session must
-  // survive across rounds, so pooled leasing would pin it anyway.
-  r->campaign = std::make_unique<fuzzer::Campaign>(
-      r->artifact, r->config, nullptr, r->queue, r->island_id);
-  r->campaign->SeedCorpus();
-  r->active_ms += MsBetween(start, Clock::now());
+void FuzzService::StepGroup(GroupRecord* group,
+                            const std::vector<JobRecord*>& members) {
+  const uint64_t interval =
+      static_cast<uint64_t>(std::max(1, options_.exchange_interval));
+  bool stepped = false;
+  for (JobRecord* m : members) {
+    if (m->finalize_cancelled) {
+      // A cancelled member stops stepping, but its queue stays in the
+      // archipelago's migration rounds.
+      FinalizeJob(m);
+      continue;
+    }
+    auto start = Clock::now();
+    m->campaign->StepRound(interval);
+    m->active_ms += MsBetween(start, Clock::now());
+    stepped = true;
+  }
+  if (stepped) group->sharder->RunMigrationRound(options_.migration_top_k);
 }
 
 void FuzzService::FinalizeJob(JobRecord* r) {
@@ -810,7 +839,7 @@ void FuzzService::MarkDoneLocked(JobRecord* r) {
   live_jobs_.erase(r->ticket);
   if (r->group != nullptr) --r->group->open_members;
 
-  TenantRecord& tenant = tenants_[r->tenant];
+  TenantRecord& tenant = *r->tenant_record;
   --tenant.live;
   ++tenant.completed;
   ++completed_total_;

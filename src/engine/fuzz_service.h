@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/worker_pool.h"
 #include "evm/execution_backend.h"
 #include "fuzzer/campaign.h"
 #include "fuzzer/sharded_seed_scheduler.h"
@@ -45,7 +43,7 @@ struct FuzzJob {
   // ------------------------------------------------------- Multi-tenancy --
   /// Accounting identity for admission control, fair-share scheduling, and
   /// the per-tenant metrics plane. Empty maps to "default". Tenancy is
-  /// scheduling-only: it decides *when* a job's rounds run and whether the
+  /// scheduling-only: it decides *when* a job's slices run and whether the
   /// job is admitted at all, never what its campaign computes.
   std::string tenant;
   /// Fair-share tie-break among a tenant's own ready jobs (higher steps
@@ -53,7 +51,7 @@ struct FuzzJob {
   /// aggregate share — that is the fair-share deficit's job.
   int priority = 0;
   /// Wall-clock budget in milliseconds, measured from admission. 0 = none.
-  /// Expiry rides the Cancel path: the job stops at its next round boundary
+  /// Expiry rides the Cancel path: the job stops at its next slice boundary
   /// with a partial-but-valid result flagged `cancelled` (or an empty
   /// result if the campaign never started), and the expiry is counted in
   /// ServiceStats::deadline_hits and flagged on the job's progress.
@@ -69,13 +67,12 @@ struct JobOutcome {
   std::string name;
   std::optional<fuzzer::CampaignResult> result;
   std::string error;  ///< compile diagnostics when `result` is empty
-  /// Per-job *active* time: the sum of the job's compile, seed-corpus,
-  /// step-round, and finalize slices on whichever workers ran them. Under
-  /// the interleaved FuzzService scheduler this is NOT wall-clock between
-  /// first and last touch — a job parks between rounds while other jobs'
-  /// rounds run, and that parked time is excluded. (The pre-service batch
-  /// runner ran each standalone job in one uninterrupted slice, where the
-  /// two notions coincided.)
+  /// Per-job *active* time: the sum of the job's setup, step and finalize
+  /// slices on whichever workers ran them. Under the interleaved FuzzService
+  /// scheduler this is NOT wall-clock between first and last touch — a job
+  /// parks between slices while other jobs' slices run, and that parked
+  /// time is excluded. (The pre-service batch runner ran each standalone
+  /// job in one uninterrupted slice, where the two notions coincided.)
   double elapsed_ms = 0;
 };
 
@@ -93,13 +90,13 @@ struct GroupTicket {
 enum class JobState {
   kUnknown,     ///< ticket was never issued by this service
   kQueued,      ///< admitted; compile/deploy has not finished yet
-  kRunning,     ///< stepping (or finalizing) on the worker pool
-  kCancelling,  ///< cancel requested; stops at the next round boundary
+  kRunning,     ///< stepping (or finalizing) on the service workers
+  kCancelling,  ///< cancel requested; stops at the next slice boundary
   kDone,        ///< outcome available; Wait() will not block
 };
 
-/// A progress snapshot for one job, taken between scheduler rounds (never
-/// mid-round — rounds are the service's consistency barriers). On a
+/// A progress snapshot for one job, taken between the job's slices (never
+/// mid-slice — a slice boundary is the job's consistency point). On a
 /// finished ticket, Poll keeps returning the final snapshot.
 struct JobProgress {
   JobState state = JobState::kUnknown;
@@ -109,27 +106,28 @@ struct JobProgress {
   double coverage = 0;
   /// Distinct (bug, pc) oracle findings so far.
   size_t bugs_found = 0;
-  /// Completed scheduler rounds: step rounds for a standalone job,
-  /// migration rounds for an island member.
+  /// Completed step slices for a standalone job, migration rounds for an
+  /// island member.
   int round_index = 0;
   /// Effective speculative fan-out (K) the job's campaign runs with —
   /// parents expanded per selection round (service override applied).
   int fanout = 1;
   /// Parents in the campaign's parked speculative set at snapshot time
-  /// (streamed standalone jobs park the whole set across rounds; 0 for
+  /// (streamed standalone jobs park the whole set across slices; 0 for
   /// island members, whose rounds drain, and once the job is done).
   int parents_in_flight = 0;
   /// Executions run but not yet applied at snapshot time — the
   /// speculative waves in flight, so progress keeps moving on large waves
-  /// instead of stalling at round boundaries. 0 once done.
+  /// instead of stalling at slice boundaries. 0 once done.
   uint64_t inflight_executions = 0;
   /// Set once the job finished via the cancel path.
   bool cancelled = false;
   /// Set when the job's `deadline_ms` expired (the cancellation — counted
   /// in ServiceStats::deadline_hits — was deadline-initiated).
   bool deadline_expired = false;
-  /// Service round counter value when the job's campaign first stepped
-  /// (-1 until then). Deterministic given submission order and service
+  /// The service's slice counter (ServiceStats::rounds: slices completed so
+  /// far) when the job's first step slice was picked (-1 until then). On a
+  /// single worker it is a pure function of the submissions and the service
   /// options — what the fair-share ordering tests pin.
   int64_t first_step_round = -1;
   /// Code-cache counters of the job's backend at snapshot time (process-wide
@@ -147,9 +145,10 @@ struct JobProgress {
 /// FuzzService knobs. The execution-semantics knobs (`wave_size`,
 /// `fanout`, `exchange_interval`, `migration_top_k`) are part of each
 /// job's reproducibility key; the scheduling knobs (`workers`,
-/// `round_quantum`, `reuse_sessions`) never influence results.
+/// `round_quantum`, `step_slots`, `reuse_sessions`) never influence results.
 struct ServiceOptions {
-  /// Worker threads for campaign rounds; <= 0 means DefaultWorkerCount().
+  /// Service worker threads running job slices; <= 0 means
+  /// DefaultWorkerCount().
   int workers = 0;
   /// Lease execution sessions from the service's shared pool instead of
   /// allocating per campaign.
@@ -166,11 +165,11 @@ struct ServiceOptions {
   int exchange_interval = 0;
   /// Seeds each island exports per migration round.
   int migration_top_k = 2;
-  /// Executions a standalone job advances per scheduler round — the
-  /// progress/cancel granularity. Scheduling-only: the streamed campaign
-  /// suspends (never drains) at round boundaries, so results are identical
-  /// for any quantum (unlike islands' exchange_interval, which is a real
-  /// round barrier and part of the semantics). Clamped to >= 1.
+  /// Executions a standalone job advances per step slice — the
+  /// progress/cancel/fair-share granularity. Scheduling-only: the streamed
+  /// campaign suspends (never drains) at slice boundaries, so results are
+  /// identical for any quantum (unlike islands' exchange_interval, which is
+  /// a real round barrier and part of the semantics). Clamped to >= 1.
   int round_quantum = 128;
 
   // -------------------------------------------- Admission & multi-tenancy --
@@ -180,22 +179,19 @@ struct ServiceOptions {
   size_t max_live_jobs = 0;
   /// Same bound per tenant. 0 = unbounded.
   size_t max_live_jobs_per_tenant = 0;
-  /// Standalone step slices the coordinator schedules per round. When more
-  /// jobs are ready than slots, tenants split the slots by deficit
-  /// fair-share: each round repeatedly picks the ready job whose tenant has
-  /// the least stepped work so far (ties: higher job priority, then lower
-  /// ticket), charging the tenant one quantum per pick. Island archipelago
-  /// rounds are barrier-coupled and never gated, but their stepped work is
-  /// charged to the tenant, deprioritizing its standalone jobs in turn.
-  /// Scheduling-only — results never depend on when a job's rounds ran.
-  /// 0 = no gate (every ready job steps every round).
+  /// Cap on step slices (standalone quanta and island group rounds) running
+  /// at the same time; setup and finalize slices are never capped. Which
+  /// job a free worker steps is decided by the fair-share rule (see
+  /// "Scheduling model" on FuzzService), so the cap bounds how many workers
+  /// fuzz at once while tenants share them by deficit. Scheduling-only —
+  /// results never depend on when a job's slices ran. 0 = no cap.
   int step_slots = 0;
   /// Emit a one-line metrics summary (executions/s, live jobs, queue
   /// depths, rejects, deadline hits) to stderr roughly this often, at
-  /// round boundaries. 0 = never.
+  /// slice ends. 0 = never.
   int metrics_log_interval_ms = 0;
-  /// Construct the coordinator paused: jobs are admitted (and admission
-  /// bounds enforced) but no round runs until Resume(). Lets tests build a
+  /// Construct the service paused: jobs are admitted (and admission bounds
+  /// enforced) but no slice runs until Resume(). Lets tests build a
   /// deterministic backlog before scheduling starts.
   bool start_paused = false;
 };
@@ -210,7 +206,7 @@ struct TenantStats {
   uint64_t cancelled = 0;      ///< completions via the cancel path
   uint64_t deadline_hits = 0;  ///< cancellations initiated by a deadline
   uint64_t executions = 0;     ///< finished + live snapshot executions
-  /// Fair-share deficit counter: executions' worth of step quanta charged
+  /// Fair-share deficit counter: executions' worth of step slices charged
   /// to the tenant so far (standalone quanta + island intervals).
   uint64_t stepped_quanta = 0;
   size_t live_jobs = 0;    ///< admitted, not yet done (queue depth now)
@@ -228,11 +224,12 @@ struct ServiceStats {
   uint64_t completed = 0;
   uint64_t cancelled = 0;
   uint64_t deadline_hits = 0;
-  uint64_t rounds = 0;  ///< coordinator rounds completed
+  /// Job slices (setup, step, finalize) completed by the service workers.
+  uint64_t rounds = 0;
   size_t live_jobs = 0;
   size_t queued_jobs = 0;
   uint64_t executions = 0;  ///< finished jobs + live progress snapshots
-  /// Throughput over the recent round window (0 until two samples exist).
+  /// Throughput over the recent slice window (0 until two samples exist).
   double executions_per_sec = 0;
   size_t sessions_created = 0;  ///< session-pool diagnostics
   std::vector<TenantStats> tenants;  ///< sorted by tenant name
@@ -245,44 +242,61 @@ struct ServiceStats {
 int DefaultWorkerCount();
 
 /// A long-lived streaming fuzzing engine: submit jobs at any time, watch
-/// their progress, cancel them, and collect outcomes — the service keeps a
-/// persistent WorkerPool busy with whatever campaign rounds are ready,
-/// interleaving standalone jobs and island archipelagos on the same
-/// threads. These workers are the only parallelism: each campaign round
-/// runs, execution included, on the one worker that picked it up.
+/// their progress, cancel them, and collect outcomes. `workers` service
+/// threads run whatever job slice is ready next, interleaving standalone
+/// jobs and island archipelagos. These threads are the only parallelism:
+/// each slice runs, execution included, on the one worker that picked it.
 ///
 /// ## Scheduling model
 ///
-/// A coordinator thread runs *rounds*: each round fans the ready work —
-/// compiles, seed corpora, standalone step slices (`round_quantum`
-/// executions via the campaign's suspended-pipeline streaming interface),
-/// island step rounds (`exchange_interval` executions, drained) — across
-/// the pool, then, behind the fork-join barrier, runs island migrations
-/// serially, snapshots progress, finalizes finished or cancelled jobs, and
-/// admits new submissions. Rounds are the only consistency barriers:
-/// Poll() serves the last between-rounds snapshot, and Cancel() takes
-/// effect at the next round boundary, finalizing a partial-but-valid
-/// result flagged `cancelled`.
+/// Work is cut into *slices*. A standalone job has a setup slice (compile,
+/// construct, seed corpus), step slices of `round_quantum` executions (the
+/// campaign's suspended-pipeline streaming interface), and a finalize
+/// slice. An island archipelago is one runnable unit: its setup slice
+/// compiles and constructs every member, each step slice runs one
+/// `exchange_interval` round on every active member in island-id order and
+/// then the migration, and its finalize slice finalizes every member.
+///
+/// Each worker loops: under the service lock pick the next runnable slice,
+/// run it with the lock released, settle that one job (stage change,
+/// progress snapshot, completion), pick again. A job never runs two slices
+/// at once, and nothing waits for any other job — there is no cross-job
+/// barrier. One rule orders all three kinds of slice: the job whose tenant
+/// has the least stepped work (`stepped_quanta`) first, then higher
+/// priority, then lower ticket (an archipelago is ordered by its first
+/// member). Picking a step slice charges its tenant the slice's executions,
+/// so tenants share the workers by deficit, while within one tenant the
+/// oldest job runs to completion first and only about `workers` campaigns
+/// are live at a time. `step_slots` caps the step slices running at once.
+///
+/// A slice boundary is each job's consistency point: Poll() serves the last
+/// between-slices snapshot, deadlines are checked whenever a worker picks,
+/// and Cancel() takes effect at the job's next slice boundary, finalizing a
+/// partial-but-valid result flagged `cancelled`.
 ///
 /// ## Determinism contract
 ///
 /// A job's result is a pure function of its own `(config, seed, wave_size,
 /// fanout)` — independent of submission order, what else is running, worker
-/// count, scheduling, `round_quantum`, and other jobs being cancelled
-/// around it. A streamed job parks its whole speculative parent set (all K
-/// parents and their unapplied waves) across round boundaries, and Cancel
-/// drains that set — applying every executed child in (parent rank, child
-/// index) order — before finalizing the partial result.
+/// count, which worker ran which slice and when, `round_quantum`,
+/// `step_slots`, and other jobs being cancelled around it. A streamed job
+/// parks its whole speculative parent set (all K parents and their
+/// unapplied waves) across slice boundaries, and Cancel drains that set —
+/// applying every executed child in (parent rank, child index) order —
+/// before finalizing the partial result.
 /// An island member's result is a pure function of its *group's* jobs and
 /// the (exchange_interval, migration_top_k) pair — members are coupled by
 /// seed migration, by design, but never coupled to jobs outside the group.
 /// Streamed standalone jobs reproduce the batch path (and a plain
 /// RunCampaign call) bit for bit. CI checks all of this differentially.
+/// Only *when* work runs depends on scheduling: `first_step_round`,
+/// `ServiceStats::rounds` and the other counters are diagnostics.
 ///
 /// ## Threads
 ///
 /// Submit/Poll/Wait/Cancel are safe from any thread. Destruction cancels
-/// whatever is still running (at its round boundary) and joins.
+/// whatever is still running (at its slice boundary), lets the workers
+/// drain it, and joins them.
 class FuzzService {
  public:
   explicit FuzzService(ServiceOptions options = ServiceOptions());
@@ -306,7 +320,7 @@ class FuzzService {
   /// non-empty) admits no member.
   Result<GroupTicket> SubmitIslandGroup(std::vector<FuzzJob> jobs);
 
-  /// The job's latest between-rounds snapshot (final one once done;
+  /// The job's latest between-slices snapshot (final one once done;
   /// `state == kUnknown` for a ticket this service never issued).
   JobProgress Poll(JobTicket ticket) const;
 
@@ -319,7 +333,7 @@ class FuzzService {
   /// outcomes in ticket order (idempotent, like Wait).
   std::vector<JobOutcome> WaitAll();
 
-  /// Requests cancellation: the job stops at its next round boundary and
+  /// Requests cancellation: the job stops at its next slice boundary and
   /// finalizes a partial-but-valid result flagged `cancelled`. A job
   /// cancelled before its campaign ever started completes with an *empty*
   /// result and an explanatory error instead (the JobOutcome contract:
@@ -334,10 +348,10 @@ class FuzzService {
   void CancelGroup(const GroupTicket& group);
 
   /// Requests cancellation of every live job (the server-shutdown path:
-  /// unblocks Wait()ers bounded by one round per job).
+  /// unblocks Wait()ers bounded by one slice per job).
   void CancelAll();
 
-  /// Starts the coordinator after a `start_paused` construction. Idempotent;
+  /// Starts the workers after a `start_paused` construction. Idempotent;
   /// no-op on a service that never paused.
   void Resume();
 
@@ -351,34 +365,34 @@ class FuzzService {
   size_t sessions_created() const { return session_pool_.created(); }
 
  private:
-  /// Coordinator-internal job lifecycle (JobState is the public view).
+  /// Service-internal job lifecycle (JobState is the public view).
   enum class Stage {
-    kAdmitted,    ///< setup (standalone) or compile (island) pending
-    kCompiled,    ///< island member compiled; waiting for the group sharder
-    kConstruct,   ///< island member: construct + seed corpus pending
-    kActive,      ///< stepping
-    kFinalizing,  ///< finalize task scheduled
+    kAdmitted,  ///< setup slice pending
+    kActive,    ///< campaign built: stepping, or finalize pending
     kDone,
   };
 
   struct GroupRecord;
+  struct TenantRecord;
 
   struct JobRecord {
     JobTicket ticket = 0;
     FuzzJob job;
     fuzzer::CampaignConfig config;  ///< effective (service overrides applied)
     Stage stage = Stage::kAdmitted;
+    bool running = false;  ///< a slice of this standalone job is on a worker
     bool cancel_requested = false;
     bool finalize_cancelled = false;  ///< finalize via the cancel path
     JobProgress progress;
     JobOutcome outcome;
     double active_ms = 0;
-    int rounds = 0;  ///< completed standalone step rounds
+    int rounds = 0;  ///< completed standalone step slices
     std::string tenant;  ///< resolved ("" mapped to "default")
+    TenantRecord* tenant_record = nullptr;  ///< tenants_ entry (stable)
     std::chrono::steady_clock::time_point admitted_at;
     bool deadline_hit = false;  ///< deadline expiry already counted
 
-    // Filled by setup tasks.
+    // Filled by setup slices.
     std::optional<lang::ContractArtifact> compiled;
     const lang::ContractArtifact* artifact = nullptr;
     std::unique_ptr<evm::SessionBackend> session;  ///< pooled lease
@@ -393,25 +407,15 @@ class FuzzService {
   struct GroupRecord {
     std::vector<JobRecord*> members;  ///< submission order
     std::unique_ptr<fuzzer::ShardedSeedScheduler> sharder;
-    bool built = false;
-    bool finished = false;
-    bool stepped_this_round = false;
+    Stage stage = Stage::kAdmitted;  ///< kActive once the setup slice settled
+    bool finishing = false;  ///< no member steps any more: finalize next
+    bool running = false;    ///< a slice of this group is on a worker
     int migration_rounds = 0;
     int open_members = 0;  ///< members not yet kDone
   };
 
-  /// One coordinator round's plan: the tasks to fan across the pool plus
-  /// the records they belong to, bucketed for the settle phase.
-  struct RoundPlan {
-    std::vector<std::function<void()>> tasks;
-    std::vector<JobRecord*> compiles;  ///< island members compiling
-    std::vector<JobRecord*> setups;    ///< standalone setup / island construct
-    std::vector<JobRecord*> steps;     ///< stepped this round
-    std::vector<JobRecord*> finals;    ///< finalize tasks
-  };
-
   /// Per-tenant accounting: admission counters for the metrics plane plus
-  /// the fair-share deficit (`stepped_quanta`) the step scheduler keys on.
+  /// the fair-share deficit (`stepped_quanta`) the slice picker keys on.
   struct TenantRecord {
     uint64_t submitted = 0;
     uint64_t admitted = 0;
@@ -424,25 +428,42 @@ class FuzzService {
     size_t live = 0;
   };
 
-  void CoordinatorMain();
-  /// Builds this round's task list (requires mu_). Tasks run outside the
-  /// lock; each touches only its own job record.
-  void PlanRoundLocked(RoundPlan* plan);
-  /// Post-barrier serial work (requires mu_): migrations, stage
-  /// transitions, snapshots, completion notifications.
-  void SettleRoundLocked(const RoundPlan& plan);
+  /// One picked slice: a standalone job's, or an island group's together
+  /// with the members it covers (in island-id order).
+  struct Slice {
+    enum class Kind { kSetup, kStep, kFinalize };
+    Kind kind = Kind::kSetup;
+    JobRecord* job = nullptr;
+    GroupRecord* group = nullptr;
+    /// Group slices: members to set up / step (or, when their
+    /// `finalize_cancelled` is set, finalize) / finalize.
+    std::vector<JobRecord*> members;
+  };
 
-  // Task bodies (run on pool workers, no lock held).
+  void WorkerMain();
+  /// Picks the next runnable slice by the fair-share rule and marks its job
+  /// running (requires mu_). Completes cancelled-before-start jobs and
+  /// checks deadlines on the way. Returns false when nothing is runnable.
+  bool PickSliceLocked(Slice* slice);
+  /// Runs a picked slice (no lock held; touches only the slice's jobs).
+  void RunSlice(const Slice& slice);
+  /// Settles the slice's job (requires mu_): stage change, progress
+  /// snapshot, completion, metrics sample.
+  void SettleSliceLocked(const Slice& slice);
+
+  // Slice bodies (no lock held).
   /// Adopts the job's pre-compiled artifact or compiles its source; on
   /// failure leaves `artifact` null with the diagnostics in
   /// `outcome.error`.
   void ResolveArtifact(JobRecord* r);
   void SetupStandalone(JobRecord* r);
-  void CompileIslandMember(JobRecord* r);
-  void ConstructIslandMember(JobRecord* r);
+  void SetupGroup(GroupRecord* group, const std::vector<JobRecord*>& members);
+  void StepGroup(GroupRecord* group, const std::vector<JobRecord*>& members);
   void FinalizeJob(JobRecord* r);
 
-  void BuildSharderLocked(GroupRecord* group);
+  /// After a group slice settled: marks the group finishing once no member
+  /// steps any more, and retires it once every member is done.
+  void UpdateGroupLocked(GroupRecord* group);
   void SnapshotProgressLocked(JobRecord* r);
   void MarkDoneLocked(JobRecord* r);
   /// Completes a job that was cancelled before its campaign ever ran:
@@ -450,6 +471,8 @@ class FuzzService {
   void CancelBeforeStartLocked(JobRecord* r);
   Status ValidateSubmission(const FuzzJob& job) const;
   fuzzer::CampaignConfig EffectiveConfig(const FuzzJob& job) const;
+  /// Builds the record of an admitted job (requires mu_).
+  std::unique_ptr<JobRecord> NewRecordLocked(FuzzJob job, std::string tenant);
   bool AllDoneLocked() const;
   /// Admission gate: checks the global and per-tenant live-job bounds for
   /// `incoming` more jobs of `tenant`, counting the attempt (and any
@@ -461,28 +484,29 @@ class FuzzService {
   /// Finished + live-snapshot executions across all jobs.
   uint64_t TotalExecutionsLocked() const;
   /// Appends a throughput sample and emits the periodic metrics log line.
-  void SampleRoundLocked(std::chrono::steady_clock::time_point now);
+  void SampleSliceLocked(std::chrono::steady_clock::time_point now);
   ServiceStats StatsLocked() const;
 
   ServiceOptions options_;
   int workers_ = 1;
   evm::SessionPool session_pool_;
-  std::unique_ptr<WorkerPool> pool_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< coordinator: submissions / stop
+  std::condition_variable work_cv_;  ///< workers: runnable work / stop
   std::condition_variable done_cv_;  ///< waiters: a job reached kDone
   std::map<JobTicket, std::unique_ptr<JobRecord>> jobs_;
   std::vector<std::unique_ptr<GroupRecord>> groups_;
-  /// Records not yet kDone / groups not yet retired: what the coordinator
-  /// actually scans each round, so a long-lived service pays per-round
-  /// cost proportional to *active* work, not to everything ever submitted
-  /// (jobs_ retains outcomes for Wait-idempotence).
+  /// Records not yet kDone / groups not yet retired: what a pick scans, so
+  /// a long-lived service pays per-pick cost proportional to *live* work,
+  /// not to everything ever submitted (jobs_ retains outcomes for
+  /// Wait-idempotence).
   std::map<JobTicket, JobRecord*> live_jobs_;
   std::vector<GroupRecord*> live_groups_;
   JobTicket next_ticket_ = 1;
   bool stop_ = false;
   bool paused_ = false;  ///< start_paused and Resume() not called yet
+  int idle_workers_ = 0;  ///< workers waiting on work_cv_
+  int steps_running_ = 0;  ///< step slices on workers (the step_slots cap)
 
   // Metrics plane (all guarded by mu_). tenants_ is insert-only: a tenant's
   // counters survive its last job so STATS stays a lifetime view.
@@ -495,13 +519,13 @@ class FuzzService {
   uint64_t cancelled_total_ = 0;
   uint64_t deadline_hits_ = 0;
   uint64_t completed_executions_ = 0;
-  uint64_t rounds_done_ = 0;
+  uint64_t rounds_done_ = 0;  ///< completed slices
   /// (time, total executions) ring for the executions/s window.
   std::deque<std::pair<std::chrono::steady_clock::time_point, uint64_t>>
       rate_samples_;
   std::chrono::steady_clock::time_point last_metrics_log_;
 
-  std::thread coordinator_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace mufuzz::engine

@@ -50,7 +50,7 @@ struct RunnerOptions {
 /// instead of being silently coerced; island groups are all-or-nothing per
 /// group.
 ///
-/// The service (its worker pool and session pool) persists
+/// The service (its worker threads and session pool) persists
 /// across Run() calls, so keeping one runner alive amortizes sessions over
 /// many batches.
 class ParallelRunner {

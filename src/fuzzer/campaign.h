@@ -158,8 +158,8 @@ class Campaign {
   void MarkCancelled() { cancelled_ = true; }
 
   /// A cheap mid-run progress snapshot. Callers must not race StepRound /
-  /// StepStream — the FuzzService reads this between rounds, behind its
-  /// scheduler barrier.
+  /// StepStream — the FuzzService reads this between the job's slices,
+  /// under its scheduler lock.
   struct Progress {
     uint64_t executions = 0;
     uint64_t transactions = 0;

@@ -84,6 +84,9 @@ enum class RefKind { kUnresolved, kStateVar, kLocal, kParam };
 struct Expr {
   ExprKind kind;
   int line = 0;
+  /// Nodes on the longest path from here down to a leaf, this one included
+  /// (set by the parser, which bounds it by kMaxNestingDepth).
+  int height = 1;
   Type type;  ///< set by Sema
 
   explicit Expr(ExprKind k) : kind(k) {}
@@ -187,6 +190,9 @@ enum class StmtKind {
 struct Stmt {
   StmtKind kind;
   int line = 0;
+  /// Nodes on the longest path from here down to a leaf, expressions
+  /// included (set by the parser, which bounds it by kMaxNestingDepth).
+  int height = 1;
   explicit Stmt(StmtKind k) : kind(k) {}
   virtual ~Stmt() = default;
 };

@@ -1,5 +1,8 @@
 #include "lang/parser.h"
 
+#include <algorithm>
+#include <initializer_list>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,7 +13,9 @@ namespace mufuzz::lang {
 namespace {
 
 /// Recursive-descent parser over the token stream. All Parse* methods return
-/// a Result and propagate the first error with line information.
+/// a Result and propagate the first error with line information. Every
+/// recursive descent holds a Nesting level open and every built node
+/// records its height, so both stay within kMaxNestingDepth.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -65,6 +70,36 @@ class Parser {
     return Status::ParseError(msg + " at line " +
                               std::to_string(Peek().line));
   }
+  Status TooDeep() const {
+    return Err("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+               " levels");
+  }
+
+  /// Holds one nesting level open for its scope; check ok() right after
+  /// construction.
+  class Nesting {
+   public:
+    explicit Nesting(int* open) : open_(open) { ++*open_; }
+    ~Nesting() { --*open_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    bool ok() const { return *open_ <= kMaxNestingDepth; }
+
+   private:
+    int* open_;
+  };
+
+  static int Height(const ExprPtr& e) { return e ? e->height : 0; }
+  static int Height(const StmtPtr& s) { return s ? s->height : 0; }
+
+  /// Sets `node`'s height one above its tallest child; fails past
+  /// kMaxNestingDepth.
+  template <typename Node>
+  Status SetHeight(Node* node, std::initializer_list<int> children) const {
+    node->height = std::max(children) + 1;
+    return node->height > kMaxNestingDepth ? TooDeep() : Status::OK();
+  }
+
   bool CheckTypeKeyword() const {
     return Check(TokenKind::kUint256) || Check(TokenKind::kBool) ||
            Check(TokenKind::kAddress) || Check(TokenKind::kMapping);
@@ -76,6 +111,8 @@ class Parser {
     if (Match(TokenKind::kBool)) return Type::Bool();
     if (Match(TokenKind::kAddress)) return Type::AddressT();
     if (Match(TokenKind::kMapping)) {
+      Nesting nesting(&open_);
+      if (!nesting.ok()) return TooDeep();
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
       MUFUZZ_ASSIGN_OR_RETURN(Type key, ParseType());
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kArrow));
@@ -180,16 +217,21 @@ class Parser {
     MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLBrace));
     auto block = std::make_unique<BlockStmt>();
     block->line = Peek().line;
+    int tallest = 0;
     while (!Check(TokenKind::kRBrace)) {
       if (Check(TokenKind::kEof)) return Err("unexpected end of file in block");
       MUFUZZ_ASSIGN_OR_RETURN(StmtPtr stmt, ParseStmt());
+      tallest = std::max(tallest, stmt->height);
       block->stmts.push_back(std::move(stmt));
     }
+    MUFUZZ_RETURN_IF_ERROR(SetHeight(block.get(), {tallest}));
     MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRBrace));
     return block;
   }
 
   Result<StmtPtr> ParseStmt() {
+    Nesting nesting(&open_);
+    if (!nesting.ok()) return TooDeep();
     int line = Peek().line;
     if (Check(TokenKind::kLBrace)) {
       MUFUZZ_ASSIGN_OR_RETURN(auto block, ParseBlock());
@@ -204,6 +246,7 @@ class Parser {
       if (!Check(TokenKind::kSemicolon)) {
         MUFUZZ_ASSIGN_OR_RETURN(stmt->value, ParseExpr());
       }
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(stmt.get(), {Height(stmt->value)}));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kSemicolon));
       return StmtPtr(std::move(stmt));
     }
@@ -215,6 +258,7 @@ class Parser {
       if (Match(TokenKind::kComma)) {
         MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kString));
       }
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(stmt.get(), {Height(stmt->cond)}));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kSemicolon));
       return StmtPtr(std::move(stmt));
@@ -224,6 +268,8 @@ class Parser {
       stmt->line = line;
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
       MUFUZZ_ASSIGN_OR_RETURN(stmt->beneficiary, ParseExpr());
+      MUFUZZ_RETURN_IF_ERROR(
+          SetHeight(stmt.get(), {Height(stmt->beneficiary)}));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kSemicolon));
       return StmtPtr(std::move(stmt));
@@ -253,6 +299,7 @@ class Parser {
     if (Match(TokenKind::kAssign)) {
       MUFUZZ_ASSIGN_OR_RETURN(stmt->init, ParseExpr());
     }
+    MUFUZZ_RETURN_IF_ERROR(SetHeight(stmt.get(), {Height(stmt->init)}));
     return StmtPtr(std::move(stmt));
   }
 
@@ -282,11 +329,13 @@ class Parser {
       one->value = U256(1);
       one->line = line;
       stmt->value = std::move(one);
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(stmt.get(), {Height(stmt->target)}));
       return StmtPtr(std::move(stmt));
     } else {
       auto stmt = std::make_unique<ExprStmt>();
       stmt->line = line;
       stmt->expr = std::move(first);
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(stmt.get(), {Height(stmt->expr)}));
       return StmtPtr(std::move(stmt));
     }
 
@@ -295,6 +344,8 @@ class Parser {
     stmt->target = std::move(first);
     stmt->op = op;
     MUFUZZ_ASSIGN_OR_RETURN(stmt->value, ParseExpr());
+    MUFUZZ_RETURN_IF_ERROR(SetHeight(
+        stmt.get(), {Height(stmt->target), Height(stmt->value)}));
     return StmtPtr(std::move(stmt));
   }
 
@@ -309,6 +360,9 @@ class Parser {
     if (Match(TokenKind::kElse)) {
       MUFUZZ_ASSIGN_OR_RETURN(stmt->else_branch, ParseStmt());
     }
+    MUFUZZ_RETURN_IF_ERROR(
+        SetHeight(stmt.get(), {Height(stmt->cond), Height(stmt->then_branch),
+                               Height(stmt->else_branch)}));
     return StmtPtr(std::move(stmt));
   }
 
@@ -320,6 +374,8 @@ class Parser {
     MUFUZZ_ASSIGN_OR_RETURN(stmt->cond, ParseExpr());
     MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
     MUFUZZ_ASSIGN_OR_RETURN(stmt->body, ParseStmt());
+    MUFUZZ_RETURN_IF_ERROR(SetHeight(
+        stmt.get(), {Height(stmt->cond), Height(stmt->body)}));
     return StmtPtr(std::move(stmt));
   }
 
@@ -345,18 +401,26 @@ class Parser {
     }
     MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
     MUFUZZ_ASSIGN_OR_RETURN(stmt->body, ParseStmt());
+    MUFUZZ_RETURN_IF_ERROR(
+        SetHeight(stmt.get(), {Height(stmt->init), Height(stmt->cond),
+                               Height(stmt->post), Height(stmt->body)}));
     return StmtPtr(std::move(stmt));
   }
 
   // -------------------------------------------------------- Expressions --
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    Nesting nesting(&open_);
+    if (!nesting.ok()) return TooDeep();
+    return ParseOr();
+  }
 
   Result<ExprPtr> ParseOr() {
     MUFUZZ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (Check(TokenKind::kOrOr)) {
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = MakeBinary(BinOp::kOr, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(BinOp::kOr, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -366,7 +430,8 @@ class Parser {
     while (Check(TokenKind::kAndAnd)) {
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseEquality());
-      lhs = MakeBinary(BinOp::kAnd, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(BinOp::kAnd, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -377,7 +442,8 @@ class Parser {
       BinOp op = Check(TokenKind::kEq) ? BinOp::kEq : BinOp::kNe;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseRelational());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -392,7 +458,8 @@ class Parser {
       if (Check(TokenKind::kGe)) op = BinOp::kGe;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -403,7 +470,8 @@ class Parser {
       BinOp op = Check(TokenKind::kPlus) ? BinOp::kAdd : BinOp::kSub;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -417,13 +485,16 @@ class Parser {
       if (Check(TokenKind::kPercent)) op = BinOp::kMod;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseUnary() {
     if (Check(TokenKind::kBang) || Check(TokenKind::kMinus)) {
+      Nesting nesting(&open_);
+      if (!nesting.ok()) return TooDeep();
       UnOp op = Check(TokenKind::kBang) ? UnOp::kNot : UnOp::kNeg;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
@@ -431,6 +502,7 @@ class Parser {
       expr->op = op;
       expr->operand = std::move(operand);
       expr->line = line;
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(expr.get(), {Height(expr->operand)}));
       return ExprPtr(std::move(expr));
     }
     return ParsePostfix();
@@ -444,6 +516,8 @@ class Parser {
         index->line = Peek().line;
         index->base = std::move(expr);
         MUFUZZ_ASSIGN_OR_RETURN(index->index, ParseExpr());
+        MUFUZZ_RETURN_IF_ERROR(SetHeight(
+            index.get(), {Height(index->base), Height(index->index)}));
         MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRBracket));
         expr = std::move(index);
         continue;
@@ -501,6 +575,7 @@ class Parser {
       auto bal = std::make_unique<BalanceExpr>();
       bal->line = line;
       bal->address = std::move(base);
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(bal.get(), {Height(bal->address)}));
       return ExprPtr(std::move(bal));
     }
     if (member == "transfer" || member == "send") {
@@ -511,6 +586,8 @@ class Parser {
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
       MUFUZZ_ASSIGN_OR_RETURN(xfer->amount, ParseExpr());
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(
+          xfer.get(), {Height(xfer->target), Height(xfer->amount)}));
       return ExprPtr(std::move(xfer));
     }
     if (member == "call") {
@@ -526,6 +603,8 @@ class Parser {
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(
+          low.get(), {Height(low->target), Height(low->amount)}));
       return ExprPtr(std::move(low));
     }
     if (member == "delegatecall") {
@@ -541,6 +620,7 @@ class Parser {
         } while (Match(TokenKind::kComma));
       }
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(del.get(), {Height(del->target)}));
       return ExprPtr(std::move(del));
     }
     return Err("unsupported member '" + member + "'");
@@ -598,6 +678,11 @@ class Parser {
       expr->line = line;
       MUFUZZ_RETURN_IF_ERROR(ParseKeccakArgs(expr.get()));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      int tallest = 0;
+      for (const ExprPtr& arg : expr->args) {
+        tallest = std::max(tallest, arg->height);
+      }
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(expr.get(), {tallest}));
       return ExprPtr(std::move(expr));
     }
     // Casts: uint256(x), address(x).
@@ -610,6 +695,7 @@ class Parser {
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
       MUFUZZ_ASSIGN_OR_RETURN(cast->operand, ParseExpr());
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      MUFUZZ_RETURN_IF_ERROR(SetHeight(cast.get(), {Height(cast->operand)}));
       return ExprPtr(std::move(cast));
     }
     if (Check(TokenKind::kIdent)) {
@@ -633,6 +719,8 @@ class Parser {
     do {
       // abi.encodePacked(a, b, ...) — splice inner args.
       if (Check(TokenKind::kAbi) && Peek(1).kind == TokenKind::kDot) {
+        Nesting nesting(&open_);
+        if (!nesting.ok()) return TooDeep();
         Advance();  // abi
         Advance();  // .
         MUFUZZ_ASSIGN_OR_RETURN(std::string fn, ExpectIdent());
@@ -661,13 +749,17 @@ class Parser {
     return nullptr;
   }
 
-  static ExprPtr MakeBinary(BinOp op, ExprPtr lhs, ExprPtr rhs, int line) {
+  /// Binary chains are built in a loop, left-deep: the height check here is
+  /// what bounds `1+1+...+1`.
+  Result<ExprPtr> MakeBinary(BinOp op, ExprPtr lhs, ExprPtr rhs, int line) {
     auto expr = std::make_unique<BinaryExpr>();
     expr->op = op;
     expr->lhs = std::move(lhs);
     expr->rhs = std::move(rhs);
     expr->line = line;
-    return expr;
+    MUFUZZ_RETURN_IF_ERROR(
+        SetHeight(expr.get(), {Height(expr->lhs), Height(expr->rhs)}));
+    return ExprPtr(std::move(expr));
   }
 
   static Result<ExprPtr> MakeEnv(EnvKind env, int line) {
@@ -679,6 +771,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int open_ = 0;  ///< nesting levels currently open (see Nesting)
   std::vector<IdentExpr*> magic_bases_;
 };
 

@@ -38,10 +38,10 @@ class MufuzzClient {
   /// and tenancy envelope. Returns the job ticket.
   Result<uint64_t> Submit(const SubmitRequest& request);
 
-  /// POLL: the job's latest between-rounds progress snapshot.
+  /// POLL: the job's latest between-slices progress snapshot.
   Result<WireProgress> Poll(uint64_t ticket);
 
-  /// CANCEL: stop the job at its next round boundary.
+  /// CANCEL: stop the job at its next slice boundary.
   Status Cancel(uint64_t ticket);
 
   /// STATS: the daemon's metrics plane snapshot.

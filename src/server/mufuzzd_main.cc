@@ -25,11 +25,12 @@ void Usage(const char* argv0) {
       "usage: %s [flags]\n"
       "  --host A              IPv4 listen address (default 127.0.0.1)\n"
       "  --port N              TCP port; 0 = ephemeral (default 7337)\n"
-      "  --workers N           campaign worker threads (default: auto)\n"
+      "  --workers N           service worker threads (default: auto)\n"
       "  --max-live-jobs N     global admission bound; 0 = unbounded\n"
       "  --max-live-jobs-per-tenant N   per-tenant bound; 0 = unbounded\n"
-      "  --step-slots N        fair-share step slices per round; 0 = all\n"
-      "  --round-quantum N     executions per standalone step slice\n"
+      "  --step-slots N        cap on step slices running at once; 0 = none\n"
+      "  --round-quantum N     executions per standalone step slice (the\n"
+      "                        progress, cancel and fair-share granularity)\n"
       "  --metrics-interval-ms N   stderr metrics line cadence; 0 = never\n",
       argv0);
 }

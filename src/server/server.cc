@@ -82,7 +82,7 @@ void MufuzzServer::Stop() {
     for (auto& [id, fd] : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   // Unblock WAIT handlers parked inside FuzzService::Wait — each live job
-  // finalizes a partial result at its next round boundary.
+  // finalizes a partial result at its next slice boundary.
   service_.CancelAll();
   service_.Resume();
   accept_thread_.join();

@@ -240,7 +240,7 @@ TEST(FuzzServiceDeterminismTest, BatchStreamAndCancelledStreamAgree) {
 }
 
 TEST(FuzzServiceDeterminismTest, RoundQuantumNeverChangesResults) {
-  // The streamed campaign suspends (never drains) at round boundaries, so
+  // The streamed campaign suspends (never drains) at slice boundaries, so
   // the progress/cancel granularity is invisible to results — streamed
   // output equals a plain serial RunCampaign for any quantum.
   FuzzJob job = MakeJob("q", corpus::CrowdsaleExample().source, 7, 150);
@@ -376,6 +376,30 @@ TEST(FuzzServiceLifecycleTest, ProgressIsMonotonicWhileStreaming) {
   EXPECT_EQ(last_executions, outcome.result->executions);
 }
 
+TEST(FuzzServiceLifecycleTest, TooDeepSourceFailsItsJobOnly) {
+  // 200 KB of `!` would overflow the compiling worker's stack without the
+  // nesting bound; with it the job fails with an ordinary compile error.
+  ServiceOptions options;
+  options.workers = 1;
+  FuzzService service(options);
+  const std::string deep =
+      "contract C { bool b; function f() public { b = " +
+      std::string(200000, '!') + "true; } }";
+  Result<JobTicket> bad = service.Submit(MakeJob("deep", deep, 1, 64));
+  ASSERT_TRUE(bad.ok());
+  JobOutcome failed = service.Wait(bad.value());
+  EXPECT_FALSE(failed.result.has_value());
+  EXPECT_NE(failed.error.find("nesting deeper than"), std::string::npos)
+      << failed.error;
+
+  Result<JobTicket> next = service.Submit(
+      MakeJob("next", corpus::CrowdsaleExample().source, 2, 64));
+  ASSERT_TRUE(next.ok());
+  JobOutcome outcome = service.Wait(next.value());
+  ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
+  EXPECT_GT(outcome.result->executions, 0u);
+}
+
 TEST(FuzzServiceLifecycleTest, DestructionCancelsOutstandingJobs) {
   ServiceOptions options;
   options.workers = 2;
@@ -388,7 +412,7 @@ TEST(FuzzServiceLifecycleTest, DestructionCancelsOutstandingJobs) {
                                      100 + i, 1000000))
                     .ok());
   }
-  service.reset();  // must stop at round boundaries and join, not hang
+  service.reset();  // must stop at slice boundaries and join, not hang
 }
 
 // ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ void Churn(int workers) {
   SCOPED_TRACE("workers=" + std::to_string(workers));
   ServiceOptions options;
   options.workers = workers;
-  options.round_quantum = 16;  // many round boundaries → many poll windows
+  options.round_quantum = 16;  // many slice boundaries → many poll windows
   options.exchange_interval = 30;
   FuzzService service(options);
 

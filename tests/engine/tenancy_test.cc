@@ -158,20 +158,23 @@ TEST(TenancyTest, IslandGroupAdmissionIsAllOrNothing) {
   }
 }
 
-TEST(TenancyTest, FairShareOrderingIsDeterministic) {
-  // One step slot per round makes the deficit schedule fully observable:
-  // each round steps exactly one standalone job, and first_step_round
-  // records when each job got its first slice. With tenants {a: 2 jobs,
-  // b: 1 job} submitted a1, a2, b1, the deficit rule must open with a1
-  // (all-zero tie → lowest ticket), hand the next fresh slot to b1 (a is
-  // now charged), and start a2 only later — a1 keeps beating it on the
-  // ticket tie-break inside tenant a.
+/// A paused backlog on one worker: once resumed, the slice order is a pure
+/// function of the submissions, so first_step_round (the slice counter at
+/// a job's first step) pins the fair-share rule exactly.
+ServiceOptions OneWorkerBacklog() {
   ServiceOptions options;
-  options.workers = 2;
+  options.workers = 1;
   options.round_quantum = 24;
-  options.step_slots = 1;
   options.start_paused = true;
-  FuzzService service(options);
+  return options;
+}
+
+TEST(TenancyTest, FairShareOrderingIsDeterministic) {
+  // With tenants {a: 2 jobs, b: 1 job} submitted a1, a2, b1, the deficit
+  // rule must open with a1 (all-zero tie → lowest ticket), hand the next
+  // pick to b1 once a1's first step charged tenant a, and start a2 only
+  // later — a1 keeps beating it on the ticket tie-break inside tenant a.
+  FuzzService service(OneWorkerBacklog());
 
   auto a1 = service.Submit(TenantJob("a", 1));
   auto a2 = service.Submit(TenantJob("a", 2));
@@ -210,12 +213,7 @@ TEST(TenancyTest, FairShareOrderingIsDeterministic) {
 TEST(TenancyTest, PriorityBreaksTiesWithinATenant) {
   // Same tenant, same deficit — the higher-priority job must step first
   // even though it got the later ticket.
-  ServiceOptions options;
-  options.workers = 2;
-  options.round_quantum = 24;
-  options.step_slots = 1;
-  options.start_paused = true;
-  FuzzService service(options);
+  FuzzService service(OneWorkerBacklog());
 
   FuzzJob low = TenantJob("a", 1);
   FuzzJob high = TenantJob("a", 2);
@@ -228,6 +226,44 @@ TEST(TenancyTest, PriorityBreaksTiesWithinATenant) {
 
   EXPECT_LT(service.Poll(*high_ticket).first_step_round,
             service.Poll(*low_ticket).first_step_round);
+}
+
+TEST(TenancyTest, LateTenantIsNotStarvedByABacklog) {
+  // Tenant b's one job arrives behind eight of tenant a's. Deficit fair
+  // share steps it as soon as a's first step charged tenant a, long before
+  // a's last job starts; a FIFO-by-ticket scheduler would run all of a
+  // first.
+  FuzzService service(OneWorkerBacklog());
+  std::vector<JobTicket> a;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    auto ticket = service.Submit(TenantJob("a", seed));
+    ASSERT_TRUE(ticket.ok());
+    a.push_back(*ticket);
+  }
+  auto b = service.Submit(TenantJob("b", 9));
+  ASSERT_TRUE(b.ok());
+  service.Resume();
+  service.WaitAll();
+
+  const int64_t first_b = service.Poll(*b).first_step_round;
+  ASSERT_GE(first_b, 0);
+  EXPECT_LT(first_b, service.Poll(a.back()).first_step_round);
+  EXPECT_EQ(Reference(TenantJob("b", 9)), *service.Wait(*b).result);
+}
+
+TEST(TenancyTest, StepSlotsCapKeepsResults) {
+  // One step slot across two workers still runs every job to its
+  // reference result; the cap only serializes the steps.
+  ServiceOptions options;
+  options.workers = 2;
+  options.round_quantum = 24;
+  options.step_slots = 1;
+  FuzzService service(options);
+  auto a1 = service.Submit(TenantJob("a", 1));
+  auto b1 = service.Submit(TenantJob("b", 3));
+  ASSERT_TRUE(a1.ok() && b1.ok());
+  EXPECT_EQ(Reference(TenantJob("a", 1)), *service.Wait(*a1).result);
+  EXPECT_EQ(Reference(TenantJob("b", 3)), *service.Wait(*b1).result);
 }
 
 TEST(TenancyTest, DeadlineExpiryCancelsMidRun) {
@@ -267,8 +303,8 @@ TEST(TenancyTest, DeadlineExpiryCancelsMidRun) {
 }
 
 TEST(TenancyTest, DeadlineBeforeStartLeavesResultEmpty) {
-  // The coordinator is paused while the 1ms deadline lapses, so the very
-  // first round finds the job expired before any campaign ran — per the
+  // The service is paused while the 1ms deadline lapses, so the very
+  // first pick finds the job expired before any campaign ran — per the
   // JobOutcome contract that must yield an *empty* result with an
   // explanatory error, never a zero-coverage row.
   ServiceOptions options;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "lang/compiler.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
@@ -394,6 +397,72 @@ TEST(SemaTest, RejectsShadowing) {
       function f() public { uint256 x = 1; }
     })");
   EXPECT_FALSE(AnalyzeContract(c.get()).ok());
+}
+
+// --------------------------------------------------------- Nesting bound --
+
+/// `<expr>` assigned inside a function body: the body block and the
+/// assignment statement sit two levels above the expression.
+std::string AssignInBody(const std::string& target, const std::string& expr) {
+  return "contract C { bool b; uint256 n; function f() public { " + target +
+         " = " + expr + "; } }";
+}
+constexpr int kBodyLevels = 2;
+
+/// `!!…!true`: `nots` unary nodes over one leaf.
+std::string Nots(int nots) { return std::string(nots, '!') + "true"; }
+
+/// `1+1+…+1`: a left-deep chain of `terms - 1` binary nodes over one leaf.
+std::string Ones(int terms) {
+  std::string expr = "1";
+  expr.reserve(2 * static_cast<size_t>(terms));
+  for (int i = 1; i < terms; ++i) expr += "+1";
+  return expr;
+}
+
+void ExpectTooDeep(const std::string& source) {
+  auto parsed = ParseContract(source);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("nesting deeper than"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
+TEST(ParserTest, UnaryNestingAtTheBoundCompiles) {
+  const int nots = kMaxNestingDepth - kBodyLevels - 1;
+  auto compiled = CompileContract(AssignInBody("b", Nots(nots)));
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ExpectTooDeep(AssignInBody("b", Nots(nots + 1)));
+}
+
+TEST(ParserTest, BinaryChainAtTheBoundCompiles) {
+  const int terms = kMaxNestingDepth - kBodyLevels;
+  auto compiled = CompileContract(AssignInBody("n", Ones(terms)));
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ExpectTooDeep(AssignInBody("n", Ones(terms + 1)));
+}
+
+TEST(ParserTest, HugeNestingIsAParseErrorNotACrash) {
+  // The two shapes that overflow the stack without the bound: 200 KB of
+  // unary operators, and an 800 KB binary chain the parser builds in a
+  // loop.
+  ExpectTooDeep(AssignInBody("b", Nots(200000)));
+  ExpectTooDeep(AssignInBody("n", Ones(400000)));
+  // Every other kind of nesting is bounded the same way.
+  const int deep = 100000;
+  ExpectTooDeep(AssignInBody(
+      "n", std::string(deep, '(') + "1" + std::string(deep, ')')));
+  std::string index;
+  for (int i = 0; i < deep; ++i) index += "m[";
+  ExpectTooDeep("contract C { mapping(uint256 => uint256) m; uint256 n; "
+                "function f() public { n = " +
+                index + "n" + std::string(deep, ']') + "; } }");
+  ExpectTooDeep("contract C { function f() public " + std::string(deep, '{') +
+                std::string(deep, '}') + " }");
+  std::string ifs;
+  for (int i = 0; i < deep; ++i) ifs += "if (true) ";
+  ExpectTooDeep("contract C { function f() public { " + ifs + "{} } }");
 }
 
 TEST(SemaTest, RejectsDuplicateFunctions) {
