@@ -318,18 +318,14 @@ BENCHMARK_TEMPLATE(BM_SnapshotRewind, evm::CopyStateBackstop)
     ->ArgPair(100000, 16);
 
 /// Cost of the Algorithm-3 machinery alone: prefix inference construction
-/// plus branch weighting of a synthetic trace — the "pre-fuzz" overhead.
+/// plus weighting every branch of the contract — the "pre-fuzz" overhead.
 void BM_PreFuzzObservation(benchmark::State& state) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
-  evm::TraceRecorder trace;
-  for (const auto& entry : artifact->branch_map) {
-    evm::BranchEvent ev;
-    ev.pc = entry.jumpi_pc;
-    trace.OnBranch(ev);
-  }
   for (auto _ : state) {
     fuzzer::EnergyScheduler scheduler(&artifact.value(), true);
-    scheduler.ObserveTrace(trace);
+    for (const auto& entry : artifact->branch_map) {
+      scheduler.ObserveBranch(entry.jumpi_pc);
+    }
     benchmark::DoNotOptimize(scheduler.weighted_branches());
   }
 }

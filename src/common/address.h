@@ -4,6 +4,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/bytes.h"
@@ -39,7 +40,12 @@ struct Address {
   /// on the interpreter's per-opcode path (ADDRESS/CALLER/ORIGIN and the
   /// call family), so it must not allocate.
   U256 ToWord() const {
-    return U256::FromBytesBE(BytesView(bytes.data(), bytes.size())).value();
+    // Limb 0 holds address bytes 12..19, limb 1 bytes 4..11, and limb 2
+    // the top four bytes 0..3.
+    const uint8_t* b = bytes.data();
+    const uint64_t top = (uint64_t{b[0]} << 24) | (uint64_t{b[1]} << 16) |
+                         (uint64_t{b[2]} << 8) | uint64_t{b[3]};
+    return U256(U256::LoadU64BE(b + 12), U256::LoadU64BE(b + 4), top, 0);
   }
 
   bool IsZero() const {
@@ -56,10 +62,22 @@ struct Address {
   bool operator==(const Address&) const = default;
   auto operator<=>(const Address&) const = default;
 
+  /// Hash for the world state's account map, which every Touch, Find,
+  /// Transfer and Ensure probes. Three unaligned loads cover all 20 bytes;
+  /// each is folded in with an xor-shift and an odd multiply, both
+  /// bijections, so changing any single byte always changes the hash.
   struct Hasher {
     size_t operator()(const Address& a) const {
-      return static_cast<size_t>(
-          Fnv1a64(BytesView(a.bytes.data(), a.bytes.size())));
+      constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+      uint64_t w0, w1;
+      uint32_t w2;
+      std::memcpy(&w0, a.bytes.data(), 8);
+      std::memcpy(&w1, a.bytes.data() + 8, 8);
+      std::memcpy(&w2, a.bytes.data() + 16, 4);
+      uint64_t h = w0 * kMul;
+      h = (h ^ (h >> 32) ^ w1) * kMul;
+      h = (h ^ (h >> 32) ^ w2) * kMul;
+      return static_cast<size_t>(h ^ (h >> 32));
     }
   };
 };

@@ -16,6 +16,15 @@ namespace mufuzz {
 /// atomics — cheap enough to leave on in Release, monotone, and summed
 /// across all threads (service workers included: a campaign's allocations
 /// happen on whichever worker runs its round).
+///
+/// The counters are sharded so that worker threads do not contend for one
+/// cache line on every new/delete: 16 cache-line-aligned shards, each
+/// thread dealt one round-robin on its first allocation and remembering it
+/// in a trivially destructible thread_local index (threads past the 16th
+/// share shards, still counted exactly). CurrentAllocStats sums the shards
+/// dealt so far, so a single-threaded process reads one cache line. A
+/// shard outlives the threads that wrote it, so allocations made by
+/// threads that have since exited stay counted.
 struct AllocCounters {
   uint64_t allocs = 0;    ///< operator new calls
   uint64_t deallocs = 0;  ///< operator delete calls

@@ -110,15 +110,7 @@ Result<U256> U256::FromBytesBE(BytesView bytes) {
   }
   std::array<uint8_t, 32> buf{};
   std::copy(bytes.begin(), bytes.end(), buf.begin() + (32 - bytes.size()));
-  std::array<uint64_t, 4> limbs{};
-  for (int i = 0; i < 4; ++i) {
-    uint64_t v = 0;
-    for (int j = 0; j < 8; ++j) {
-      v = (v << 8) | buf[(3 - i) * 8 + j];
-    }
-    limbs[i] = v;
-  }
-  return U256(limbs[0], limbs[1], limbs[2], limbs[3]);
+  return FromBytesBE32(buf.data());
 }
 
 Result<U256> U256::FromHex(std::string_view hex) {
@@ -171,28 +163,6 @@ int U256::BitLength() const {
     }
   }
   return 0;
-}
-
-U256 U256::operator+(const U256& o) const {
-  U256 out;
-  u128 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    u128 cur = static_cast<u128>(limbs_[i]) + o.limbs_[i] + carry;
-    out.limbs_[i] = static_cast<uint64_t>(cur);
-    carry = cur >> 64;
-  }
-  return out;
-}
-
-U256 U256::operator-(const U256& o) const {
-  U256 out;
-  u128 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    u128 cur = static_cast<u128>(limbs_[i]) - o.limbs_[i] - borrow;
-    out.limbs_[i] = static_cast<uint64_t>(cur);
-    borrow = (cur >> 64) ? 1 : 0;
-  }
-  return out;
 }
 
 U256 U256::operator*(const U256& o) const {
@@ -376,16 +346,6 @@ U256 U256::Byte(const U256& i) const {
   return U256(shifted.low64() & 0xff);
 }
 
-std::strong_ordering U256::operator<=>(const U256& o) const {
-  for (int i = 3; i >= 0; --i) {
-    if (limbs_[i] != o.limbs_[i]) {
-      return limbs_[i] < o.limbs_[i] ? std::strong_ordering::less
-                                     : std::strong_ordering::greater;
-    }
-  }
-  return std::strong_ordering::equal;
-}
-
 bool U256::Slt(const U256& o) const {
   bool na = IsNegativeSigned();
   bool nb = o.IsNegativeSigned();
@@ -440,12 +400,6 @@ std::string U256::ToDecimal() const {
   }
   std::reverse(out.begin(), out.end());
   return out;
-}
-
-uint64_t U256::AbsDiffSaturated(const U256& a, const U256& b) {
-  U256 diff = (a > b) ? (a - b) : (b - a);
-  if (!diff.FitsU64()) return UINT64_MAX;
-  return diff.low64();
 }
 
 }  // namespace mufuzz

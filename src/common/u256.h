@@ -2,8 +2,10 @@
 #define MUFUZZ_COMMON_U256_H_
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -39,6 +41,22 @@ class U256 {
   /// Parses from big-endian bytes (at most 32); shorter inputs are
   /// zero-extended on the left, longer inputs are an error.
   static Result<U256> FromBytesBE(BytesView bytes);
+  /// Loads exactly 32 big-endian bytes from `bytes`. The infallible form of
+  /// FromBytesBE for the interpreter's hot loads (MLOAD, CALLDATALOAD,
+  /// hash digests), which must not build a Result.
+  static U256 FromBytesBE32(const uint8_t* bytes) {
+    return U256(LoadU64BE(bytes + 24), LoadU64BE(bytes + 16),
+                LoadU64BE(bytes + 8), LoadU64BE(bytes));
+  }
+  /// Reads 8 big-endian bytes from `bytes` (no alignment needed).
+  static uint64_t LoadU64BE(const uint8_t* bytes) {
+    uint64_t v;
+    std::memcpy(&v, bytes, 8);
+    if constexpr (std::endian::native == std::endian::little) {
+      v = __builtin_bswap64(v);
+    }
+    return v;
+  }
   /// Parses from a hex string with optional 0x prefix.
   static Result<U256> FromHex(std::string_view hex);
   /// Parses from a decimal string; errors on overflow or bad digits.
@@ -66,8 +84,30 @@ class U256 {
   }
 
   // -- Wrapping arithmetic (EVM semantics). -------------------------------
-  U256 operator+(const U256& o) const;
-  U256 operator-(const U256& o) const;
+  // + and - (and <=> below) run on every ADD/SUB/LT/GT and in the overflow
+  // checks, so they are defined here for inlining.
+  U256 operator+(const U256& o) const {
+    U256 out;
+    unsigned __int128 carry = 0;
+    for (int i = 0; i < 4; ++i) {
+      unsigned __int128 cur =
+          static_cast<unsigned __int128>(limbs_[i]) + o.limbs_[i] + carry;
+      out.limbs_[i] = static_cast<uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    return out;
+  }
+  U256 operator-(const U256& o) const {
+    U256 out;
+    uint64_t borrow = 0;
+    for (int i = 0; i < 4; ++i) {
+      unsigned __int128 cur =
+          static_cast<unsigned __int128>(limbs_[i]) - o.limbs_[i] - borrow;
+      out.limbs_[i] = static_cast<uint64_t>(cur);
+      borrow = static_cast<uint64_t>(cur >> 64) & 1;
+    }
+    return out;
+  }
   U256 operator*(const U256& o) const;
   /// EVM DIV: division by zero yields zero.
   U256 operator/(const U256& o) const;
@@ -113,7 +153,15 @@ class U256 {
 
   // -- Comparison. -----------------------------------------------------------
   bool operator==(const U256& o) const { return limbs_ == o.limbs_; }
-  std::strong_ordering operator<=>(const U256& o) const;
+  std::strong_ordering operator<=>(const U256& o) const {
+    for (int i = 3; i >= 0; --i) {
+      if (limbs_[i] != o.limbs_[i]) {
+        return limbs_[i] < o.limbs_[i] ? std::strong_ordering::less
+                                       : std::strong_ordering::greater;
+      }
+    }
+    return std::strong_ordering::equal;
+  }
   /// EVM SLT: signed less-than.
   bool Slt(const U256& o) const;
   /// EVM SGT: signed greater-than.
@@ -138,8 +186,12 @@ class U256 {
     }
   };
 
-  /// |a - b| as a saturating uint64 — the branch-distance metric's core.
-  static uint64_t AbsDiffSaturated(const U256& a, const U256& b);
+  /// |a - b| as a saturating uint64 — the branch-distance metric's core,
+  /// run for every comparison feeding a branch, so it is inline too.
+  static uint64_t AbsDiffSaturated(const U256& a, const U256& b) {
+    U256 diff = (a > b) ? (a - b) : (b - a);
+    return diff.FitsU64() ? diff.low64() : UINT64_MAX;
+  }
 
  private:
   std::array<uint64_t, 4> limbs_;

@@ -31,8 +31,7 @@ std::unordered_set<uint32_t> FindJumpdests(BytesView code) {
 
 U256 Keccak256Memo::Hash(BytesView input) {
   if (input.size() > kMaxInput) {
-    auto digest = Keccak256(input);
-    return U256::FromBytesBE(BytesView(digest.data(), 32)).value();
+    return U256::FromBytesBE32(Keccak256(input).data());
   }
   // Fold the input's 8-byte words (zero-padded tail) multiplicatively; the
   // top bits mix every word and pick the entry.
@@ -52,7 +51,7 @@ U256 Keccak256Memo::Hash(BytesView input) {
   auto digest = Keccak256(input);
   e.len = static_cast<uint8_t>(input.size());
   if (!input.empty()) std::memcpy(e.input, input.data(), input.size());
-  e.digest = U256::FromBytesBE(BytesView(digest.data(), 32)).value();
+  e.digest = U256::FromBytesBE32(digest.data());
   return e.digest;
 }
 
@@ -97,6 +96,7 @@ ExecResult Interpreter::ExecuteTransaction(const MessageCall& call) {
   cmp_records_.clear();
   next_call_id_ = 0;
   steps_ = 0;
+  instructions_ = 0;
 
   size_t snapshot = state_->Snapshot();
   // Value moves from the external sender to the callee before code runs.
@@ -111,6 +111,7 @@ ExecResult Interpreter::ExecuteTransaction(const MessageCall& call) {
   } else {
     state_->Commit(snapshot);
   }
+  if (observer_ != nullptr) observer_->OnInstructions(instructions_);
   return result;
 }
 
@@ -242,7 +243,10 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
     if (!info.defined) {
       return {Outcome::kInvalidOp, {}, call.gas};
     }
-    if (observer_ != nullptr) observer_->OnStep(pc, opcode, call.depth);
+    ++instructions_;
+    if (step_observer_ != nullptr) {
+      step_observer_->OnStep(pc, opcode, call.depth);
+    }
     if (!charge(info.gas)) return out_of_gas();
     if (stack.size() < static_cast<size_t>(info.stack_inputs)) {
       return stack_err();
@@ -504,8 +508,10 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         if (off.value.FitsU64()) {
           uint64_t o = off.value.low64();
           uint8_t buf[32];
-          for (int i = 0; i < 32; ++i) {
-            buf[i] = (o + i < call.data.size()) ? call.data[o + i] : 0;
+          for (uint64_t i = 0; i < 32; ++i) {
+            // o + i < size, written so that it cannot wrap around 2^64.
+            bool in_bounds = o < call.data.size() && i < call.data.size() - o;
+            buf[i] = in_bounds ? call.data[o + i] : 0;
           }
           v = U256::FromBytesBE(BytesView(buf, 32)).value();
         }

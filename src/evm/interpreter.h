@@ -132,8 +132,13 @@ class Interpreter : public ReentryHandle {
   Interpreter(WorldState* state, Host* host, BlockContext block,
               EvmConfig config = EvmConfig());
 
-  /// Observer for instrumentation events; may be nullptr.
-  void set_observer(ExecObserver* observer) { observer_ = observer; }
+  /// Observer for instrumentation events; may be nullptr. OnStep reaches it
+  /// only if it opted into the step stream (ExecObserver::step_stream).
+  void set_observer(ExecObserver* observer) {
+    observer_ = observer;
+    step_observer_ =
+        observer != nullptr && observer->step_stream() ? observer : nullptr;
+  }
 
   /// Executes a top-level message call. Reverts all state changes if the
   /// outcome is not success. Comparison records and call ids reset per call.
@@ -217,10 +222,18 @@ class Interpreter : public ReentryHandle {
   EvmConfig config_;
   CodeCache* cache_ = nullptr;
   ExecObserver* observer_ = nullptr;
+  /// observer_ when it takes the step stream, else nullptr.
+  ExecObserver* step_observer_ = nullptr;
 
   std::vector<CmpRecord> cmp_records_;
   int32_t next_call_id_ = 0;
+  /// Step-limit counter: every dispatched instruction, undefined opcodes and
+  /// the step that hits the limit included.
   uint64_t steps_ = 0;
+  /// Instructions the observer is told about (OnInstructions): the steps
+  /// that pass the step-limit and defined-opcode checks, i.e. exactly those
+  /// a step-stream observer receives through OnStep.
+  uint64_t instructions_ = 0;
   int reenter_depth_ = 0;
   uint64_t host_calls_ = 0;
   /// Used by the decoded loop; the byte-switch oracle calls Keccak256

@@ -19,6 +19,7 @@
 // exact per-op checks, so a stack error aborts at the same instruction with
 // the same partial event stream.
 
+#include <cstring>
 #include <unordered_map>
 
 #include "common/keccak.h"
@@ -171,8 +172,9 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
     if (++steps_ > config_.max_steps) {                      \
       return ExecResult{Outcome::kStepLimit, {}, call.gas - gas}; \
     }                                                        \
-    if (observer_ != nullptr) {                              \
-      observer_->OnStep((pc_), (opcode_), call.depth);       \
+    ++instructions_;                                         \
+    if (step_observer_ != nullptr) {                         \
+      step_observer_->OnStep((pc_), (opcode_), call.depth);  \
     }                                                        \
     if (!charge(gas_)) return out_of_gas();                  \
   } while (0)
@@ -471,13 +473,18 @@ dispatch_top:
     PRELUDE();
     Word off = stack.PopUnsafe();
     U256 v;
-    if (off.value.FitsU64()) {
-      uint64_t o = off.value.low64();
-      uint8_t buf[32];
-      for (int i = 0; i < 32; ++i) {
-        buf[i] = (o + i < call.data.size()) ? call.data[o + i] : 0;
+    // Bytes past the end of the calldata read as zero; an offset at or past
+    // the end (any offset that does not fit in 64 bits included) reads zero.
+    const size_t size = call.data.size();
+    if (off.value.FitsU64() && off.value.low64() < size) {
+      const uint64_t o = off.value.low64();
+      if (size - o >= 32) {
+        v = U256::FromBytesBE32(call.data.data() + o);
+      } else {
+        uint8_t buf[32] = {};
+        std::memcpy(buf, call.data.data() + o, size - o);
+        v = U256::FromBytesBE32(buf);
       }
-      v = U256::FromBytesBE(BytesView(buf, 32)).value();
     }
     PUSH_W(Word(v, kTaintCalldata | off.taint));
     NEXT();
@@ -564,8 +571,7 @@ dispatch_top:
       observer_->OnBlockRead(
           {ins->pc, static_cast<Op>(ins->opcode), call.depth});
     }
-    PUSH_W(Word(U256::FromBytesBE(BytesView(digest.data(), 32)).value(),
-                kTaintBlock));
+    PUSH_W(Word(U256::FromBytesBE32(digest.data()), kTaintBlock));
     NEXT();
   }
 

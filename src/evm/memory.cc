@@ -20,7 +20,7 @@ bool Memory::Expand(uint64_t offset, uint64_t len) {
 
 bool Memory::Load32(uint64_t offset, U256* out) {
   if (!Expand(offset, 32)) return false;
-  *out = U256::FromBytesBE(BytesView(data_.data() + offset, 32)).value();
+  *out = U256::FromBytesBE32(data_.data() + offset);
   return true;
 }
 
@@ -41,10 +41,17 @@ bool Memory::CopyIn(uint64_t offset, BytesView src, uint64_t src_offset,
                     uint64_t len) {
   if (len == 0) return true;
   if (!Expand(offset, len)) return false;
-  for (uint64_t i = 0; i < len; ++i) {
-    uint64_t s = src_offset + i;
-    data_[offset + i] = (s < src.size()) ? src[s] : 0;
+  // The part of [src_offset, src_offset + len) inside `src`, computed
+  // without forming src_offset + len, which can wrap around 2^64 (an
+  // offset that does not fit in 64 bits arrives here as UINT64_MAX).
+  const uint64_t avail =
+      src_offset < src.size()
+          ? std::min<uint64_t>(len, src.size() - src_offset)
+          : 0;
+  if (avail != 0) {
+    std::memcpy(data_.data() + offset, src.data() + src_offset, avail);
   }
+  std::memset(data_.data() + offset + avail, 0, len - avail);
   return true;
 }
 

@@ -1,8 +1,11 @@
 #ifndef MUFUZZ_EVM_STACK_H_
 #define MUFUZZ_EVM_STACK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <new>
+#include <type_traits>
+#include <utility>
 
 #include "common/u256.h"
 #include "evm/taint.h"
@@ -22,8 +25,16 @@ struct Word {
   explicit Word(U256 v) : value(std::move(v)) {}
   Word(U256 v, uint32_t t) : value(std::move(v)), taint(t) {}
 };
+static_assert(std::is_trivially_destructible_v<Word>,
+              "Stack never destroys the words it holds");
 
 /// EVM operand stack, limited to 1024 entries like the real machine.
+///
+/// The items live in one fixed kMaxDepth buffer with a size field, so a
+/// push is a store and a bump, with no capacity check. The buffer is raw
+/// storage: a slot is constructed when it is first pushed, so the pages of
+/// slots a frame never reaches are never touched and stay out of the
+/// resident set (Word is trivially destructible, so nothing is destroyed).
 ///
 /// Over/underflow are reported by returning false; the interpreter converts
 /// that into an execution failure (no exceptions in library code).
@@ -31,38 +42,43 @@ class Stack {
  public:
   static constexpr size_t kMaxDepth = 1024;
 
-  bool Push(Word w) {
-    if (items_.size() >= kMaxDepth) return false;
-    items_.push_back(std::move(w));
+  Stack()
+      : items_(static_cast<Word*>(::operator new(kMaxDepth * sizeof(Word)))) {}
+  ~Stack() { ::operator delete(items_); }
+  Stack(const Stack&) = delete;
+  Stack& operator=(const Stack&) = delete;
+
+  bool Push(const Word& w) {
+    if (size_ >= kMaxDepth) return false;
+    PushUnsafe(w);
     return true;
   }
 
   bool Pop(Word* out) {
-    if (items_.empty()) return false;
-    *out = std::move(items_.back());
-    items_.pop_back();
+    if (size_ == 0) return false;
+    *out = items_[--size_];
     return true;
   }
 
   /// Peeks `depth` items below the top (0 == top). Returns nullptr when the
   /// stack is too shallow.
   const Word* Peek(size_t depth = 0) const {
-    if (depth >= items_.size()) return nullptr;
-    return &items_[items_.size() - 1 - depth];
+    if (depth >= size_) return nullptr;
+    return &items_[size_ - 1 - depth];
   }
 
   /// DUPn: duplicates the item `depth-1` below the top onto the top.
   bool Dup(int depth) {
-    if (static_cast<size_t>(depth) > items_.size()) return false;
-    if (items_.size() >= kMaxDepth) return false;
-    items_.push_back(items_[items_.size() - depth]);
+    if (static_cast<size_t>(depth) > size_) return false;
+    if (size_ >= kMaxDepth) return false;
+    PushUnsafe(items_[size_ - depth]);
     return true;
   }
 
   /// SWAPn: swaps the top with the item `depth` below it.
   bool Swap(int depth) {
-    if (items_.size() < static_cast<size_t>(depth) + 1) return false;
-    std::swap(items_.back(), items_[items_.size() - 1 - depth]);
+    if (size_ < static_cast<size_t>(depth) + 1) return false;
+    SwapUnsafe(depth);
     return true;
   }
 
@@ -72,31 +88,31 @@ class Stack {
   // per-op bounds tests. Callers outside that proof must use the checked
   // variants above.
 
-  void PushUnsafe(Word w) { items_.push_back(std::move(w)); }
-
-  Word PopUnsafe() {
-    Word w = std::move(items_.back());
-    items_.pop_back();
-    return w;
+  void PushUnsafe(const Word& w) {
+    ::new (static_cast<void*>(items_ + size_)) Word(w);
+    ++size_;
   }
 
-  /// Reference to the item `depth` below the top (0 == top). Invalidated by
-  /// the next push.
+  Word PopUnsafe() { return items_[--size_]; }
+
+  /// Reference to the item `depth` below the top (0 == top). Stays valid
+  /// until that item is popped or overwritten.
   const Word& TopUnsafe(size_t depth = 0) const {
-    return items_[items_.size() - 1 - depth];
+    return items_[size_ - 1 - depth];
   }
 
   /// SWAPn without the depth check.
   void SwapUnsafe(int depth) {
-    std::swap(items_.back(), items_[items_.size() - 1 - depth]);
+    std::swap(items_[size_ - 1], items_[size_ - 1 - depth]);
   }
 
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-  void Clear() { items_.clear(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  void Clear() { size_ = 0; }
 
  private:
-  std::vector<Word> items_;
+  Word* items_;  ///< kMaxDepth slots; [0, size_) are live
+  size_t size_ = 0;
 };
 
 }  // namespace mufuzz::evm

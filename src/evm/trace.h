@@ -92,10 +92,26 @@ struct BlockReadEvent {
 
 /// Observer interface the interpreter reports into. The fuzzer installs a
 /// TraceRecorder; a no-op default keeps the interpreter usable standalone.
+///
+/// The per-instruction stream is opt-in: the interpreter calls OnStep only
+/// for an observer constructed with `step_stream` set (the differential
+/// tests' full trace is one), so the production path makes no virtual call
+/// per instruction. Every observer gets the instruction count instead,
+/// once per top-level transaction, through OnInstructions.
 class ExecObserver {
  public:
+  ExecObserver() = default;
+  explicit ExecObserver(bool step_stream) : step_stream_(step_stream) {}
   virtual ~ExecObserver() = default;
+
+  bool step_stream() const { return step_stream_; }
+
+  /// One executed instruction; only called when step_stream() is set.
   virtual void OnStep(uint32_t /*pc*/, uint8_t /*opcode*/, int /*depth*/) {}
+  /// Called at the end of each Interpreter::ExecuteTransaction with the
+  /// number of instructions it executed, re-entered frames included: exactly
+  /// the number of OnStep calls a step-stream observer saw for it.
+  virtual void OnInstructions(uint64_t /*count*/) {}
   virtual void OnBranch(const BranchEvent&) {}
   virtual void OnJump(uint32_t /*from_pc*/, uint32_t /*to_pc*/,
                       int /*depth*/) {}
@@ -107,13 +123,19 @@ class ExecObserver {
   virtual void OnBlockRead(const BlockReadEvent&) {}
   /// A failed external call's status word reached a JUMPI (exception handled).
   virtual void OnCallResultChecked(int32_t /*call_id*/) {}
+
+ private:
+  bool step_stream_ = false;
 };
 
 /// Records the full event stream of one transaction; the bug oracles and the
 /// coverage/distance feedback consume this.
 class TraceRecorder : public ExecObserver {
  public:
-  void OnStep(uint32_t, uint8_t, int) override { ++instruction_count_; }
+  TraceRecorder() = default;
+  explicit TraceRecorder(bool step_stream) : ExecObserver(step_stream) {}
+
+  void OnInstructions(uint64_t count) override { instruction_count_ += count; }
   void OnBranch(const BranchEvent& ev) override { branches_.push_back(ev); }
   void OnJump(uint32_t from, uint32_t to, int depth) override {
     jumps_.push_back({from, to, depth});

@@ -112,7 +112,7 @@ void AbiCodec::FromByteStream(BytesView stream, Tx* tx) const {
       size_t idx = index * 32 + i;
       if (idx < stream.size()) buf[i] = stream[idx];
     }
-    return U256::FromBytesBE(BytesView(buf, 32)).value();
+    return U256::FromBytesBE32(buf);
   };
   tx->value = word_at(0);
   tx->args.resize(fn.inputs.size());

@@ -30,8 +30,10 @@ inline bool BranchIdTaken(uint64_t id) { return (id & 1) != 0; }
 /// indexed by (slot, direction). The hot AddBranch/OfferDistance path is
 /// then a pc→slot table load plus a bit test — no hashing, no rehashing, no
 /// node allocations — which is what lets FeedbackEngine::ProcessTx run
-/// allocation-free per trace. Unknown pcs (traces from code outside the
-/// branch map, e.g. tests driving raw bytecode) intern lazily.
+/// allocation-free per trace. ProcessTx goes one step further: it resolves
+/// each branch event's slot once (Slot) and reads everything else by slot
+/// (the *At calls). Unknown pcs (traces from code outside the branch map,
+/// e.g. tests driving raw bytecode) intern lazily.
 class CoverageMap {
  public:
   explicit CoverageMap(int total_jumpis) : total_jumpis_(total_jumpis) {}
@@ -43,9 +45,19 @@ class CoverageMap {
     for (uint32_t pc : jumpi_pcs) (void)InternSlot(pc);
   }
 
+  /// Slot of the JUMPI at `pc`, interning it on first sight. Slots are
+  /// dense and stable: the pre-interned pcs take slots 0..n-1 in span order,
+  /// and later pcs append. The *At calls below take a slot from here, so a
+  /// caller handling one branch event resolves its pc once.
+  size_t Slot(uint32_t pc) { return InternSlot(pc); }
+  size_t slot_count() const { return slot_pcs_.size(); }
+
   /// Records a branch direction; returns true if it is new coverage.
   bool AddBranch(uint32_t pc, bool taken) {
-    size_t bit = 2 * InternSlot(pc) + (taken ? 1 : 0);
+    return AddBranchAt(InternSlot(pc), taken);
+  }
+  bool AddBranchAt(size_t slot, bool taken) {
+    size_t bit = 2 * slot + (taken ? 1 : 0);
     uint64_t mask = uint64_t{1} << (bit & 63);
     uint64_t& word = covered_bits_[bit >> 6];
     if ((word & mask) != 0) return false;
@@ -56,8 +68,10 @@ class CoverageMap {
 
   bool IsCovered(uint32_t pc, bool taken) const {
     int32_t slot = FindSlot(pc);
-    if (slot < 0) return false;
-    size_t bit = 2 * static_cast<size_t>(slot) + (taken ? 1 : 0);
+    return slot >= 0 && IsCoveredAt(static_cast<size_t>(slot), taken);
+  }
+  bool IsCoveredAt(size_t slot, bool taken) const {
+    size_t bit = 2 * slot + (taken ? 1 : 0);
     return (covered_bits_[bit >> 6] >> (bit & 63)) & 1;
   }
 
@@ -65,7 +79,10 @@ class CoverageMap {
   /// to an executed branch. Returns true if it improves (shrinks) the best
   /// known distance — the "DISTANCE decreases" trigger of Algorithms 1–2.
   bool OfferDistance(uint32_t pc, bool want_taken, uint64_t distance) {
-    size_t bit = 2 * InternSlot(pc) + (want_taken ? 1 : 0);
+    return OfferDistanceAt(InternSlot(pc), want_taken, distance);
+  }
+  bool OfferDistanceAt(size_t slot, bool want_taken, uint64_t distance) {
+    size_t bit = 2 * slot + (want_taken ? 1 : 0);
     if ((covered_bits_[bit >> 6] >> (bit & 63)) & 1) return false;
     // The first observation for a direction always "improves" — even a
     // saturated UINT64_MAX distance — exactly like inserting into the old

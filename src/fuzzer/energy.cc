@@ -14,43 +14,41 @@ EnergyScheduler::EnergyScheduler(const lang::ContractArtifact* artifact,
   if (enabled_) weights_.resize(artifact->runtime_code.size());
 }
 
-void EnergyScheduler::ObserveTrace(const evm::TraceRecorder& trace) {
+void EnergyScheduler::ObserveBranch(uint32_t pc) {
   if (!enabled_) return;
-  for (const evm::BranchEvent& ev : trace.branches()) {
-    if (ev.pc >= weights_.size()) {
-      weights_.resize(static_cast<size_t>(ev.pc) + 1);
-    } else if (weights_[ev.pc].weighted) {
-      continue;  // already weighted
-    }
-    BranchInfo info;
-    info.weighted = true;
-    // w1: nested-conditional score from the branch map (Algorithm 3 lines
-    // 6-10). Compiler-introduced guards keep weight 1.
-    const lang::BranchMapEntry* entry = artifact_->FindBranch(ev.pc);
-    int nested_score = 0;
-    if (entry != nullptr) {
-      switch (entry->kind) {
-        case lang::BranchKind::kIf:
-        case lang::BranchKind::kWhile:
-        case lang::BranchKind::kFor:
-        case lang::BranchKind::kRequire:
-          nested_score = entry->nesting_depth + 1;
-          break;
-        default:
-          nested_score = 0;
-      }
-    }
-    info.weight = 1.0 + kNestedWeightStep * nested_score;
-    // w2: prefix inference — is a vulnerable instruction reachable past
-    // either direction of this branch (Algorithm 3 lines 11-15)?
-    if (inference_.GuardsVulnerableInstruction(ev.pc, true) ||
-        inference_.GuardsVulnerableInstruction(ev.pc, false)) {
-      info.weight += kVulnerableWeight;
-      info.guards_vulnerable = true;
-    }
-    weights_[ev.pc] = info;
-    ++weighted_count_;
+  if (pc >= weights_.size()) {
+    weights_.resize(static_cast<size_t>(pc) + 1);
+  } else if (weights_[pc].weighted) {
+    return;  // already weighted
   }
+  BranchInfo info;
+  info.weighted = true;
+  // w1: nested-conditional score from the branch map (Algorithm 3 lines
+  // 6-10). Compiler-introduced guards keep weight 1.
+  const lang::BranchMapEntry* entry = artifact_->FindBranch(pc);
+  int nested_score = 0;
+  if (entry != nullptr) {
+    switch (entry->kind) {
+      case lang::BranchKind::kIf:
+      case lang::BranchKind::kWhile:
+      case lang::BranchKind::kFor:
+      case lang::BranchKind::kRequire:
+        nested_score = entry->nesting_depth + 1;
+        break;
+      default:
+        nested_score = 0;
+    }
+  }
+  info.weight = 1.0 + kNestedWeightStep * nested_score;
+  // w2: prefix inference — is a vulnerable instruction reachable past
+  // either direction of this branch (Algorithm 3 lines 11-15)?
+  if (inference_.GuardsVulnerableInstruction(pc, true) ||
+      inference_.GuardsVulnerableInstruction(pc, false)) {
+    info.weight += kVulnerableWeight;
+    info.guards_vulnerable = true;
+  }
+  weights_[pc] = info;
+  ++weighted_count_;
 }
 
 double EnergyScheduler::BranchWeight(uint32_t pc) const {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "analysis/prefix_inference.h"
-#include "evm/trace.h"
 #include "lang/codegen.h"
 
 namespace mufuzz::fuzzer {
@@ -23,9 +22,9 @@ class EnergyScheduler {
   /// feeds the prefix-inference CFG.
   EnergyScheduler(const lang::ContractArtifact* artifact, bool enabled);
 
-  /// Algorithm 3 over one executed trace: weights every branch on the path.
+  /// Algorithm 3 for one executed branch: weights the JUMPI at `pc`.
   /// Idempotent per branch (weights are path-independent in our setting).
-  void ObserveTrace(const evm::TraceRecorder& trace);
+  void ObserveBranch(uint32_t pc);
 
   /// Weight of the branch at `pc` (1.0 if never observed / disabled).
   double BranchWeight(uint32_t pc) const;
@@ -51,12 +50,14 @@ class EnergyScheduler {
   struct BranchInfo {
     double weight = 1.0;
     bool guards_vulnerable = false;
-    bool weighted = false;  ///< ObserveTrace has scored this pc
+    bool weighted = false;  ///< ObserveBranch has scored this pc
   };
 
   /// Flat pc-indexed weight table (branch pcs are bounded by the runtime
-  /// code size; foreign pcs grow it lazily). Hot-path lookups are an array
-  /// load — ObserveTrace / AssignEnergy / VulnerabilityBonus run per wave.
+  /// code size; foreign pcs grow it lazily). Lookups are an array load —
+  /// AssignEnergy / VulnerabilityBonus run per wave. The per-branch-event
+  /// path does not read it: FeedbackEngine keeps its own per-slot "scored"
+  /// bit and calls ObserveBranch once per branch.
   const BranchInfo* InfoAt(uint32_t pc) const {
     if (pc >= weights_.size()) return nullptr;
     const BranchInfo& info = weights_[pc];

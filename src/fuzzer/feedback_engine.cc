@@ -27,11 +27,9 @@ FeedbackEngine::FeedbackEngine(const lang::ContractArtifact* artifact,
       constants_(constants),
       energy_(artifact, strategy.dynamic_energy),
       coverage_(artifact->total_jumpis, BranchMapPcs(*artifact)) {
+  slots_.resize(coverage_.slot_count());
   for (const auto& entry : artifact->branch_map) {
-    if (entry.jumpi_pc >= branch_by_pc_.size()) {
-      branch_by_pc_.resize(entry.jumpi_pc + 1, nullptr);
-    }
-    branch_by_pc_[entry.jumpi_pc] = &entry;
+    slots_[coverage_.Slot(entry.jumpi_pc)].entry = &entry;
   }
 }
 
@@ -42,21 +40,29 @@ void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
                                bool tx_success, CampaignResult* result,
                                ExecSignals* stats) {
   for (const evm::BranchEvent& ev : trace.branches()) {
-    if (coverage_.AddBranch(ev.pc, ev.taken)) ++stats->new_branches;
+    const size_t slot = coverage_.Slot(ev.pc);
+    // A pc outside the branch map interns a new slot on first sight.
+    if (slot >= slots_.size()) slots_.resize(coverage_.slot_count());
+    SlotInfo& info = slots_[slot];
+    if (coverage_.AddBranchAt(slot, ev.taken)) ++stats->new_branches;
     stats->touched_pcs.push_back(ev.pc);
 
-    const lang::BranchMapEntry* entry = BranchAt(ev.pc);
     // "Nested branch": at least two enclosing conditional statements
     // counting itself (nesting_depth >= 1 in the branch map).
-    if (entry != nullptr && entry->nesting_depth >= 1) {
+    if (info.entry != nullptr && info.entry->nesting_depth >= 1) {
       stats->hits_nested = true;
+    }
+    // Algorithm 3 weights each branch once, on its first execution.
+    if (!info.energy_scored) {
+      info.energy_scored = true;
+      energy_.ObserveBranch(ev.pc);
     }
 
     if (ev.cmp_id >= 0 && ev.cmp_id < static_cast<int32_t>(cmps.size())) {
       const evm::CmpRecord& cmp = cmps[ev.cmp_id];
       // Distance to the *other* direction of this branch.
       uint64_t flip = evm::BranchDistance(cmp, !ev.taken);
-      if (coverage_.OfferDistance(ev.pc, !ev.taken, flip)) {
+      if (coverage_.OfferDistanceAt(slot, !ev.taken, flip)) {
         stats->improved_distance = true;
         if (flip < best_flip_distance_) {
           best_flip_distance_ = flip;
@@ -66,13 +72,12 @@ void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
       // Harvest comparison constants at still-uncovered directions for
       // the R ("replace with interesting values") operator — solver-class
       // feedback only some strategies possess.
-      if (constant_injection_ && !coverage_.IsCovered(ev.pc, !ev.taken)) {
+      if (constant_injection_ && !coverage_.IsCoveredAt(slot, !ev.taken)) {
         constants_->AddInterestingConstant(cmp.a);
         constants_->AddInterestingConstant(cmp.b);
       }
     }
   }
-  energy_.ObserveTrace(trace);
   if (!trace.overflows().empty()) stats->saw_overflow = true;
 
   // Oracles fire only on transactions that actually went through: a wrap

@@ -89,18 +89,21 @@ class FeedbackEngine {
   EnergyScheduler& energy() { return energy_; }
 
  private:
-  /// Flat pc → branch-map entry lookup (nullptr = compiler-introduced or
-  /// foreign pc), replacing the per-event linear FindBranch scan.
-  const lang::BranchMapEntry* BranchAt(uint32_t pc) const {
-    return pc < branch_by_pc_.size() ? branch_by_pc_[pc] : nullptr;
-  }
+  /// What ProcessTx reads per branch event besides coverage, indexed by
+  /// the event's CoverageMap slot (so one pc → slot lookup serves all).
+  struct SlotInfo {
+    /// Branch-map entry (nullptr = compiler-introduced or foreign pc).
+    const lang::BranchMapEntry* entry = nullptr;
+    /// The energy scheduler has scored this branch (ObserveBranch).
+    bool energy_scored = false;
+  };
 
   const lang::ContractArtifact* artifact_;
   bool constant_injection_;
   ByteMutator* constants_;
   EnergyScheduler energy_;
   CoverageMap coverage_;
-  std::vector<const lang::BranchMapEntry*> branch_by_pc_;
+  std::vector<SlotInfo> slots_;  ///< per CoverageMap slot
   /// Smallest flip distance seen in the current sequence (per-sequence).
   uint64_t best_flip_distance_ = UINT64_MAX;
   /// Campaign-lifetime (bug, pc) keys already reported. Interning at insert

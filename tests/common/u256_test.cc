@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace mufuzz {
@@ -279,6 +282,99 @@ TEST(U256Test, AbsDiffSaturated) {
   EXPECT_EQ(U256::AbsDiffSaturated(U256(3), U256(10)), 7u);
   EXPECT_EQ(U256::AbsDiffSaturated(U256(5), U256(5)), 0u);
   EXPECT_EQ(U256::AbsDiffSaturated(U256::Max(), U256(0)), UINT64_MAX);
+}
+
+// Reference arithmetic over 32-byte big-endian arrays, one byte at a time:
+// independent of the limb layout the inline operators work on.
+using Be32 = std::array<uint8_t, 32>;
+
+Be32 ByteWiseAdd(const Be32& a, const Be32& b) {
+  Be32 out{};
+  unsigned carry = 0;
+  for (int i = 31; i >= 0; --i) {
+    unsigned sum = a[i] + b[i] + carry;
+    out[i] = static_cast<uint8_t>(sum);
+    carry = sum >> 8;
+  }
+  return out;
+}
+
+Be32 ByteWiseSub(const Be32& a, const Be32& b) {
+  Be32 out{};
+  int borrow = 0;
+  for (int i = 31; i >= 0; --i) {
+    int diff = int{a[i]} - int{b[i]} - borrow;
+    borrow = diff < 0 ? 1 : 0;
+    out[i] = static_cast<uint8_t>(diff + 256 * borrow);
+  }
+  return out;
+}
+
+int ByteWiseCompare(const Be32& a, const Be32& b) {
+  for (int i = 0; i < 32; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// Values on either side of every limb boundary, where carries and
+/// borrows cross limbs.
+std::vector<U256> CarryBoundaryValues() {
+  std::vector<U256> values = {U256(), U256(1), U256::Max(), U256::SignBit()};
+  for (int limb = 0; limb < 4; ++limb) {
+    uint64_t l[4] = {0, 0, 0, 0};
+    l[limb] = ~0ULL;  // 2^(64(limb+1)) - 2^(64 limb)
+    values.push_back(U256(l[0], l[1], l[2], l[3]));
+    U256 low_ones = U256::Max() >> (256 - 64 * (limb + 1));
+    values.push_back(low_ones);            // 2^(64(limb+1)) - 1
+    values.push_back(low_ones + U256(1));  // 2^(64(limb+1)); 0 at limb 3
+    values.push_back(low_ones - U256(1));
+  }
+  return values;
+}
+
+TEST(U256Test, InlineAddSubCompareMatchByteWiseReference) {
+  std::vector<U256> values = CarryBoundaryValues();
+  Rng rng(0x1f00);
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(
+        U256(rng.NextU64(), rng.NextU64(), rng.NextU64(), rng.NextU64()));
+  }
+  for (const U256& a : values) {
+    for (const U256& b : values) {
+      SCOPED_TRACE(a.ToHex() + " vs " + b.ToHex());
+      const Be32 ab = a.ToBytesBE();
+      const Be32 bb = b.ToBytesBE();
+      EXPECT_EQ((a + b).ToBytesBE(), ByteWiseAdd(ab, bb));
+      EXPECT_EQ((a - b).ToBytesBE(), ByteWiseSub(ab, bb));
+      const int want = ByteWiseCompare(ab, bb);
+      const auto got = a <=> b;
+      EXPECT_EQ(got < 0, want < 0);
+      EXPECT_EQ(got == 0, want == 0);
+      EXPECT_EQ(got > 0, want > 0);
+      const bool wrapped = ByteWiseCompare(ByteWiseAdd(ab, bb), ab) < 0;
+      EXPECT_EQ(U256::AddOverflows(a, b), wrapped);
+      EXPECT_EQ(U256::SubUnderflows(a, b), want < 0);
+    }
+  }
+}
+
+TEST(U256Test, FromBytesBE32MatchesFromBytesBE) {
+  Rng rng(0x3232);
+  for (int i = 0; i < 500; ++i) {
+    uint8_t raw[40];
+    for (uint8_t& b : raw) b = static_cast<uint8_t>(rng.NextU64());
+    // Any start offset: the load must not assume alignment.
+    const size_t off = rng.NextBelow(9);
+    EXPECT_EQ(U256::FromBytesBE32(raw + off),
+              U256::FromBytesBE(BytesView(raw + off, 32)).value());
+  }
+  Be32 ones;
+  ones.fill(0xff);
+  EXPECT_EQ(U256::FromBytesBE32(ones.data()), U256::Max());
+  Be32 one{};
+  one[31] = 1;
+  EXPECT_EQ(U256::FromBytesBE32(one.data()), U256(1));
 }
 
 // Property sweep: wrap-around identities hold for random operands.

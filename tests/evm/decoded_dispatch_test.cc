@@ -15,6 +15,7 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/u256.h"
+#include "copy_boundary_programs.h"
 #include "corpus/builtin.h"
 #include "evm/code_cache.h"
 #include "evm/executor.h"
@@ -30,9 +31,10 @@
 namespace mufuzz::evm {
 namespace {
 
-/// TraceRecorder plus the raw OnStep stream. TraceRecorder only counts
-/// steps; the differential contract is stronger — the decoded loop must
-/// report the same (pc, opcode, depth) tuple for every instruction.
+/// TraceRecorder plus the raw OnStep stream, which it opts into.
+/// TraceRecorder only gets the step count; the differential contract is
+/// stronger — the decoded loop must report the same (pc, opcode, depth)
+/// tuple for every instruction.
 class FullTrace : public TraceRecorder {
  public:
   struct Step {
@@ -41,8 +43,9 @@ class FullTrace : public TraceRecorder {
     int depth;
   };
 
+  FullTrace() : TraceRecorder(/*step_stream=*/true) {}
+
   void OnStep(uint32_t pc, uint8_t opcode, int depth) override {
-    TraceRecorder::OnStep(pc, opcode, depth);
     steps_.push_back({pc, opcode, depth});
   }
 
@@ -61,6 +64,7 @@ void ExpectSameTrace(const FullTrace& a, const FullTrace& b) {
     EXPECT_EQ(a.steps()[i].depth, b.steps()[i].depth);
   }
   EXPECT_EQ(a.instruction_count(), b.instruction_count());
+  EXPECT_EQ(a.instruction_count(), a.steps().size());
 
   ASSERT_EQ(a.branches().size(), b.branches().size());
   for (size_t i = 0; i < a.branches().size(); ++i) {
@@ -347,6 +351,151 @@ TEST(DecodedDispatchTest, FusedPushPairOverflowMatchesByteOracle) {
   EXPECT_EQ(result.outcome, Outcome::kStackError);
   // 1023 pushes + the two fused pushes, all charged at 3 gas each.
   EXPECT_EQ(result.gas_used, (Stack::kMaxDepth + 1) * 3);
+}
+
+TEST(DecodedDispatchTest, FullDepthPushesAgreeWithByteOracle) {
+  // 1024 pushes fill the stack exactly; the 1025th, or a DUP on the full
+  // stack, overflows after its gas was charged — in both loops.
+  for (size_t pushes : {Stack::kMaxDepth, Stack::kMaxDepth + 1}) {
+    SCOPED_TRACE(pushes);
+    Bytes code;
+    for (size_t i = 0; i < pushes; ++i) {
+      code.push_back(static_cast<uint8_t>(Op::kPush1));
+      code.push_back(static_cast<uint8_t>(i));
+    }
+    code.push_back(static_cast<uint8_t>(Op::kStop));
+    ExecResult result = ExpectModesAgree(code);
+    EXPECT_EQ(result.outcome, pushes == Stack::kMaxDepth
+                                  ? Outcome::kSuccess
+                                  : Outcome::kStackError);
+    EXPECT_EQ(result.gas_used, pushes * 3);
+  }
+  Bytes code;
+  for (size_t i = 0; i < Stack::kMaxDepth; ++i) {
+    code.push_back(static_cast<uint8_t>(Op::kPush1));
+    code.push_back(0x01);
+  }
+  code.push_back(static_cast<uint8_t>(Op::kDup1));
+  ExecResult result = ExpectModesAgree(code);
+  EXPECT_EQ(result.outcome, Outcome::kStackError);
+  EXPECT_EQ(result.gas_used, (Stack::kMaxDepth + 1) * 3);
+}
+
+TEST(DecodedDispatchTest, CalldataAndCodeBoundaryReadsAgreeWithByteOracle) {
+  // Source offsets around the end of the source and around 2^64: both
+  // loops read the EVM's zero padding, never bytes from the source start.
+  const Bytes calldata = BoundaryCalldata();
+  const size_t code_size =
+      CopyBoundaryProgram(CopyRead::kCodecopy, U256()).size();
+  for (CopyRead read : {CopyRead::kCalldataload, CopyRead::kCalldatacopy,
+                        CopyRead::kCodecopy}) {
+    const bool from_code = read == CopyRead::kCodecopy;
+    for (const U256& offset :
+         CopyBoundaryOffsets(from_code ? code_size : calldata.size())) {
+      SCOPED_TRACE(CopyReadName(read) + " at " + offset.ToHex());
+      const Bytes code = CopyBoundaryProgram(read, offset);
+      ExecResult result = ExpectModesAgree(code, calldata);
+      ASSERT_EQ(result.outcome, Outcome::kSuccess);
+      EXPECT_EQ(result.output,
+                SpecPaddedRead(from_code ? code : calldata, offset));
+    }
+  }
+}
+
+// ------------------------------------------------------ instruction count --
+
+/// A recorder that overrides OnStep without opting into the step stream:
+/// the interpreter must never call it, yet still report the count.
+class CountOnlyTrace : public TraceRecorder {
+ public:
+  void OnStep(uint32_t, uint8_t, int) override { ++step_calls; }
+  uint64_t step_calls = 0;
+};
+
+/// Runs `code` under `mode` (with value 1, against a host that calls back
+/// into the contract once) twice: observed by a FullTrace and by a
+/// CountOnlyTrace. Checks that instruction_count() equals the number of
+/// OnStep calls the FullTrace saw, and that the plain recorder gets the same
+/// count with no OnStep calls. Returns the count.
+uint64_t CheckInstructionCount(DispatchMode mode, const Bytes& code,
+                               uint64_t max_steps, Outcome want) {
+  uint64_t count = 0;
+  for (bool stream : {true, false}) {
+    SCOPED_TRACE(stream ? "step stream" : "count only");
+    WorldState state;
+    const Address contract = Address::FromUint(0xc0de);
+    const Address sender = Address::FromUint(0xab01);
+    state.SetCode(contract, code);
+    state.SetBalance(sender, U256::PowerOfTen(20));
+    ReentrancyProbeHost host;
+    host.SetReentryCalldata({0x01});
+    CodeCache cache;
+    EvmConfig config;
+    config.dispatch = mode;
+    config.max_steps = max_steps;
+    config.code_cache = &cache;
+    Interpreter interp(&state, &host, BlockContext(), config);
+    FullTrace full;
+    CountOnlyTrace plain;
+    interp.set_observer(stream ? static_cast<ExecObserver*>(&full) : &plain);
+    MessageCall call;
+    call.to = contract;
+    call.code_address = contract;
+    call.caller = sender;
+    call.origin = sender;
+    call.value = U256(1);
+    call.gas = 1000000;
+    EXPECT_EQ(interp.ExecuteTransaction(call).outcome, want);
+    if (stream) {
+      EXPECT_EQ(full.instruction_count(), full.steps().size());
+      count = full.steps().size();
+    } else {
+      EXPECT_EQ(plain.step_calls, 0u);
+      EXPECT_EQ(plain.instruction_count(), count);
+    }
+  }
+  return count;
+}
+
+TEST(InstructionCountTest, StepLimitAbortIsNotCounted) {
+  // JUMPDEST; PUSH1 0; JUMP loops until the step limit: the step that hits
+  // the limit is neither streamed nor counted.
+  const Bytes code = {static_cast<uint8_t>(Op::kJumpdest),
+                      static_cast<uint8_t>(Op::kPush1), 0x00,
+                      static_cast<uint8_t>(Op::kJump)};
+  for (DispatchMode mode :
+       {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
+    EXPECT_EQ(CheckInstructionCount(mode, code, /*max_steps=*/50,
+                                    Outcome::kStepLimit),
+              50u);
+  }
+}
+
+TEST(InstructionCountTest, UndefinedOpcodeInReenteredFrameIsNotCounted) {
+  // Called with value, the contract jumps over an undefined opcode and
+  // sends 1 wei to a code-less account; the host calls back in with no
+  // value, so the re-entered frame falls through to the undefined opcode.
+  // The count covers both frames and leaves out the undefined opcode.
+  ASSERT_FALSE(GetOpInfo(0x0c).defined);
+  auto op = [](Op o) { return static_cast<uint8_t>(o); };
+  const Bytes code = {
+      op(Op::kCallvalue), op(Op::kPush1), 0x05, op(Op::kJumpi),
+      0x0c,                                      // undefined (pc 4)
+      op(Op::kJumpdest),                         // pc 5
+      op(Op::kPush1), 0x00, op(Op::kPush1), 0x00,  // out_len, out_off
+      op(Op::kPush1), 0x00, op(Op::kPush1), 0x00,  // in_len, in_off
+      op(Op::kPush1), 0x01,                        // value
+      0x61 /* PUSH2 */, 0xde, 0xad,                // code-less target
+      0x62 /* PUSH3 */, 0x01, 0x86, 0xa0,          // gas 100000
+      op(Op::kCall), op(Op::kPop), op(Op::kStop)};
+  for (DispatchMode mode :
+       {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
+    // Outer frame: 3 + JUMPDEST + 7 pushes + CALL + POP + STOP = 14;
+    // re-entered frame: CALLVALUE, PUSH1, JUMPI = 3.
+    EXPECT_EQ(CheckInstructionCount(mode, code, /*max_steps=*/2000000,
+                                    Outcome::kSuccess),
+              17u);
+  }
 }
 
 TEST(DecodedDispatchTest, SetCodeInvalidatesDecodeMemo) {

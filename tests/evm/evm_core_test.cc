@@ -180,6 +180,27 @@ TEST(MemoryTest, CopyInZeroPadsPastSource) {
   EXPECT_EQ(out, (Bytes{2, 3, 0, 0, 0}));
 }
 
+TEST(MemoryTest, CopyInSourceOffsetsNearTwoToTheSixtyFourReadZeros) {
+  // The interpreter passes a source offset that does not fit in 64 bits as
+  // UINT64_MAX; offset + i must not wrap around to the source's start.
+  Memory m;
+  Bytes src = {1, 2, 3, 4};
+  for (uint64_t src_offset : {uint64_t{4}, uint64_t{5}, UINT64_MAX - 2,
+                              UINT64_MAX - 1, UINT64_MAX}) {
+    SCOPED_TRACE(src_offset);
+    ASSERT_TRUE(m.Store32(0, U256::Max()));
+    ASSERT_TRUE(m.CopyIn(0, src, src_offset, 8));
+    Bytes out;
+    ASSERT_TRUE(m.CopyOut(0, 8, &out));
+    EXPECT_EQ(out, Bytes(8, 0));
+  }
+  // A copy that starts inside the source still takes its tail.
+  ASSERT_TRUE(m.CopyIn(0, src, 3, 3));
+  Bytes out;
+  ASSERT_TRUE(m.CopyOut(0, 3, &out));
+  EXPECT_EQ(out, (Bytes{4, 0, 0}));
+}
+
 TEST(MemoryTest, MisalignedStore32) {
   Memory m;
   ASSERT_TRUE(m.Store32(5, U256::Max()));

@@ -6,6 +6,7 @@
 
 #include "common/keccak.h"
 #include "common/rng.h"
+#include "copy_boundary_programs.h"
 #include "evm/bytecode_builder.h"
 #include "evm/executor.h"
 
@@ -28,7 +29,7 @@ class InterpreterTest : public ::testing::Test {
     Address contract = DeployCode(code);
     Address sender = Address::FromUint(0xabc);
     state_.SetBalance(sender, U256::PowerOfTen(20));
-    Interpreter interp(&state_, &host_, block_);
+    Interpreter interp(&state_, &host_, block_, config_);
     interp.set_observer(&trace_);
     last_interp_cmp_records_ = nullptr;
     MessageCall call;
@@ -47,6 +48,7 @@ class InterpreterTest : public ::testing::Test {
   WorldState state_;
   AcceptingHost host_;
   BlockContext block_;
+  EvmConfig config_;  ///< Run's interpreter config (dispatch mode)
   TraceRecorder trace_;
   std::vector<CmpRecord> cmp_records_;
   const std::vector<CmpRecord>* last_interp_cmp_records_ = nullptr;
@@ -173,6 +175,33 @@ TEST_F(InterpreterTest, CalldataloadZeroPadsPastEnd) {
   ExecResult r = Run(ReturnTop(&b), calldata);
   ASSERT_TRUE(r.Success());
   EXPECT_EQ(OutputWord(r), U256(0xff) << 248);
+}
+
+TEST_F(InterpreterTest, CalldataAndCodeReadsAtBoundaryOffsetsMatchSpec) {
+  // Offsets at and past the end of the source, and offsets that do not fit
+  // in 64 bits, read zeros; they must not wrap around to the source start.
+  const Bytes calldata = BoundaryCalldata();
+  const size_t code_size =
+      CopyBoundaryProgram(CopyRead::kCodecopy, U256()).size();
+  for (DispatchMode mode :
+       {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
+    config_.dispatch = mode;
+    for (CopyRead read : {CopyRead::kCalldataload, CopyRead::kCalldatacopy,
+                          CopyRead::kCodecopy}) {
+      const bool from_code = read == CopyRead::kCodecopy;
+      for (const U256& offset :
+           CopyBoundaryOffsets(from_code ? code_size : calldata.size())) {
+        SCOPED_TRACE(CopyReadName(read) + " at " + offset.ToHex() +
+                     (mode == DispatchMode::kDecoded ? " decoded"
+                                                     : " byte-switch"));
+        const Bytes code = CopyBoundaryProgram(read, offset);
+        ExecResult r = Run(code, calldata);
+        ASSERT_TRUE(r.Success());
+        const Bytes& src = from_code ? code : calldata;
+        EXPECT_EQ(r.output, SpecPaddedRead(src, offset));
+      }
+    }
+  }
 }
 
 TEST_F(InterpreterTest, CallvalueAndCaller) {

@@ -75,15 +75,55 @@ class SetCoverageReference {
   int total_jumpis_;
 };
 
+/// How the dense map is driven: by pc, or the way FeedbackEngine::ProcessTx
+/// drives it — resolve the slot once, then use the slot-indexed calls.
+enum class Api { kByPc, kBySlot };
+
 /// Drives both maps with an identical random op stream and asserts every
 /// return value and every queried state matches.
 void RunDifferential(CoverageMap* dense, SetCoverageReference* reference,
-                     uint64_t seed, int ops, uint32_t pc_range) {
+                     uint64_t seed, int ops, uint32_t pc_range,
+                     Api api = Api::kByPc) {
   Rng rng(seed);
+  std::unordered_map<uint32_t, size_t> slot_of;  // first slot seen per pc
+  std::unordered_map<size_t, uint32_t> pc_of;    // first pc seen per slot
   for (int i = 0; i < ops; ++i) {
     uint32_t pc = static_cast<uint32_t>(rng.NextBelow(pc_range));
     bool taken = rng.Chance(0.5);
-    switch (rng.NextBelow(3)) {
+    const uint64_t op = rng.NextBelow(3);
+    if (api == Api::kBySlot) {
+      const size_t slot = dense->Slot(pc);
+      // Slots are stable and one-to-one: a pc keeps its slot, and no two
+      // pcs share one.
+      ASSERT_LT(slot, dense->slot_count());
+      ASSERT_EQ(slot_of.emplace(pc, slot).first->second, slot)
+          << "pc " << pc << " moved slots";
+      ASSERT_EQ(pc_of.emplace(slot, pc).first->second, pc)
+          << "slot " << slot << " shared";
+      switch (op) {
+        case 0:
+          ASSERT_EQ(dense->AddBranchAt(slot, taken),
+                    reference->AddBranch(pc, taken))
+              << "AddBranchAt op " << i;
+          break;
+        case 1: {
+          uint64_t distance =
+              rng.Chance(0.2) ? UINT64_MAX : rng.NextU64() % 1000;
+          ASSERT_EQ(dense->OfferDistanceAt(slot, taken, distance),
+                    reference->OfferDistance(pc, taken, distance))
+              << "OfferDistanceAt op " << i;
+          break;
+        }
+        default:
+          ASSERT_EQ(dense->IsCoveredAt(slot, taken),
+                    reference->IsCovered(pc, taken));
+          ASSERT_EQ(dense->BestDistance(pc, taken),
+                    reference->BestDistance(pc, taken));
+          break;
+      }
+      continue;
+    }
+    switch (op) {
       case 0: {
         bool a = dense->AddBranch(pc, taken);
         bool b = reference->AddBranch(pc, taken);
@@ -143,6 +183,27 @@ TEST(CoverageMapDiffTest, PreInterningChangesNothing) {
   SetCoverageReference reference(/*total_jumpis=*/64);
   RunDifferential(&preinterned, &reference, /*seed=*/42, /*ops=*/6000,
                   /*pc_range=*/200);
+}
+
+TEST(CoverageMapDiffTest, SlotApiMatchesSetReference) {
+  // The slot-indexed calls FeedbackEngine::ProcessTx uses, over lazily
+  // interned and over pre-interned maps.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    CoverageMap dense(/*total_jumpis=*/40);
+    SetCoverageReference reference(/*total_jumpis=*/40);
+    RunDifferential(&dense, &reference, seed, /*ops=*/4000, /*pc_range=*/80,
+                    Api::kBySlot);
+  }
+  std::vector<uint32_t> pcs;
+  for (uint32_t pc = 0; pc < 64; ++pc) pcs.push_back(pc * 3 + 1);
+  CoverageMap preinterned(/*total_jumpis=*/64,
+                          std::span<const uint32_t>(pcs.data(), pcs.size()));
+  for (size_t i = 0; i < pcs.size(); ++i) {
+    EXPECT_EQ(preinterned.Slot(pcs[i]), i);  // slot order = span order
+  }
+  SetCoverageReference reference(/*total_jumpis=*/64);
+  RunDifferential(&preinterned, &reference, /*seed=*/43, /*ops=*/6000,
+                  /*pc_range=*/200, Api::kBySlot);
 }
 
 TEST(CoverageMapDiffTest, FirstOfferAlwaysImprovesEvenSaturated) {

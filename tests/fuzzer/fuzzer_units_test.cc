@@ -365,15 +365,10 @@ TEST(EnergySchedulerTest, NestedAndVulnerableBranchesGainWeight) {
       }
     })");
   EnergyScheduler scheduler(&artifact, /*enabled=*/true);
-  // Feed a fake trace touching every branch in the map.
-  evm::TraceRecorder trace;
+  // Observe every branch in the map.
   for (const auto& entry : artifact.branch_map) {
-    evm::BranchEvent ev;
-    ev.pc = entry.jumpi_pc;
-    ev.taken = true;
-    trace.OnBranch(ev);
+    scheduler.ObserveBranch(entry.jumpi_pc);
   }
-  scheduler.ObserveTrace(trace);
   EXPECT_GT(scheduler.weighted_branches(), 0u);
 
   // The inner if of deep() guards a TIMESTAMP: weight must exceed both the
