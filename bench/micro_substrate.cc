@@ -21,6 +21,7 @@
 #include "fuzzer/energy.h"
 #include "fuzzer/fuzzing_host.h"
 #include "lang/compiler.h"
+#include "selector_dispatch_contract.h"
 
 namespace {
 
@@ -163,6 +164,35 @@ void BM_DispatchLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kIterations);
 }
 BENCHMARK(BM_DispatchLoop)->Arg(0)->Arg(1);
+
+/// One call into a compiled 14-function contract (the size of a D1-large
+/// one) with its last selector, so the linear dispatcher runs all 14 cases
+/// before a one-line body: the fused DUP1;PUSH4;EQ;PUSH2;JUMPI cases and the
+/// fused guards. Arg 0 = byte-switch oracle, Arg 1 = decoded IR dispatch.
+void BM_SelectorDispatch(benchmark::State& state) {
+  auto artifact =
+      lang::CompileContract(evm::SelectorDispatchSource(/*functions=*/14));
+  evm::CodeCache cache;
+  evm::EvmConfig config;
+  config.dispatch = state.range(0) == 0 ? evm::DispatchMode::kByteSwitch
+                                        : evm::DispatchMode::kDecoded;
+  config.code_cache = &cache;
+  evm::AcceptingHost host;
+  evm::ChainSession chain(&host, evm::BlockContext(), config);
+  Address deployer = Address::FromUint(0xd0);
+  chain.FundAccount(deployer, U256::PowerOfTen(24));
+  auto addr = chain.Deploy(artifact->runtime_code, artifact->ctor_code, {},
+                           deployer, U256(0));
+  evm::TransactionRequest tx;
+  tx.to = addr.value();
+  tx.sender = deployer;
+  AppendU32BE(&tx.data, artifact->abi.functions.back().selector);
+  U256(5).AppendBytesBE(&tx.data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chain.Apply(tx));
+  }
+}
+BENCHMARK(BM_SelectorDispatch)->Arg(0)->Arg(1);
 
 /// The execution layer's hot path: a batch of 16 sequence plans through
 /// ExecuteSequenceBatch on the in-process SessionBackend, with the outcome

@@ -827,8 +827,6 @@ void FuzzService::SnapshotProgressLocked(JobRecord* r) {
   r->progress.inflight_executions = p.inflight_executions;
   r->progress.code_cache = p.code_cache;
   r->progress.heap_allocs = p.heap_allocs;
-  r->progress.wave_allocs = p.wave_allocs;
-  r->progress.wave_executions = p.wave_executions;
   r->progress.round_index =
       r->group != nullptr ? r->group->migration_rounds : r->rounds;
 }

@@ -133,13 +133,10 @@ struct JobProgress {
   /// Code-cache counters of the job's backend at snapshot time (process-wide
   /// cache by default — diagnostics, not part of any reproducibility key).
   evm::CodeCacheStats code_cache;
-  /// MUFUZZ_ALLOC_STATS counters (all zero when the hook is compiled out):
-  /// heap allocations since the campaign reached steady state, and the most
-  /// recent pipeline sweep's allocation / execution deltas. Process-wide
-  /// counters — diagnostics, not part of any reproducibility key.
+  /// MUFUZZ_ALLOC_STATS counter (zero when the hook is compiled out): heap
+  /// allocations since the campaign reached steady state. Process-wide
+  /// counter — diagnostics, not part of any reproducibility key.
   uint64_t heap_allocs = 0;
-  uint64_t wave_allocs = 0;
-  uint64_t wave_executions = 0;
 };
 
 /// FuzzService knobs. The execution-semantics knobs (`wave_size`,

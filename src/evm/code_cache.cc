@@ -215,6 +215,23 @@ void FillComponent(const RawInsn& r, uint32_t* pc, uint16_t* gas,
   *opcode = r.opcode;
 }
 
+/// The jump label a fused jump resolves in pass 3; false for other ops.
+bool FusedJumpLabel(const DecodedInsn& ins, U256* label) {
+  switch (ins.ir) {
+    case IrOp::kPushJump:
+    case IrOp::kPushJumpi:
+    case IrOp::kCmpJumpi:
+    case IrOp::kIszeroJumpi:
+      *label = ins.immediate;
+      return true;
+    case IrOp::kDispatchJumpi:
+      *label = U256(ins.pc2);
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
@@ -257,6 +274,15 @@ std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
   auto non_leader = [&](size_t j) {
     return j < raw.size() && !raw[j].leader;
   };
+  auto is_op = [&](size_t j, Op op) {
+    return non_leader(j) && raw[j].opcode == static_cast<uint8_t>(op);
+  };
+  // `PUSHm L; JUMPI` at j with a label of at most 4 bytes, so it fits the
+  // 32-bit pc space without the byte path's truncation quirk.
+  auto short_push_jumpi = [&](size_t j) {
+    return non_leader(j) && IsPush(raw[j].opcode) &&
+           PushSize(raw[j].opcode) <= 4 && is_op(j + 1, Op::kJumpi);
+  };
   size_t i = 0;
   while (i < raw.size()) {
     const RawInsn& r = raw[i];
@@ -276,7 +302,26 @@ std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
     FillComponent(r, &ins.pc, &ins.gas, &ins.opcode);
     ins.inputs = static_cast<uint8_t>(info.stack_inputs);
 
-    if (IsPush(r.opcode) && non_leader(i + 1) && non_leader(i + 2) &&
+    if (r.opcode == static_cast<uint8_t>(Op::kDup1) && non_leader(i + 1) &&
+        IsPush(raw[i + 1].opcode) && is_op(i + 2, Op::kEq) &&
+        short_push_jumpi(i + 3)) {
+      ins.ir = IrOp::kDispatchJumpi;
+      ins.immediate = raw[i + 1].imm;
+      ins.pc2 = static_cast<uint32_t>(raw[i + 3].imm.low64());
+      ins.opcode2 = raw[i + 1].opcode;
+      ins.gas2 = GetOpInfo(raw[i + 1].opcode).gas;
+      ins.opcode3 = raw[i + 3].opcode;
+      ins.gas3 = GetOpInfo(raw[i + 3].opcode).gas;
+      i += 5;
+    } else if ((IsComparison(r.opcode) ||
+                r.opcode == static_cast<uint8_t>(Op::kIszero)) &&
+               short_push_jumpi(i + 1)) {
+      ins.ir = IsComparison(r.opcode) ? IrOp::kCmpJumpi : IrOp::kIszeroJumpi;
+      FillComponent(raw[i + 1], &ins.pc2, &ins.gas2, &ins.opcode2);
+      FillComponent(raw[i + 2], &ins.pc3, &ins.gas3, &ins.opcode3);
+      ins.immediate = raw[i + 1].imm;
+      i += 3;
+    } else if (IsPush(r.opcode) && non_leader(i + 1) && non_leader(i + 2) &&
         IsPush(raw[i + 1].opcode) && IsFoldableArith(raw[i + 2].opcode)) {
       ins.ir = IrOp::kPushPushArith;
       FillComponent(raw[i + 1], &ins.pc2, &ins.gas2, &ins.opcode2);
@@ -315,9 +360,9 @@ std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
   // with the byte path's exact truncation semantics (FitsU64, then the low
   // 64 bits truncated to uint32 before validation).
   for (DecodedInsn& ins : insns) {
-    if (ins.ir != IrOp::kPushJump && ins.ir != IrOp::kPushJumpi) continue;
-    if (!ins.immediate.FitsU64()) continue;
-    uint32_t dest = static_cast<uint32_t>(ins.immediate.low64());
+    U256 label;
+    if (!FusedJumpLabel(ins, &label) || !label.FitsU64()) continue;
+    uint32_t dest = static_cast<uint32_t>(label.low64());
     if (dest < code.size() && out->pc_to_insn[dest] >= 0) {
       ins.jump_target = out->pc_to_insn[dest];
     }

@@ -81,6 +81,11 @@ enum class IrOp : uint8_t {
   kPushJumpi,      ///< PUSHn imm; JUMPI — target pre-resolved at decode
   kDupSload,       ///< DUPn; SLOAD — key read in place, no push/pop round trip
   kPushPushArith,  ///< PUSHa; PUSHb; (ADD|MUL|SUB|DIV|AND|OR|XOR) — folded
+  /// DUP1; PUSHn s; EQ; PUSHm L; JUMPI (m <= 4) — one case of MiniSol's
+  /// linear selector dispatcher; the selector is compared in place.
+  kDispatchJumpi,
+  kCmpJumpi,       ///< (LT|GT|SLT|SGT|EQ); PUSHm L; JUMPI (m <= 4)
+  kIszeroJumpi,    ///< ISZERO; PUSHm L; JUMPI (m <= 4)
   kEnd,            ///< sentinel past the last instruction: implicit STOP
 };
 
@@ -90,16 +95,22 @@ inline constexpr int kIrOpCount = static_cast<int>(IrOp::kEnd) + 1;
 /// (pc, opcode, gas) triples of the second/third original instructions ride
 /// along so the handler can replicate the byte path's per-instruction
 /// bookkeeping (step limit, OnStep, gas charge) exactly.
+///
+/// kDispatchJumpi has five components and no room for five triples, so it
+/// lays the fields out differently: `immediate` is the selector s, `pc` the
+/// DUP1's pc, `opcode2`/`gas2` the PUSHn and `opcode3`/`gas3` the PUSHm;
+/// `pc2` holds the jump label L. The other component pcs follow from `pc`
+/// and the two PUSH widths, and EQ and JUMPI are fixed opcodes.
 struct DecodedInsn {
   /// Pre-parsed PUSH immediate (zero-padded when the data runs off the code
-  /// end, per EVM semantics), the pre-resolved jump destination for fused
-  /// jumps, or the folded constant for kPushPushArith.
+  /// end, per EVM semantics), the jump label for fused jumps, the folded
+  /// constant for kPushPushArith, or the selector for kDispatchJumpi.
   U256 immediate;
   uint32_t pc = 0;        ///< byte pc of the (first) original instruction
-  uint32_t pc2 = 0;       ///< second fused component
+  uint32_t pc2 = 0;       ///< second fused component (kDispatchJumpi: L)
   uint32_t pc3 = 0;       ///< third fused component
   /// Pre-resolved instruction index for fused jumps (the target block's
-  /// kBlockCheck); -1 when the immediate is not a valid JUMPDEST.
+  /// kBlockCheck); -1 when the label is not a valid JUMPDEST.
   int32_t jump_target = -1;
   /// kBlockCheck: minimum stack height required to run the whole block
   /// without underflow, and the peak net growth above the entry height.
@@ -118,6 +129,8 @@ struct DecodedInsn {
 
   static constexpr uint16_t kBlockUnsafe = 2048;
 };
+// One instruction per cache line: new shapes reuse fields, never add any.
+static_assert(sizeof(DecodedInsn) == 64);
 
 /// The immutable decode of one contract's bytecode: a flat instruction
 /// array (kEnd-terminated), the original bytes (CODESIZE/CODECOPY and the

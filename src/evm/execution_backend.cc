@@ -167,9 +167,6 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
       }
     }
     out->instructions += txo.trace.instruction_count();
-    for (const BranchEvent& ev : txo.trace.branches()) {
-      out->touched_pcs.push_back(ev.pc);
-    }
   }
 }
 

@@ -69,8 +69,6 @@ struct SequenceOutcome {
   std::vector<TxOutcome> txs;
   /// Instructions summed over all transactions.
   uint64_t instructions = 0;
-  /// Branch pcs executed, flattened across transactions (trace order).
-  std::vector<uint32_t> touched_pcs;
   /// Warm TxOutcome slots parked when a shorter sequence reuses this
   /// outcome; ResetForReuse pulls from here before allocating fresh slots,
   /// so varying sequence lengths don't defeat recycling.
@@ -93,7 +91,6 @@ struct SequenceOutcome {
     }
     for (TxOutcome& t : txs) t.ResetForReuse();
     instructions = 0;
-    touched_pcs.clear();
   }
 };
 

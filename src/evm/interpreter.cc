@@ -571,8 +571,13 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         if (!dst.value.FitsU64() || !len.value.FitsU64()) {
           return {Outcome::kMemoryError, {}, call.gas - gas};
         }
-        uint64_t src_off = src.value.FitsU64() ? src.value.low64() : UINT64_MAX;
-        if (!memory.CopyIn(dst.value.low64(), return_data, src_off,
+        // EIP-211: reading past the end of the return data halts, even a
+        // zero-length read.
+        if (!ReturnDataInBounds(src.value, len.value.low64(),
+                                return_data.size())) {
+          return {Outcome::kMemoryError, {}, call.gas - gas};
+        }
+        if (!memory.CopyIn(dst.value.low64(), return_data, src.value.low64(),
                            len.value.low64())) {
           return {Outcome::kMemoryError, {}, call.gas - gas};
         }

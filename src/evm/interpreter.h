@@ -95,6 +95,15 @@ inline std::array<uint8_t, 8> BlockhashSeed(uint64_t number) {
   return seed;
 }
 
+/// RETURNDATACOPY's bounds rule (EIP-211): the range [offset, offset + len)
+/// must lie inside the return data, whatever the length.
+inline bool ReturnDataInBounds(const U256& offset, uint64_t len,
+                               size_t size) {
+  if (!offset.FitsU64()) return false;
+  const uint64_t start = offset.low64();
+  return start <= size && len <= size - start;
+}
+
 /// Direct-mapped memo of KECCAK256 over short inputs. Contracts hash the
 /// same few 32/64-byte words (mapping slots: key || slot index) over and
 /// over, so a small table keyed on the exact input bytes turns almost every

@@ -38,6 +38,35 @@
 
 namespace mufuzz::evm {
 
+namespace {
+
+/// LT/GT/SLT/SGT/EQ as the byte loop evaluates it: x is the top word.
+bool Compare(uint8_t opcode, const U256& x, const U256& y, CmpOp* cmp_op) {
+  switch (static_cast<Op>(opcode)) {
+    case Op::kLt:
+      *cmp_op = CmpOp::kLt;
+      return x < y;
+    case Op::kGt:
+      *cmp_op = CmpOp::kGt;
+      return x > y;
+    case Op::kSlt:
+      *cmp_op = CmpOp::kSlt;
+      return x.Slt(y);
+    case Op::kSgt:
+      *cmp_op = CmpOp::kSgt;
+      return x.Sgt(y);
+    default:
+      *cmp_op = CmpOp::kEq;
+      return x == y;
+  }
+}
+
+// Static gas of kDispatchJumpi's two fixed-opcode components.
+const uint16_t kEqGas = GetOpInfo(Op::kEq).gas;
+const uint16_t kJumpiGas = GetOpInfo(Op::kJumpi).gas;
+
+}  // namespace
+
 // One entry per IrOp, in enum order (the dispatch table and the switch are
 // both generated from this list).
 #define MUFUZZ_IR_OPS(X)                                                 \
@@ -94,6 +123,9 @@ namespace mufuzz::evm {
   X(PushJumpi)                                                           \
   X(DupSload)                                                            \
   X(PushPushArith)                                                       \
+  X(DispatchJumpi)                                                       \
+  X(CmpJumpi)                                                            \
+  X(IszeroJumpi)                                                         \
   X(End)
 
 ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
@@ -163,6 +195,40 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
     return t;
   };
 
+  // ISZERO's comparison record: the negation of the comparison that
+  // produced `x`, so distance stays meaningful through require()'s ISZERO
+  // chains, or a fresh IsZero record. Returns the result's cmp_id.
+  auto record_iszero = [&](const Word& x) -> int32_t {
+    const int32_t id = static_cast<int32_t>(cmp_records_.size());
+    if (x.cmp_id >= 0) {
+      CmpRecord rec = cmp_records_[x.cmp_id];
+      rec.negated = !rec.negated;
+      cmp_records_.push_back(rec);
+    } else {
+      cmp_records_.push_back(
+          {CmpOp::kIsZero, x.value, U256::Zero(), false, x.taint});
+    }
+    return id;
+  };
+  // A JUMPI's observer events and guard tracking, given its condition word's
+  // instrumentation.
+  auto on_branch = [&](uint32_t pc, uint32_t dest, bool taken,
+                       int32_t cmp_id, int32_t call_id, uint32_t taint) {
+    if (observer_ != nullptr) {
+      BranchEvent ev;
+      ev.pc = pc;
+      ev.dest = dest;
+      ev.taken = taken;
+      ev.cmp_id = cmp_id;
+      ev.call_id = call_id;
+      ev.cond_taint = taint;
+      ev.depth = call.depth;
+      observer_->OnBranch(ev);
+      if (call_id >= 0) observer_->OnCallResultChecked(call_id);
+    }
+    if (taint & kTaintCaller) caller_guard_seen = true;
+  };
+
   // Executing a frame brings the callee account into existence (journaled).
   state_->Touch(call.to);
 
@@ -226,6 +292,19 @@ dispatch_top:
   do {           \
     ++ip;        \
     DISPATCH();  \
+  } while (0)
+
+// End of a fused JUMPI: jump to the decode-time target or fall through.
+#define FUSED_JUMPI_TAIL(taken)                                   \
+  do {                                                            \
+    if (taken) {                                                  \
+      if (ins->jump_target < 0) {                                 \
+        return ExecResult{Outcome::kBadJump, {}, call.gas - gas}; \
+      }                                                           \
+      ip = static_cast<size_t>(ins->jump_target);                 \
+      DISPATCH();                                                 \
+    }                                                             \
+    NEXT();                                                       \
   } while (0)
 
   HANDLER(BlockCheck) {
@@ -305,32 +384,8 @@ dispatch_top:
     PRELUDE();
     Word x = stack.PopUnsafe();
     Word y = stack.PopUnsafe();
-    bool truth = false;
-    CmpOp cmp_op = CmpOp::kEq;
-    switch (static_cast<Op>(ins->opcode)) {
-      case Op::kLt:
-        truth = x.value < y.value;
-        cmp_op = CmpOp::kLt;
-        break;
-      case Op::kGt:
-        truth = x.value > y.value;
-        cmp_op = CmpOp::kGt;
-        break;
-      case Op::kSlt:
-        truth = x.value.Slt(y.value);
-        cmp_op = CmpOp::kSlt;
-        break;
-      case Op::kSgt:
-        truth = x.value.Sgt(y.value);
-        cmp_op = CmpOp::kSgt;
-        break;
-      case Op::kEq:
-        truth = x.value == y.value;
-        cmp_op = CmpOp::kEq;
-        break;
-      default:
-        break;
-    }
+    CmpOp cmp_op;
+    const bool truth = Compare(ins->opcode, x.value, y.value, &cmp_op);
     Word result(truth ? U256::One() : U256::Zero(), x.taint | y.taint);
     result.cmp_id = static_cast<int32_t>(cmp_records_.size());
     cmp_records_.push_back(
@@ -344,18 +399,7 @@ dispatch_top:
     PRELUDE();
     Word x = stack.PopUnsafe();
     Word result(x.value.IsZero() ? U256::One() : U256::Zero(), x.taint);
-    if (x.cmp_id >= 0) {
-      // Negate the existing comparison so distance stays meaningful
-      // through require()'s ISZERO chains.
-      CmpRecord rec = cmp_records_[x.cmp_id];
-      rec.negated = !rec.negated;
-      result.cmp_id = static_cast<int32_t>(cmp_records_.size());
-      cmp_records_.push_back(rec);
-    } else {
-      result.cmp_id = static_cast<int32_t>(cmp_records_.size());
-      cmp_records_.push_back(
-          {CmpOp::kIsZero, x.value, U256::Zero(), false, x.taint});
-    }
+    result.cmp_id = record_iszero(x);
     result.call_id = x.call_id;
     PUSH_W(result);
     NEXT();
@@ -555,8 +599,13 @@ dispatch_top:
     if (!dst.value.FitsU64() || !len.value.FitsU64()) {
       return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
     }
-    uint64_t src_off = src.value.FitsU64() ? src.value.low64() : UINT64_MAX;
-    if (!memory.CopyIn(dst.value.low64(), return_data, src_off,
+    // EIP-211: reading past the end of the return data halts, even a
+    // zero-length read.
+    if (!ReturnDataInBounds(src.value, len.value.low64(),
+                            return_data.size())) {
+      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+    }
+    if (!memory.CopyIn(dst.value.low64(), return_data, src.value.low64(),
                        len.value.low64())) {
       return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
     }
@@ -699,23 +748,10 @@ dispatch_top:
     Word dest = stack.PopUnsafe();
     Word cond = stack.PopUnsafe();
     bool taken = !cond.value.IsZero();
-    if (observer_ != nullptr) {
-      BranchEvent ev;
-      ev.pc = ins->pc;
-      ev.dest = dest.value.FitsU64()
-                    ? static_cast<uint32_t>(dest.value.low64())
-                    : 0;
-      ev.taken = taken;
-      ev.cmp_id = cond.cmp_id;
-      ev.call_id = cond.call_id;
-      ev.cond_taint = cond.taint;
-      ev.depth = call.depth;
-      observer_->OnBranch(ev);
-      if (cond.call_id >= 0) {
-        observer_->OnCallResultChecked(cond.call_id);
-      }
-    }
-    if (cond.taint & kTaintCaller) caller_guard_seen = true;
+    on_branch(ins->pc,
+              dest.value.FitsU64() ? static_cast<uint32_t>(dest.value.low64())
+                                   : 0,
+              taken, cond.cmp_id, cond.call_id, cond.taint);
     if (taken) {
       uint32_t d32 = static_cast<uint32_t>(dest.value.low64());
       if (!dest.value.FitsU64() || d32 >= code.size() ||
@@ -1022,31 +1058,12 @@ dispatch_top:
     if (checked && stack.size() < 1) return stack_err();
     Word cond = stack.PopUnsafe();
     bool taken = !cond.value.IsZero();
-    if (observer_ != nullptr) {
-      BranchEvent ev;
-      ev.pc = ins->pc2;
-      ev.dest = ins->immediate.FitsU64()
-                    ? static_cast<uint32_t>(ins->immediate.low64())
-                    : 0;
-      ev.taken = taken;
-      ev.cmp_id = cond.cmp_id;
-      ev.call_id = cond.call_id;
-      ev.cond_taint = cond.taint;
-      ev.depth = call.depth;
-      observer_->OnBranch(ev);
-      if (cond.call_id >= 0) {
-        observer_->OnCallResultChecked(cond.call_id);
-      }
-    }
-    if (cond.taint & kTaintCaller) caller_guard_seen = true;
-    if (taken) {
-      if (ins->jump_target < 0) {
-        return ExecResult{Outcome::kBadJump, {}, call.gas - gas};
-      }
-      ip = static_cast<size_t>(ins->jump_target);
-      DISPATCH();
-    }
-    NEXT();
+    on_branch(ins->pc2,
+              ins->immediate.FitsU64()
+                  ? static_cast<uint32_t>(ins->immediate.low64())
+                  : 0,
+              taken, cond.cmp_id, cond.call_id, cond.taint);
+    FUSED_JUMPI_TAIL(taken);
   }
 
   HANDLER(DupSload) {
@@ -1089,6 +1106,81 @@ dispatch_top:
     NEXT();
   }
 
+  // The fused compare-and-branch shapes below never materialize the
+  // comparison result or the pushed label: the operands are read in place
+  // and the net stack effect is applied once. Every component still gets
+  // its own BOOKKEEP and, in checked mode, the stack error the byte loop
+  // would raise at that component.
+
+  HANDLER(DispatchJumpi) {
+    // DUP1 component: the selector stays where it is.
+    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
+    if (checked &&
+        (stack.size() < 1 || stack.size() >= Stack::kMaxDepth)) {
+      return stack_err();
+    }
+    const uint32_t n = static_cast<uint32_t>(PushSize(ins->opcode2));
+    const uint32_t eq_pc = ins->pc + 2 + n;
+    // PUSHn s component: it would land above the duplicate.
+    BOOKKEEP(ins->pc + 1, ins->opcode2, ins->gas2);
+    if (checked && stack.size() + 1 >= Stack::kMaxDepth) return stack_err();
+    // EQ component: x = s (untainted, no call id), y = the duplicate.
+    BOOKKEEP(eq_pc, static_cast<uint8_t>(Op::kEq), kEqGas);
+    const Word& sel = stack.TopUnsafe();
+    const bool taken = sel.value == ins->immediate;
+    const int32_t cmp_id = static_cast<int32_t>(cmp_records_.size());
+    cmp_records_.push_back(
+        {CmpOp::kEq, ins->immediate, sel.value, false, sel.taint});
+    // PUSHm L component: cannot overflow, the EQ freed a slot.
+    BOOKKEEP(eq_pc + 1, ins->opcode3, ins->gas3);
+    // JUMPI component.
+    const uint32_t jumpi_pc =
+        eq_pc + 2 + static_cast<uint32_t>(PushSize(ins->opcode3));
+    BOOKKEEP(jumpi_pc, static_cast<uint8_t>(Op::kJumpi), kJumpiGas);
+    on_branch(jumpi_pc, ins->pc2, taken, cmp_id, sel.call_id, sel.taint);
+    FUSED_JUMPI_TAIL(taken);
+  }
+
+  HANDLER(CmpJumpi) {
+    // Compare component.
+    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
+    if (checked && stack.size() < 2) return stack_err();
+    const Word& x = stack.TopUnsafe(0);
+    const Word& y = stack.TopUnsafe(1);
+    CmpOp cmp_op;
+    const bool taken = Compare(ins->opcode, x.value, y.value, &cmp_op);
+    const uint32_t taint = x.taint | y.taint;
+    const int32_t call_id = x.call_id >= 0 ? x.call_id : y.call_id;
+    const int32_t cmp_id = static_cast<int32_t>(cmp_records_.size());
+    cmp_records_.push_back({cmp_op, x.value, y.value, false, taint});
+    stack.DropUnsafe(2);
+    // PUSH L component: cannot overflow, the compare freed a slot.
+    BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
+    // JUMPI component.
+    BOOKKEEP(ins->pc3, ins->opcode3, ins->gas3);
+    on_branch(ins->pc3, static_cast<uint32_t>(ins->immediate.low64()), taken,
+              cmp_id, call_id, taint);
+    FUSED_JUMPI_TAIL(taken);
+  }
+
+  HANDLER(IszeroJumpi) {
+    // ISZERO component: the result would replace x in place.
+    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
+    if (checked && stack.size() < 1) return stack_err();
+    const Word& x = stack.TopUnsafe();
+    const bool taken = x.value.IsZero();
+    const int32_t cmp_id = record_iszero(x);
+    // PUSH L component.
+    BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
+    if (checked && stack.size() >= Stack::kMaxDepth) return stack_err();
+    // JUMPI component.
+    BOOKKEEP(ins->pc3, ins->opcode3, ins->gas3);
+    on_branch(ins->pc3, static_cast<uint32_t>(ins->immediate.low64()), taken,
+              cmp_id, x.call_id, x.taint);
+    stack.DropUnsafe(1);
+    FUSED_JUMPI_TAIL(taken);
+  }
+
   HANDLER(End) {
     // Fell off the end of the code: implicit STOP (no step, no charge).
     return ExecResult{Outcome::kSuccess, {}, call.gas - gas};
@@ -1100,6 +1192,7 @@ dispatch_top:
   return ExecResult{Outcome::kSuccess, {}, call.gas - gas};
 #endif
 
+#undef FUSED_JUMPI_TAIL
 #undef NEXT
 #undef DISPATCH
 #undef HANDLER

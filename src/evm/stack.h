@@ -95,6 +95,9 @@ class Stack {
 
   Word PopUnsafe() { return items_[--size_]; }
 
+  /// Pops `n` items without reading them.
+  void DropUnsafe(size_t n) { size_ -= n; }
+
   /// Reference to the item `depth` below the top (0 == top). Stays valid
   /// until that item is popped or overwritten.
   const Word& TopUnsafe(size_t depth = 0) const {

@@ -159,8 +159,6 @@ void Campaign::SeedCorpus() {
   result_ = CampaignResult();
   planned_executions_ = 0;
   steady_base_set_ = false;
-  last_wave_allocs_ = 0;
-  last_wave_executions_ = 0;
   result_.total_jumpis = artifact_->total_jumpis;
   result_.island_id = island_id_;
   if (contract_.IsZero()) return;
@@ -265,9 +263,6 @@ std::vector<Campaign::ParentSlot> Campaign::BeginParentSet(
 bool Campaign::SweepParentSet(std::vector<ParentSlot>* parents,
                               uint64_t bound) {
   const int wave_size = std::max(1, config_.wave_size);
-  const bool alloc_stats = AllocStatsEnabled();
-  const uint64_t allocs_before = alloc_stats ? CurrentAllocStats().allocs : 0;
-  const uint64_t execs_before = result_.executions;
 
   // Plan phase (rank order): every parent with budget gets its next wave
   // planned and executed *before* anyone's outcomes are applied, and sweep
@@ -305,12 +300,6 @@ bool Campaign::SweepParentSet(std::vector<ParentSlot>* parents,
     if (slot.inflight.has_value()) ApplyWave(&slot.plan, &*slot.inflight);
     slot.inflight = std::move(next[r]);
   }
-
-  // Per-wave observability: what one sweep cost in heap traffic.
-  if (alloc_stats) {
-    last_wave_allocs_ = CurrentAllocStats().allocs - allocs_before;
-  }
-  last_wave_executions_ = result_.executions - execs_before;
 
   for (const ParentSlot& slot : *parents) {
     if (slot.inflight.has_value()) return true;
@@ -428,8 +417,6 @@ Campaign::Progress Campaign::SnapshotProgress() const {
   if (steady_base_set_ && AllocStatsEnabled()) {
     progress.heap_allocs = CurrentAllocStats().allocs - steady_alloc_base_;
   }
-  progress.wave_allocs = last_wave_allocs_;
-  progress.wave_executions = last_wave_executions_;
   return progress;
 }
 

@@ -183,10 +183,6 @@ class Campaign {
     /// concurrent campaigns see each other's traffic — a steady-state
     /// health signal, not an exact attribution.
     uint64_t heap_allocs = 0;
-    /// Allocations / executions applied during the most recent pipeline
-    /// sweep — the per-wave allocation pressure gauge.
-    uint64_t wave_allocs = 0;
-    uint64_t wave_executions = 0;
   };
   Progress SnapshotProgress() const;
 
@@ -283,11 +279,9 @@ class Campaign {
 
   // MUFUZZ_ALLOC_STATS observability (all zero when the hook is compiled
   // out): allocation counter at the end of SeedCorpus (steady state starts
-  // there) and the most recent sweep's alloc/exec deltas.
+  // there).
   uint64_t steady_alloc_base_ = 0;
   bool steady_base_set_ = false;
-  uint64_t last_wave_allocs_ = 0;
-  uint64_t last_wave_executions_ = 0;
 
   CampaignResult result_;
 };

@@ -58,7 +58,12 @@ void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
       energy_.ObserveBranch(ev.pc);
     }
 
-    if (ev.cmp_id >= 0 && ev.cmp_id < static_cast<int32_t>(cmps.size())) {
+    // Distance feedback only steers toward a direction not yet covered:
+    // for a covered one OfferDistanceAt is a no-op returning false, and no
+    // constants are harvested, so most dispatcher and guard events stop
+    // here.
+    if (ev.cmp_id >= 0 && ev.cmp_id < static_cast<int32_t>(cmps.size()) &&
+        !coverage_.IsCoveredAt(slot, !ev.taken)) {
       const evm::CmpRecord& cmp = cmps[ev.cmp_id];
       // Distance to the *other* direction of this branch.
       uint64_t flip = evm::BranchDistance(cmp, !ev.taken);
@@ -72,7 +77,7 @@ void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
       // Harvest comparison constants at still-uncovered directions for
       // the R ("replace with interesting values") operator — solver-class
       // feedback only some strategies possess.
-      if (constant_injection_ && !coverage_.IsCoveredAt(slot, !ev.taken)) {
+      if (constant_injection_) {
         constants_->AddInterestingConstant(cmp.a);
         constants_->AddInterestingConstant(cmp.b);
       }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "evm/world_state.h"
 #include "fuzzer/campaign.h"
 #include "lang/compiler.h"
+#include "selector_dispatch_contract.h"
 
 namespace mufuzz::evm {
 namespace {
@@ -181,7 +183,8 @@ struct RawRun {
 };
 
 RawRun RunRaw(DispatchMode mode, const Bytes& code, const Bytes& calldata,
-              const U256& value, uint64_t gas, CodeCache* cache) {
+              const U256& value, uint64_t gas, CodeCache* cache,
+              uint64_t max_steps = EvmConfig().max_steps) {
   RawRun r;
   const Address contract = Address::FromUint(0xc0de);
   const Address sender = Address::FromUint(0xab01);
@@ -191,6 +194,7 @@ RawRun RunRaw(DispatchMode mode, const Bytes& code, const Bytes& calldata,
   EvmConfig config;
   config.dispatch = mode;
   config.code_cache = cache;
+  config.max_steps = max_steps;
   Interpreter interp(&r.state, &host, BlockContext(), config);
   interp.set_observer(&r.trace);
   MessageCall call;
@@ -210,12 +214,13 @@ RawRun RunRaw(DispatchMode mode, const Bytes& code, const Bytes& calldata,
 /// is identical. Returns the byte-switch result for extra assertions.
 ExecResult ExpectModesAgree(const Bytes& code, const Bytes& calldata = {},
                             const U256& value = U256(),
-                            uint64_t gas = 1000000) {
+                            uint64_t gas = 1000000,
+                            uint64_t max_steps = EvmConfig().max_steps) {
   CodeCache cache;
-  RawRun oracle =
-      RunRaw(DispatchMode::kByteSwitch, code, calldata, value, gas, &cache);
-  RawRun subject =
-      RunRaw(DispatchMode::kDecoded, code, calldata, value, gas, &cache);
+  RawRun oracle = RunRaw(DispatchMode::kByteSwitch, code, calldata, value,
+                         gas, &cache, max_steps);
+  RawRun subject = RunRaw(DispatchMode::kDecoded, code, calldata, value, gas,
+                          &cache, max_steps);
   EXPECT_EQ(oracle.exec.outcome, subject.exec.outcome)
       << OutcomeToString(oracle.exec.outcome) << " vs "
       << OutcomeToString(subject.exec.outcome);
@@ -398,6 +403,540 @@ TEST(DecodedDispatchTest, CalldataAndCodeBoundaryReadsAgreeWithByteOracle) {
       ASSERT_EQ(result.outcome, Outcome::kSuccess);
       EXPECT_EQ(result.output,
                 SpecPaddedRead(from_code ? code : calldata, offset));
+    }
+  }
+}
+
+// ------------------------------------------------ fused compare-and-branch --
+
+uint8_t OpByte(Op op) { return static_cast<uint8_t>(op); }
+
+/// Appends PUSH<width> `value` (big-endian, `width` bytes).
+void AppendPush(Bytes* code, uint64_t value, int width) {
+  code->push_back(static_cast<uint8_t>(0x5f + width));
+  for (int i = width - 1; i >= 0; --i) {
+    code->push_back(i >= 8 ? 0 : static_cast<uint8_t>(value >> (8 * i)));
+  }
+}
+
+/// DUP1; PUSH<sel_width> selector; EQ; PUSH<label_width> label; JUMPI.
+void AppendDispatchCase(Bytes* code, uint64_t selector, uint64_t label,
+                        int sel_width = 4, int label_width = 2) {
+  code->push_back(OpByte(Op::kDup1));
+  AppendPush(code, selector, sel_width);
+  code->push_back(OpByte(Op::kEq));
+  AppendPush(code, label, label_width);
+  code->push_back(OpByte(Op::kJumpi));
+}
+
+/// <head>; PUSH<label_width> label; JUMPI, head being a compare or ISZERO.
+void AppendBranch(Bytes* code, Op head, uint64_t label, int label_width = 2) {
+  code->push_back(OpByte(head));
+  AppendPush(code, label, label_width);
+  code->push_back(OpByte(Op::kJumpi));
+}
+
+/// Appends `count` PUSH1s, filling the stack to that depth.
+void AppendFill(Bytes* code, size_t count) {
+  for (size_t i = 0; i < count; ++i) AppendPush(code, i & 0xff, 1);
+}
+
+/// The number of decoded instructions with the given IrOp.
+size_t CountIr(const DecodedCode& decoded, IrOp ir) {
+  size_t n = 0;
+  for (const DecodedInsn& insn : decoded.insns) n += insn.ir == ir ? 1 : 0;
+  return n;
+}
+
+/// Label placeholder patched by PatchLabels: the pc of the JUMPDEST that
+/// ends each test program.
+constexpr uint64_t kEndLabel = 0xfe00;
+
+/// Replaces every 2-byte kEndLabel immediate with `pc`.
+void PatchLabels(Bytes* code, uint32_t pc) {
+  for (size_t i = 0; i + 2 < code->size(); ++i) {
+    if ((*code)[i] == 0x61 && (*code)[i + 1] == (kEndLabel >> 8) &&
+        (*code)[i + 2] == (kEndLabel & 0xff)) {
+      (*code)[i + 1] = static_cast<uint8_t>(pc >> 8);
+      (*code)[i + 2] = static_cast<uint8_t>(pc & 0xff);
+    }
+  }
+}
+
+/// Ends `code` with STOP (the fall-through) and JUMPDEST; PUSH1 1; STOP (the
+/// target), and points every kEndLabel at that JUMPDEST.
+Bytes WithEnd(Bytes code) {
+  code.push_back(OpByte(Op::kStop));
+  const uint32_t dest = static_cast<uint32_t>(code.size());
+  code.push_back(OpByte(Op::kJumpdest));
+  AppendPush(&code, 1, 1);
+  code.push_back(OpByte(Op::kStop));
+  PatchLabels(&code, dest);
+  return code;
+}
+
+/// Straight-line programs covering each fused shape, taken and not taken.
+std::vector<std::pair<std::string, Bytes>> FusedShapePrograms() {
+  std::vector<std::pair<std::string, Bytes>> programs;
+  for (bool hit : {true, false}) {
+    Bytes code;
+    AppendPush(&code, 0xa9059cbb, 4);
+    AppendDispatchCase(&code, hit ? 0xa9059cbb : 0x70a08231, kEndLabel);
+    programs.push_back({std::string("dispatch ") + (hit ? "hit" : "miss"),
+                        WithEnd(code)});
+  }
+  for (Op cmp : {Op::kLt, Op::kGt, Op::kSlt, Op::kSgt, Op::kEq}) {
+    for (uint64_t x : {3, 5}) {
+      Bytes code;
+      AppendPush(&code, 5, 1);  // y
+      AppendPush(&code, x, 1);  // x, the top
+      AppendBranch(&code, cmp, kEndLabel);
+      programs.push_back(
+          {OpName(OpByte(cmp)) + " x=" + std::to_string(x), WithEnd(code)});
+    }
+  }
+  for (uint64_t x : {0, 7}) {
+    Bytes raw;
+    AppendPush(&raw, x, 1);
+    AppendBranch(&raw, Op::kIszero, kEndLabel);
+    programs.push_back({"ISZERO raw " + std::to_string(x), WithEnd(raw)});
+    // ISZERO over a compare negates the compare's record.
+    Bytes over;
+    AppendPush(&over, 5, 1);
+    AppendPush(&over, x, 1);
+    over.push_back(OpByte(Op::kLt));
+    AppendBranch(&over, Op::kIszero, kEndLabel);
+    programs.push_back({"ISZERO over LT " + std::to_string(x), WithEnd(over)});
+  }
+  return programs;
+}
+
+TEST(DecodedDispatchTest, FusedBranchShapesDecodeToOneInstruction) {
+  Bytes code;
+  AppendPush(&code, 0x12345678, 4);
+  AppendDispatchCase(&code, 0x12345678, kEndLabel, /*sel_width=*/4,
+                     /*label_width=*/2);                      // pcs 5..15
+  AppendPush(&code, 1, 1);
+  AppendPush(&code, 2, 1);
+  AppendBranch(&code, Op::kSgt, kEndLabel);                   // pcs 20..24
+  AppendPush(&code, 0, 1);
+  AppendBranch(&code, Op::kIszero, kEndLabel);                // pcs 27..31
+  code = WithEnd(code);
+  const uint32_t dest = 33;
+  ASSERT_EQ(code[dest], OpByte(Op::kJumpdest));
+
+  std::shared_ptr<const DecodedCode> decoded = DecodeCode(code);
+  const DecodedInsn* dispatch = FindIr(*decoded, IrOp::kDispatchJumpi);
+  ASSERT_NE(dispatch, nullptr);
+  EXPECT_EQ(dispatch->pc, 5u);
+  EXPECT_EQ(dispatch->immediate, U256(0x12345678));
+  EXPECT_EQ(dispatch->pc2, dest);  // the label
+  EXPECT_EQ(dispatch->opcode2, 0x63);  // PUSH4
+  EXPECT_EQ(dispatch->opcode3, 0x61);  // PUSH2
+  EXPECT_EQ(dispatch->jump_target, decoded->pc_to_insn[dest]);
+
+  const DecodedInsn* cmp = FindIr(*decoded, IrOp::kCmpJumpi);
+  ASSERT_NE(cmp, nullptr);
+  EXPECT_EQ(cmp->pc, 20u);
+  EXPECT_EQ(cmp->opcode, OpByte(Op::kSgt));
+  EXPECT_EQ(cmp->pc2, 21u);
+  EXPECT_EQ(cmp->pc3, 24u);
+  EXPECT_EQ(cmp->jump_target, decoded->pc_to_insn[dest]);
+
+  const DecodedInsn* iszero = FindIr(*decoded, IrOp::kIszeroJumpi);
+  ASSERT_NE(iszero, nullptr);
+  EXPECT_EQ(iszero->pc, 27u);
+  EXPECT_EQ(iszero->pc3, 31u);
+  EXPECT_EQ(iszero->jump_target, decoded->pc_to_insn[dest]);
+
+  // Nothing else fused into a PUSH;JUMPI pair.
+  EXPECT_EQ(FindIr(*decoded, IrOp::kPushJumpi), nullptr);
+  EXPECT_EQ(ExpectModesAgree(code).outcome, Outcome::kSuccess);
+}
+
+TEST(DecodedDispatchTest, CompiledDispatcherFusesEveryCase) {
+  // A 14-function contract, the size of a D1-large one: each dispatch case
+  // is one instruction, as are the calldata-size guard and every
+  // non-payable CALLVALUE guard.
+  constexpr int kFunctions = 14;
+  Result<lang::ContractArtifact> artifact =
+      lang::CompileContract(SelectorDispatchSource(kFunctions));
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  std::shared_ptr<const DecodedCode> decoded =
+      DecodeCode(artifact->runtime_code);
+
+  std::vector<uint32_t> dispatch_pcs;
+  size_t payable_guards = 0;
+  for (const lang::BranchMapEntry& entry : artifact->branch_map) {
+    if (entry.kind == lang::BranchKind::kDispatch) {
+      dispatch_pcs.push_back(entry.jumpi_pc);
+    }
+    if (entry.kind == lang::BranchKind::kPayableGuard) ++payable_guards;
+  }
+  ASSERT_EQ(dispatch_pcs.size(), static_cast<size_t>(kFunctions));
+  std::vector<uint32_t> fused_pcs;
+  for (const DecodedInsn& insn : decoded->insns) {
+    if (insn.ir != IrOp::kDispatchJumpi) continue;
+    // The JUMPI's pc follows from the DUP1's pc and the two PUSH widths.
+    fused_pcs.push_back(insn.pc + 4 + PushSize(insn.opcode2) +
+                        PushSize(insn.opcode3));
+  }
+  EXPECT_EQ(fused_pcs, dispatch_pcs);
+  EXPECT_EQ(CountIr(*decoded, IrOp::kIszeroJumpi), payable_guards);
+  EXPECT_GE(CountIr(*decoded, IrOp::kCmpJumpi), 1u);  // calldatasize < 4
+
+  // Calling the last function runs all 14 cases; both loops agree on it.
+  const lang::AbiFunction& last = artifact->abi.functions.back();
+  Bytes calldata;
+  AppendU32BE(&calldata, last.selector);
+  U256(7).AppendBytesBE(&calldata);
+  CodeCache cache;
+  RawRun run = RunRaw(DispatchMode::kDecoded, artifact->runtime_code,
+                      calldata, U256(), 1000000, &cache);
+  EXPECT_EQ(run.exec.outcome, Outcome::kSuccess);
+  size_t dispatch_events = 0;
+  for (const BranchEvent& ev : run.trace.branches()) {
+    dispatch_events += std::count(dispatch_pcs.begin(), dispatch_pcs.end(),
+                                  ev.pc);
+  }
+  EXPECT_EQ(dispatch_events, static_cast<size_t>(kFunctions));
+  ExpectModesAgree(artifact->runtime_code, calldata);
+}
+
+TEST(DecodedDispatchTest, FusedBranchOutOfGasAndStepLimitAtEveryComponent) {
+  // Every prefix of gas and of steps: the fused handlers must stop at the
+  // same component, with the same records and events, as the byte loop.
+  for (const auto& [name, code] : FusedShapePrograms()) {
+    SCOPED_TRACE(name);
+    const ExecResult full = ExpectModesAgree(code);
+    ASSERT_EQ(full.outcome, Outcome::kSuccess);
+    for (uint64_t gas = 0; gas <= full.gas_used; ++gas) {
+      SCOPED_TRACE("gas " + std::to_string(gas));
+      ExpectModesAgree(code, {}, U256(), gas);
+    }
+    CodeCache cache;
+    const uint64_t steps = RunRaw(DispatchMode::kByteSwitch, code, {}, U256(),
+                                  1000000, &cache)
+                               .trace.instruction_count();
+    for (uint64_t limit = 0; limit <= steps; ++limit) {
+      SCOPED_TRACE("max_steps " + std::to_string(limit));
+      const ExecResult r = ExpectModesAgree(code, {}, U256(), 1000000, limit);
+      EXPECT_EQ(r.outcome,
+                limit < steps ? Outcome::kStepLimit : Outcome::kSuccess);
+    }
+  }
+}
+
+TEST(DecodedDispatchTest, FusedBranchStackErrorsMatchByteOracle) {
+  // Depths at which each shape underflows, overflows at one of its
+  // components, or just fits. The fill and the shape share a block, so the
+  // deep cases run in checked mode and the byte loop's per-op checks apply.
+  struct Case {
+    std::string name;
+    size_t depth;
+    Op head;  // kDup1 for the dispatch case
+    Outcome want;
+    uint64_t gas;  // gas used, when the outcome is a stack error
+  };
+  const uint64_t g = 3;  // every fill push, DUP1, PUSHn, compare and ISZERO
+  const std::vector<Case> cases = {
+      {"dispatch at 0: DUP1 underflows", 0, Op::kDup1, Outcome::kStackError,
+       g},
+      {"dispatch at 1024: DUP1 overflows", 1024, Op::kDup1,
+       Outcome::kStackError, 1025 * g},
+      {"dispatch at 1023: PUSH4 overflows", 1023, Op::kDup1,
+       Outcome::kStackError, 1025 * g},
+      {"dispatch at 1022 fits", 1022, Op::kDup1, Outcome::kSuccess, 0},
+      {"LT at 0 underflows", 0, Op::kLt, Outcome::kStackError, g},
+      {"LT at 1 underflows", 1, Op::kLt, Outcome::kStackError, 2 * g},
+      {"LT at 1024 fits", 1024, Op::kLt, Outcome::kSuccess, 0},
+      {"ISZERO at 0 underflows", 0, Op::kIszero, Outcome::kStackError, g},
+      {"ISZERO at 1024: PUSH overflows", 1024, Op::kIszero,
+       Outcome::kStackError, 1026 * g},
+      {"ISZERO at 1023 fits", 1023, Op::kIszero, Outcome::kSuccess, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Bytes code;
+    AppendFill(&code, c.depth);
+    if (c.head == Op::kDup1) {
+      AppendDispatchCase(&code, 0x01, kEndLabel);
+    } else {
+      AppendBranch(&code, c.head, kEndLabel);
+    }
+    code = WithEnd(code);
+    const ExecResult r = ExpectModesAgree(code);
+    EXPECT_EQ(r.outcome, c.want) << OutcomeToString(r.outcome);
+    if (c.want == Outcome::kStackError) {
+      EXPECT_EQ(r.gas_used, c.gas);
+    }
+  }
+}
+
+TEST(DecodedDispatchTest, FusedBranchToNonJumpdestFailsOnlyWhenTaken) {
+  // The label points at the STOP after the shape (not a JUMPDEST): taken,
+  // the branch is a bad jump after its event; not taken, it falls through.
+  for (bool taken : {true, false}) {
+    SCOPED_TRACE(taken ? "taken" : "not taken");
+    std::vector<Bytes> programs;
+    Bytes dispatch;
+    AppendPush(&dispatch, 0x42, 1);
+    AppendDispatchCase(&dispatch, taken ? 0x42 : 0x43, 13);
+    programs.push_back(dispatch);
+    Bytes cmp;
+    AppendPush(&cmp, 5, 1);
+    AppendPush(&cmp, taken ? 3 : 9, 1);
+    AppendBranch(&cmp, Op::kLt, 9);
+    programs.push_back(cmp);
+    Bytes iszero;
+    AppendPush(&iszero, taken ? 0 : 1, 1);
+    AppendBranch(&iszero, Op::kIszero, 7);
+    programs.push_back(iszero);
+    for (Bytes& code : programs) {
+      code.push_back(OpByte(Op::kStop));  // the label's pc
+      std::shared_ptr<const DecodedCode> decoded = DecodeCode(code);
+      // One fused branch, whose target failed to resolve.
+      size_t fused = 0;
+      for (const DecodedInsn& insn : decoded->insns) {
+        if (insn.ir == IrOp::kDispatchJumpi || insn.ir == IrOp::kCmpJumpi ||
+            insn.ir == IrOp::kIszeroJumpi) {
+          ++fused;
+          EXPECT_EQ(insn.jump_target, -1);
+        }
+      }
+      EXPECT_EQ(fused, 1u);
+      const ExecResult r = ExpectModesAgree(code);
+      EXPECT_EQ(r.outcome, taken ? Outcome::kBadJump : Outcome::kSuccess);
+    }
+  }
+}
+
+TEST(DecodedDispatchTest, FusedBranchCarriesCallResultAndCallerTaint) {
+  // Conditions fed by a CALL status word (call id, OnCallResultChecked) and
+  // by CALLER (cond taint, and the caller-guard flag a later SELFDESTRUCT
+  // reports), through each fused shape.
+  auto call_status = [](Bytes* code) {
+    for (int i = 0; i < 5; ++i) AppendPush(code, 0, 1);  // no io, value 0
+    AppendPush(code, 0xbeef, 2);                          // code-less target
+    AppendPush(code, 5000, 2);
+    code->push_back(OpByte(Op::kCall));
+  };
+  auto caller_word = [](Bytes* code) {
+    code->push_back(OpByte(Op::kCaller));
+  };
+  const uint64_t sender = 0xab01;  // RunRaw's caller
+  std::vector<std::pair<std::string, Bytes>> programs;
+  {
+    Bytes code;
+    call_status(&code);
+    AppendBranch(&code, Op::kIszero, kEndLabel);
+    programs.push_back({"ISZERO(call)", code});
+  }
+  {
+    Bytes code;
+    call_status(&code);
+    AppendPush(&code, 1, 1);
+    AppendBranch(&code, Op::kEq, kEndLabel);
+    programs.push_back({"EQ(1, call)", code});
+  }
+  {
+    Bytes code;
+    call_status(&code);
+    AppendDispatchCase(&code, 1, kEndLabel, /*sel_width=*/1);
+    programs.push_back({"dispatch on call", code});
+  }
+  for (bool match : {true, false}) {
+    const uint64_t who = match ? sender : sender + 1;
+    Bytes dispatch;
+    caller_word(&dispatch);
+    AppendDispatchCase(&dispatch, who, kEndLabel, /*sel_width=*/20);
+    programs.push_back({"dispatch on caller", dispatch});
+    Bytes eq;
+    caller_word(&eq);
+    AppendPush(&eq, who, 20);
+    AppendBranch(&eq, Op::kEq, kEndLabel);
+    programs.push_back({"EQ(caller)", eq});
+  }
+  {
+    Bytes code;
+    caller_word(&code);
+    AppendBranch(&code, Op::kIszero, kEndLabel);
+    programs.push_back({"ISZERO(caller)", code});
+  }
+  for (auto& [name, body] : programs) {
+    SCOPED_TRACE(name);
+    // Both directions end in a SELFDESTRUCT that reports the guard flag.
+    Bytes code = body;
+    AppendPush(&code, 0xbe, 1);
+    code.push_back(OpByte(Op::kSelfdestruct));
+    const uint32_t dest = static_cast<uint32_t>(code.size());
+    code.push_back(OpByte(Op::kJumpdest));
+    AppendPush(&code, 0xbe, 1);
+    code.push_back(OpByte(Op::kSelfdestruct));
+    PatchLabels(&code, dest);
+    std::shared_ptr<const DecodedCode> decoded = DecodeCode(code);
+    EXPECT_EQ(CountIr(*decoded, IrOp::kDispatchJumpi) +
+                  CountIr(*decoded, IrOp::kCmpJumpi) +
+                  CountIr(*decoded, IrOp::kIszeroJumpi),
+              1u);
+    EXPECT_EQ(ExpectModesAgree(code).outcome, Outcome::kSuccess);
+  }
+}
+
+TEST(DecodedDispatchTest, BranchShapesThatMustNotFuse) {
+  // A label wider than 4 bytes, or a JUMPDEST inside the shape, leaves the
+  // pieces unfused; both loops still agree.
+  std::vector<std::pair<std::string, Bytes>> programs;
+  // A JUMPDEST between the PUSHn and the EQ still lets EQ; PUSH; JUMPI fuse
+  // as a compare, but never the whole dispatch case.
+  Bytes split_dispatch;
+  AppendPush(&split_dispatch, 0x42, 1);
+  split_dispatch.push_back(OpByte(Op::kDup1));
+  AppendPush(&split_dispatch, 0x42, 1);
+  split_dispatch.push_back(OpByte(Op::kJumpdest));
+  AppendBranch(&split_dispatch, Op::kEq, 5);
+  {
+    Bytes code;
+    AppendPush(&code, 0x42, 1);
+    AppendDispatchCase(&code, 0x42, 17, /*sel_width=*/4, /*label_width=*/5);
+    code.push_back(OpByte(Op::kStop));
+    code.push_back(OpByte(Op::kJumpdest));  // pc 17
+    programs.push_back({"dispatch, PUSH5 label", code});
+  }
+  {
+    Bytes code;
+    AppendPush(&code, 1, 1);
+    AppendPush(&code, 2, 1);
+    AppendBranch(&code, Op::kGt, 14, /*label_width=*/6);
+    code.push_back(OpByte(Op::kStop));
+    code.push_back(OpByte(Op::kJumpdest));  // pc 14
+    programs.push_back({"GT, PUSH6 label", code});
+  }
+  {
+    Bytes code;
+    AppendPush(&code, 0, 1);
+    AppendBranch(&code, Op::kIszero, 0, /*label_width=*/32);
+    programs.push_back({"ISZERO, PUSH32 label", code});
+  }
+  {
+    // DUP1; PUSH1; EQ; PUSH1; JUMPDEST; JUMPI — the JUMPDEST starts a block.
+    Bytes code;
+    AppendPush(&code, 0x42, 1);
+    code.push_back(OpByte(Op::kDup1));
+    AppendPush(&code, 0x42, 1);
+    code.push_back(OpByte(Op::kEq));
+    AppendPush(&code, 8, 1);
+    code.push_back(OpByte(Op::kJumpdest));
+    code.push_back(OpByte(Op::kJumpi));
+    programs.push_back({"dispatch split before JUMPI", code});
+  }
+  {
+    // LT; JUMPDEST; PUSH1; JUMPI and ISZERO; PUSH1; JUMPDEST; JUMPI.
+    Bytes lt;
+    AppendPush(&lt, 5, 1);
+    AppendPush(&lt, 3, 1);
+    lt.push_back(OpByte(Op::kLt));
+    lt.push_back(OpByte(Op::kJumpdest));
+    AppendPush(&lt, 5, 1);
+    lt.push_back(OpByte(Op::kJumpi));
+    programs.push_back({"LT split by JUMPDEST", lt});
+    Bytes iszero;
+    AppendPush(&iszero, 0, 1);
+    iszero.push_back(OpByte(Op::kIszero));
+    AppendPush(&iszero, 5, 1);
+    iszero.push_back(OpByte(Op::kJumpdest));
+    iszero.push_back(OpByte(Op::kJumpi));
+    programs.push_back({"ISZERO split by JUMPDEST", iszero});
+  }
+  for (const auto& [name, code] : programs) {
+    SCOPED_TRACE(name);
+    std::shared_ptr<const DecodedCode> decoded = DecodeCode(code);
+    EXPECT_EQ(FindIr(*decoded, IrOp::kDispatchJumpi), nullptr);
+    EXPECT_EQ(FindIr(*decoded, IrOp::kCmpJumpi), nullptr);
+    EXPECT_EQ(FindIr(*decoded, IrOp::kIszeroJumpi), nullptr);
+    ExpectModesAgree(code);
+    for (uint64_t gas : {0, 5, 9, 14, 20}) {
+      ExpectModesAgree(code, {}, U256(), gas);
+    }
+  }
+  std::shared_ptr<const DecodedCode> decoded = DecodeCode(split_dispatch);
+  EXPECT_EQ(FindIr(*decoded, IrOp::kDispatchJumpi), nullptr);
+  EXPECT_NE(FindIr(*decoded, IrOp::kCmpJumpi), nullptr);
+  ExpectModesAgree(split_dispatch);
+}
+
+/// Programs made mostly of the fused branch shapes, with random widths,
+/// operands, taints (CALLER, CALLDATALOAD, CALL status) and labels that are
+/// valid JUMPDESTs, invalid, or wider than 4 bytes.
+Bytes RandomBranchProgram(Rng* rng) {
+  Bytes code;
+  std::vector<uint32_t> dests;
+  auto label = [&]() -> uint64_t {
+    if (!dests.empty() && rng->Chance(0.7)) return rng->Pick(dests);
+    return rng->NextBelow(200);
+  };
+  auto label_width = [&]() {
+    return rng->Chance(0.9) ? 2 : 1 + static_cast<int>(rng->NextBelow(6));
+  };
+  const size_t target_len = 30 + rng->NextBelow(120);
+  while (code.size() < target_len) {
+    const uint64_t k = rng->NextBelow(100);
+    if (k < 20) {
+      AppendPush(&code, rng->NextBelow(4),
+                 1 + static_cast<int>(rng->NextBelow(4)));
+    } else if (k < 30) {
+      const Op sources[] = {Op::kCaller, Op::kCallvalue, Op::kCalldatasize};
+      code.push_back(OpByte(sources[rng->NextBelow(3)]));
+    } else if (k < 34) {
+      AppendPush(&code, 0, 1);
+      code.push_back(OpByte(Op::kCalldataload));
+    } else if (k < 37) {
+      for (int i = 0; i < 5; ++i) AppendPush(&code, 0, 1);
+      AppendPush(&code, 0xbeef, 2);
+      AppendPush(&code, 5000, 2);
+      code.push_back(OpByte(Op::kCall));
+    } else if (k < 52) {
+      const uint64_t sel = rng->NextBelow(4);
+      const int width =
+          1 + static_cast<int>(rng->NextBelow(rng->Chance(0.8) ? 4 : 32));
+      AppendDispatchCase(&code, sel, label(), width, label_width());
+    } else if (k < 66) {
+      const Op cmps[] = {Op::kLt, Op::kGt, Op::kSlt, Op::kSgt, Op::kEq};
+      AppendBranch(&code, cmps[rng->NextBelow(5)], label(), label_width());
+    } else if (k < 76) {
+      if (rng->Chance(0.5)) code.push_back(OpByte(Op::kLt));
+      AppendBranch(&code, Op::kIszero, label(), label_width());
+    } else if (k < 84) {
+      dests.push_back(static_cast<uint32_t>(code.size()));
+      code.push_back(OpByte(Op::kJumpdest));
+    } else if (k < 92) {
+      const uint8_t base = (k % 2 == 0) ? 0x80 : 0x90;
+      code.push_back(static_cast<uint8_t>(base + rng->NextBelow(3)));
+    } else if (k < 97) {
+      code.push_back(OpByte(Op::kPop));
+    } else {
+      code.push_back(OpByte(Op::kStop));
+    }
+  }
+  return code;
+}
+
+TEST(DecodedDispatchTest, RandomBranchShapesAgreeWithByteOracle) {
+  Rng rng(20261018);
+  for (int iter = 0; iter < 300; ++iter) {
+    SCOPED_TRACE("program " + std::to_string(iter));
+    const Bytes code = RandomBranchProgram(&rng);
+    Bytes calldata;
+    const size_t data_len = rng.NextBelow(40);
+    for (size_t i = 0; i < data_len; ++i) {
+      calldata.push_back(static_cast<uint8_t>(rng.NextBelow(3)));
+    }
+    const uint64_t gas = rng.Chance(0.3) ? rng.NextBelow(200) : 100000;
+    const uint64_t max_steps =
+        rng.Chance(0.3) ? rng.NextBelow(60) : EvmConfig().max_steps;
+    ExpectModesAgree(code, calldata, U256(rng.NextBelow(2)), gas, max_steps);
+    if (HasFatalFailure() || HasNonfatalFailure()) {
+      FAIL() << "divergence on program " << iter;
     }
   }
 }

@@ -204,6 +204,75 @@ TEST_F(InterpreterTest, CalldataAndCodeReadsAtBoundaryOffsetsMatchSpec) {
   }
 }
 
+TEST_F(InterpreterTest, ReturndatacopyOutOfBoundsHalts) {
+  // EIP-211: RETURNDATACOPY of a range that does not lie inside the return
+  // data halts exceptionally, even when the length is zero; it does not
+  // zero-pad like CALLDATACOPY.
+  const Address callee = Address::FromUint(0xca11);
+  state_.SetCode(callee, {static_cast<uint8_t>(Op::kPush1), 0x2a,
+                          static_cast<uint8_t>(Op::kPush1), 0x00,
+                          static_cast<uint8_t>(Op::kMstore),
+                          static_cast<uint8_t>(Op::kPush1), 0x20,
+                          static_cast<uint8_t>(Op::kPush1), 0x00,
+                          static_cast<uint8_t>(Op::kReturn)});
+  constexpr uint64_t kSize = 32;  // the callee's return data
+  // Optionally calls the callee, then RETURNDATACOPY(0, src, len); STOP.
+  auto program = [&](bool call_first, const U256& src, const U256& len) {
+    BytecodeBuilder b;
+    if (call_first) {
+      for (int i = 0; i < 5; ++i) b.EmitPush(uint64_t{0});  // no io, value 0
+      b.EmitPush(callee.ToWord());
+      b.EmitPush(uint64_t{100000});
+      b.Emit(Op::kCall);
+      b.Emit(Op::kPop);
+    }
+    b.EmitPush(len);
+    b.EmitPush(src);
+    b.EmitPush(uint64_t{0});
+    b.Emit(Op::kReturndatacopy);
+    b.Emit(Op::kStop);
+    return b.Assemble().value();
+  };
+  struct Case {
+    const char* name;
+    bool call_first;
+    U256 src;
+    U256 len;
+    bool halts;
+  };
+  const Case kCases[] = {
+      {"(0,0,32) with no prior call", false, U256(0), U256(32), true},
+      {"(0,0,0) with no prior call", false, U256(0), U256(0), false},
+      {"(0,2^64,0) with no prior call", false, U256(0, 1, 0, 0), U256(0),
+       true},
+      {"(0,0,size)", true, U256(0), U256(kSize), false},
+      {"(0,size,0)", true, U256(kSize), U256(0), false},
+      {"(0,size+1,0)", true, U256(kSize + 1), U256(0), true},
+      {"(0,1,size)", true, U256(1), U256(kSize), true},
+      {"(0,2^64,0)", true, U256(0, 1, 0, 0), U256(0), true},
+      {"(0,2^64-1,2)", true, U256(UINT64_MAX), U256(2), true},
+  };
+  for (DispatchMode mode :
+       {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
+    config_.dispatch = mode;
+    for (const Case& c : kCases) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (mode == DispatchMode::kDecoded ? " decoded"
+                                                   : " byte-switch"));
+      ExecResult r = Run(program(c.call_first, c.src, c.len));
+      EXPECT_EQ(r.outcome,
+                c.halts ? Outcome::kMemoryError : Outcome::kSuccess)
+          << OutcomeToString(r.outcome);
+      // A memory error charges the gas spent so far, like any other: here
+      // the three pushes and the copy's static cost.
+      if (c.halts && !c.call_first) {
+        EXPECT_EQ(r.gas_used, 3u * GetOpInfo(Op::kPush1).gas +
+                                  GetOpInfo(Op::kReturndatacopy).gas);
+      }
+    }
+  }
+}
+
 TEST_F(InterpreterTest, CallvalueAndCaller) {
   BytecodeBuilder b;
   b.Emit(Op::kCallvalue);

@@ -40,9 +40,7 @@ inline void Put(std::string* fp, const Fields&... fields) {
 /// every field of every recorded event, so a path that hands back a stale
 /// or partial event cannot compare equal.
 inline std::string Fingerprint(const SequenceOutcome& outcome) {
-  std::string fp = "instr=" + std::to_string(outcome.instructions) +
-                   " pcs=" + std::to_string(outcome.touched_pcs.size());
-  for (uint32_t pc : outcome.touched_pcs) fp += "," + std::to_string(pc);
+  std::string fp = "instr=" + std::to_string(outcome.instructions);
   for (const TxOutcome& txo : outcome.txs) {
     const TraceRecorder& t = txo.trace;
     fp += "\n| tag=" + std::to_string(txo.tag) +
