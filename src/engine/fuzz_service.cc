@@ -308,6 +308,9 @@ JobOutcome FuzzService::Wait(JobTicket ticket) {
   }
   JobRecord* record = it->second.get();
   done_cv_.wait(lock, [record] { return record->stage == Stage::kDone; });
+  lock.unlock();
+  // Copy outside mu_ (the workers need it to pick and settle slices): the
+  // record is never erased and its outcome never changes once kDone.
   return record->outcome;
 }
 
@@ -812,6 +815,10 @@ void FuzzService::FinalizeJob(JobRecord* r) {
   // the backend it unbinds on destruction) goes away.
   r->campaign.reset();
   if (r->session != nullptr) session_pool_.Release(std::move(r->session));
+  // Nothing reads the compile products of a finished job; free them here,
+  // outside mu_, so the record keeps only its outcome.
+  r->artifact = nullptr;
+  r->compiled.reset();
   r->active_ms += MsBetween(start, Clock::now());
 }
 
@@ -834,6 +841,8 @@ void FuzzService::SnapshotProgressLocked(JobRecord* r) {
 void FuzzService::MarkDoneLocked(JobRecord* r) {
   r->stage = Stage::kDone;
   r->outcome.elapsed_ms = r->active_ms;
+  // Every path to kDone passes here; swap so the capacity goes too.
+  std::string().swap(r->job.source);
   live_jobs_.erase(r->ticket);
   if (r->group != nullptr) --r->group->open_members;
 

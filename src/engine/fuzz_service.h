@@ -322,8 +322,10 @@ class FuzzService {
   JobProgress Poll(JobTicket ticket) const;
 
   /// Blocks until the job finished and returns its outcome. Idempotent —
-  /// outcomes are retained for the service's lifetime, so waiting twice
-  /// returns the same outcome again.
+  /// outcomes (and final progress snapshots) are retained for the service's
+  /// lifetime, so waiting twice returns the same outcome again. Compile
+  /// products and the job's source are not: a finished job frees its
+  /// artifact, AST and source, so it keeps only what Wait and Poll return.
   JobOutcome Wait(JobTicket ticket);
 
   /// Blocks until every job submitted so far finished; returns all their
@@ -374,7 +376,7 @@ class FuzzService {
 
   struct JobRecord {
     JobTicket ticket = 0;
-    FuzzJob job;
+    FuzzJob job;  ///< `source` is freed once the job is kDone
     fuzzer::CampaignConfig config;  ///< effective (service overrides applied)
     Stage stage = Stage::kAdmitted;
     bool running = false;  ///< a slice of this standalone job is on a worker
@@ -389,7 +391,7 @@ class FuzzService {
     std::chrono::steady_clock::time_point admitted_at;
     bool deadline_hit = false;  ///< deadline expiry already counted
 
-    // Filled by setup slices.
+    // Filled by setup slices, freed again by FinalizeJob.
     std::optional<lang::ContractArtifact> compiled;
     const lang::ContractArtifact* artifact = nullptr;
     std::unique_ptr<evm::SessionBackend> session;  ///< pooled lease

@@ -21,6 +21,7 @@
 
 #include <cstring>
 #include <unordered_map>
+#include <vector>
 
 #include "common/keccak.h"
 #include "evm/code_cache.h"
@@ -36,12 +37,21 @@
 #define MUFUZZ_THREADED_DISPATCH 1
 #endif
 
+// The hot-loop helpers below must be inlined into RunFrameDecoded; GCC
+// stops inlining into a function that large on its own.
+#if defined(__GNUC__) || defined(__clang__)
+#define MUFUZZ_ALWAYS_INLINE __attribute__((always_inline)) inline
+#else
+#define MUFUZZ_ALWAYS_INLINE inline
+#endif
+
 namespace mufuzz::evm {
 
 namespace {
 
 /// LT/GT/SLT/SGT/EQ as the byte loop evaluates it: x is the top word.
-bool Compare(uint8_t opcode, const U256& x, const U256& y, CmpOp* cmp_op) {
+MUFUZZ_ALWAYS_INLINE bool Compare(uint8_t opcode, const U256& x,
+                                  const U256& y, CmpOp* cmp_op) {
   switch (static_cast<Op>(opcode)) {
     case Op::kLt:
       *cmp_op = CmpOp::kLt;
@@ -59,6 +69,22 @@ bool Compare(uint8_t opcode, const U256& x, const U256& y, CmpOp* cmp_op) {
       *cmp_op = CmpOp::kEq;
       return x == y;
   }
+}
+
+/// ISZERO's comparison record: the negation of the comparison that
+/// produced `x`, so distance stays meaningful through require()'s ISZERO
+/// chains, or a fresh IsZero record. Returns the result's cmp_id.
+MUFUZZ_ALWAYS_INLINE int32_t RecordIszero(std::vector<CmpRecord>* records,
+                                          const Word& x) {
+  const int32_t id = static_cast<int32_t>(records->size());
+  if (x.cmp_id >= 0) {
+    CmpRecord rec = (*records)[x.cmp_id];
+    rec.negated = !rec.negated;
+    records->push_back(rec);
+  } else {
+    records->push_back({CmpOp::kIsZero, x.value, U256::Zero(), false, x.taint});
+  }
+  return id;
 }
 
 // Static gas of kDispatchJumpi's two fixed-opcode components.
@@ -195,21 +221,6 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
     return t;
   };
 
-  // ISZERO's comparison record: the negation of the comparison that
-  // produced `x`, so distance stays meaningful through require()'s ISZERO
-  // chains, or a fresh IsZero record. Returns the result's cmp_id.
-  auto record_iszero = [&](const Word& x) -> int32_t {
-    const int32_t id = static_cast<int32_t>(cmp_records_.size());
-    if (x.cmp_id >= 0) {
-      CmpRecord rec = cmp_records_[x.cmp_id];
-      rec.negated = !rec.negated;
-      cmp_records_.push_back(rec);
-    } else {
-      cmp_records_.push_back(
-          {CmpOp::kIsZero, x.value, U256::Zero(), false, x.taint});
-    }
-    return id;
-  };
   // A JUMPI's observer events and guard tracking, given its condition word's
   // instrumentation.
   auto on_branch = [&](uint32_t pc, uint32_t dest, bool taken,
@@ -399,7 +410,7 @@ dispatch_top:
     PRELUDE();
     Word x = stack.PopUnsafe();
     Word result(x.value.IsZero() ? U256::One() : U256::Zero(), x.taint);
-    result.cmp_id = record_iszero(x);
+    result.cmp_id = RecordIszero(&cmp_records_, x);
     result.call_id = x.call_id;
     PUSH_W(result);
     NEXT();
@@ -1169,7 +1180,7 @@ dispatch_top:
     if (checked && stack.size() < 1) return stack_err();
     const Word& x = stack.TopUnsafe();
     const bool taken = x.value.IsZero();
-    const int32_t cmp_id = record_iszero(x);
+    const int32_t cmp_id = RecordIszero(&cmp_records_, x);
     // PUSH L component.
     BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
     if (checked && stack.size() >= Stack::kMaxDepth) return stack_err();
@@ -1205,5 +1216,6 @@ dispatch_top:
 }
 
 #undef MUFUZZ_IR_OPS
+#undef MUFUZZ_ALWAYS_INLINE
 
 }  // namespace mufuzz::evm

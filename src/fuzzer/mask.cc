@@ -6,20 +6,31 @@ namespace mufuzz::fuzzer {
 
 namespace {
 
-constexpr size_t kMaxInteresting = 64;
-
 /// Classic boundary bytes, AFL-style.
 constexpr uint8_t kInterestingBytes[] = {0x00, 0x01, 0x7f, 0x80, 0xff, 0x10};
 
+/// Multiplicative hash of all four limbs, folded so that its low bits (the
+/// index slot) depend on every limb.
+uint64_t MixLimbs(const U256& v) {
+  uint64_t h = v.limb(0);
+  h = (h ^ v.limb(1)) * 0x9e3779b97f4a7c15ULL;
+  h = (h ^ v.limb(2)) * 0xc2b2ae3d27d4eb4fULL;
+  h = (h ^ v.limb(3)) * 0x165667b19e3779f9ULL;
+  return h ^ (h >> 29);
+}
+
 }  // namespace
 
-void ByteMutator::AddInterestingConstant(const U256& value) {
-  if (interesting_.size() >= kMaxInteresting) return;
-  if (std::find(interesting_.begin(), interesting_.end(), value) !=
-      interesting_.end()) {
-    return;
+void ByteMutator::InsertInteresting(const U256& value) {
+  static_assert((kIndexSlots & (kIndexSlots - 1)) == 0,
+                "index slot count must be a power of two");
+  static_assert(kMaxInteresting < 256, "positions must fit the uint8_t slots");
+  size_t slot = static_cast<size_t>(MixLimbs(value)) & (kIndexSlots - 1);
+  for (; index_[slot] != 0; slot = (slot + 1) & (kIndexSlots - 1)) {
+    if (interesting_[index_[slot] - 1] == value) return;
   }
   interesting_.push_back(value);
+  index_[slot] = static_cast<uint8_t>(interesting_.size());
 }
 
 void ByteMutator::Apply(Bytes* stream, MutOp op, size_t pos, size_t n,

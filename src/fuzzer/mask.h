@@ -1,6 +1,8 @@
 #ifndef MUFUZZ_FUZZER_MASK_H_
 #define MUFUZZ_FUZZER_MASK_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -78,9 +80,20 @@ class ByteMutator {
  public:
   ByteMutator() = default;
 
-  /// Adds a 32-byte constant to the interesting pool (deduplicated, capped).
-  void AddInterestingConstant(const U256& value);
+  /// Most constants the interesting pool holds.
+  static constexpr size_t kMaxInteresting = 64;
+
+  /// Adds a 32-byte constant to the interesting pool (deduplicated, capped
+  /// at kMaxInteresting). Feedback calls this for both operands of every
+  /// comparison at an uncovered branch direction, so a full pool returns
+  /// here without a call.
+  void AddInterestingConstant(const U256& value) {
+    if (interesting_.size() >= kMaxInteresting) return;
+    InsertInteresting(value);
+  }
   size_t interesting_count() const { return interesting_.size(); }
+  /// The pool in insertion order (the R operator draws index into it).
+  const std::vector<U256>& interesting() const { return interesting_; }
 
   /// Applies m = (op, n) at `pos` per §IV-B's operator definitions. Stream
   /// length is ABI-fixed, so I shifts right (dropping the tail) and D shifts
@@ -92,7 +105,18 @@ class ByteMutator {
   bool MutateRandom(Bytes* stream, const MutationMask* mask, Rng* rng) const;
 
  private:
+  /// Open-addressing index slots over `interesting_`, twice its cap so a
+  /// probe always reaches an empty slot.
+  static constexpr size_t kIndexSlots = 2 * kMaxInteresting;
+
+  /// Appends `value` unless the pool holds it already (requires a free
+  /// place in the pool).
+  void InsertInteresting(const U256& value);
+
   std::vector<U256> interesting_;
+  /// Membership index: slot -> position in `interesting_` + 1, 0 = empty.
+  /// Makes the duplicate test O(1) while `interesting_` keeps its order.
+  std::array<uint8_t, kIndexSlots> index_{};
 };
 
 /// COMPUTE_MASK of Algorithm 2: for sampled positions and each operator,

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 namespace mufuzz::server {
@@ -86,14 +87,18 @@ void MufuzzServer::Stop() {
   service_.CancelAll();
   service_.Resume();
   accept_thread_.join();
-  // Handlers remove themselves from live_fds_ but never from handlers_;
-  // after the accept loop exited no new handler can appear.
-  std::vector<std::thread> handlers;
+  // After the accept loop exited no new handler can appear, and a handler
+  // that ends from here on finds itself gone from handlers_ and leaves
+  // its join to this loop.
+  std::map<uint64_t, std::thread> handlers;
+  std::thread ended;
   {
     std::lock_guard<std::mutex> lock(mu_);
     handlers.swap(handlers_);
+    ended.swap(ended_handler_);
   }
-  for (std::thread& t : handlers) t.join();
+  for (auto& [id, t] : handlers) t.join();
+  if (ended.joinable()) ended.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
 }
@@ -101,6 +106,11 @@ void MufuzzServer::Stop() {
 uint64_t MufuzzServer::connections_accepted() const {
   std::lock_guard<std::mutex> lock(mu_);
   return next_connection_;
+}
+
+size_t MufuzzServer::handler_threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return handlers_.size() + (ended_handler_.joinable() ? 1 : 0);
 }
 
 void MufuzzServer::AcceptLoop() {
@@ -117,7 +127,16 @@ void MufuzzServer::AcceptLoop() {
     }
     uint64_t id = next_connection_++;
     live_fds_.emplace(id, fd);
-    handlers_.emplace_back([this, id, fd] { HandleConnection(id, fd); });
+    try {
+      handlers_.emplace(
+          id, std::thread([this, id, fd] { HandleConnection(id, fd); }));
+    } catch (const std::system_error& e) {
+      // No thread to serve it: refuse this connection, keep the daemon.
+      live_fds_.erase(id);
+      ::close(fd);
+      std::fprintf(stderr, "[mufuzzd] refused a connection: %s\n",
+                   e.what());
+    }
   }
 }
 
@@ -145,11 +164,21 @@ void MufuzzServer::HandleConnection(uint64_t id, int fd) {
     bool keep = HandleRequest(verb, payload, &response_verb, &response);
     if (!WriteFrame(fd, response_verb, response) || !keep) break;
   }
+  // Join the handler that ended before this one (an exited thread keeps its
+  // stack mapping until joined); this one is joined by the next handler to
+  // end, or by Stop().
+  std::thread previous;
   {
     std::lock_guard<std::mutex> lock(mu_);
     live_fds_.erase(id);
+    auto self = handlers_.find(id);
+    if (self != handlers_.end()) {  // else Stop() has it and joins it
+      previous = std::exchange(ended_handler_, std::move(self->second));
+      handlers_.erase(self);
+    }
   }
   ::close(fd);
+  if (previous.joinable()) previous.join();
 }
 
 bool MufuzzServer::HandleRequest(uint8_t verb, BytesView payload,

@@ -1,12 +1,12 @@
 #ifndef MUFUZZ_SERVER_SERVER_H_
 #define MUFUZZ_SERVER_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "engine/fuzz_service.h"
@@ -32,6 +32,13 @@ struct ServerOptions {
 /// calls (SUBMIT compiles server-side via the job's `source`). The server
 /// owns the service, so in-process tests can reach the same instance the
 /// socket path uses and assert on its Stats().
+///
+/// Handler lifecycle: the accept loop starts one joinable handler thread
+/// per connection. A handler that ends (the client hung up, or the stream
+/// broke) joins the handler that ended before it and leaves its own thread
+/// for the next one to end (or Stop()) to join, so a long-lived daemon
+/// keeps a thread per live connection plus at most one that ended, not
+/// one thread stack per connection ever made.
 ///
 /// Shutdown: Stop() closes the listener, shuts down every live connection
 /// socket (unblocking reads), cancels all live jobs (unblocking WAIT
@@ -62,6 +69,10 @@ class MufuzzServer {
   /// Connections accepted over the server's lifetime.
   uint64_t connections_accepted() const;
 
+  /// Handler threads not joined yet: one per live connection plus the
+  /// last handler that ended (a test hook for the handler lifecycle).
+  size_t handler_threads() const;
+
  private:
   void AcceptLoop();
   void HandleConnection(uint64_t id, int fd);
@@ -80,7 +91,8 @@ class MufuzzServer {
 
   mutable std::mutex mu_;
   std::thread accept_thread_;
-  std::vector<std::thread> handlers_;
+  std::map<uint64_t, std::thread> handlers_;  ///< live connection handlers
+  std::thread ended_handler_;  ///< the last handler that ended, unjoined
   std::map<uint64_t, int> live_fds_;  ///< connection id -> socket
   uint64_t next_connection_ = 0;
 };

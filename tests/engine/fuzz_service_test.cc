@@ -416,6 +416,120 @@ TEST(FuzzServiceLifecycleTest, DestructionCancelsOutstandingJobs) {
 }
 
 // ---------------------------------------------------------------------------
+// A finished job frees its compile products and source but keeps its
+// outcome and final progress: Wait twice and Poll after completion must
+// keep answering identically on every path to completion.
+// ---------------------------------------------------------------------------
+
+void ExpectSameProgress(const JobProgress& a, const JobProgress& b) {
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.executions, b.executions);
+  EXPECT_EQ(a.transactions, b.transactions);
+  EXPECT_EQ(a.coverage, b.coverage);
+  EXPECT_EQ(a.bugs_found, b.bugs_found);
+  EXPECT_EQ(a.round_index, b.round_index);
+  EXPECT_EQ(a.fanout, b.fanout);
+  EXPECT_EQ(a.parents_in_flight, b.parents_in_flight);
+  EXPECT_EQ(a.inflight_executions, b.inflight_executions);
+  EXPECT_EQ(a.cancelled, b.cancelled);
+  EXPECT_EQ(a.deadline_expired, b.deadline_expired);
+  EXPECT_EQ(a.first_step_round, b.first_step_round);
+  EXPECT_EQ(a.code_cache, b.code_cache);
+  EXPECT_EQ(a.heap_allocs, b.heap_allocs);
+}
+
+/// Waits and polls twice each on `ticket`; returns the first outcome.
+JobOutcome ExpectStableOnceDone(FuzzService* service, JobTicket ticket) {
+  JobOutcome first = service->Wait(ticket);
+  JobProgress progress = service->Poll(ticket);
+  JobOutcome second = service->Wait(ticket);
+  JobProgress again = service->Poll(ticket);
+
+  EXPECT_EQ(progress.state, JobState::kDone);
+  ExpectSameProgress(progress, again);
+  EXPECT_EQ(first.name, second.name);
+  EXPECT_EQ(first.error, second.error);
+  EXPECT_EQ(first.elapsed_ms, second.elapsed_ms);
+  EXPECT_EQ(first.result.has_value(), second.result.has_value());
+  if (first.result.has_value() && second.result.has_value()) {
+    EXPECT_EQ(*first.result, *second.result);
+    EXPECT_EQ(progress.executions, first.result->executions);
+    EXPECT_EQ(progress.transactions, first.result->transactions);
+    EXPECT_EQ(progress.coverage, first.result->branch_coverage);
+    EXPECT_EQ(progress.bugs_found, first.result->bugs.size());
+  }
+  return first;
+}
+
+constexpr char kUncompilable[] = "contract C { function f( }";
+
+TEST(FuzzServiceRetentionTest, StandaloneJobAnswersIdenticallyOnceDone) {
+  FuzzService service;
+  FuzzJob job = MakeJob("solo", corpus::CrowdsaleExample().source, 5, 120);
+  Result<JobTicket> ticket = service.Submit(job);
+  ASSERT_TRUE(ticket.ok());
+  JobOutcome outcome = ExpectStableOnceDone(&service, ticket.value());
+  ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
+
+  auto artifact = lang::CompileContract(job.source);
+  ASSERT_TRUE(artifact.ok());
+  EXPECT_EQ(fuzzer::RunCampaign(*artifact, job.config), *outcome.result);
+}
+
+TEST(FuzzServiceRetentionTest, CompileFailureAnswersIdenticallyOnceDone) {
+  FuzzService service;
+  Result<JobTicket> ticket =
+      service.Submit(MakeJob("broken", kUncompilable, 1, 64));
+  ASSERT_TRUE(ticket.ok());
+  JobOutcome outcome = ExpectStableOnceDone(&service, ticket.value());
+  EXPECT_FALSE(outcome.result.has_value());
+  EXPECT_FALSE(outcome.error.empty());
+  EXPECT_EQ(outcome.name, "broken");
+}
+
+TEST(FuzzServiceRetentionTest, CancelBeforeStartAnswersIdenticallyOnceDone) {
+  ServiceOptions options;
+  options.start_paused = true;
+  FuzzService service(options);
+  Result<JobTicket> ticket = service.Submit(
+      MakeJob("never-ran", corpus::CrowdsaleExample().source, 1, 64));
+  ASSERT_TRUE(ticket.ok());
+  service.Cancel(ticket.value());
+  service.Resume();
+  JobOutcome outcome = ExpectStableOnceDone(&service, ticket.value());
+  EXPECT_FALSE(outcome.result.has_value());
+  EXPECT_EQ(outcome.error, "cancelled before the campaign started");
+  EXPECT_TRUE(service.Poll(ticket.value()).cancelled);
+}
+
+TEST(FuzzServiceRetentionTest, IslandGroupAnswersIdenticallyOnceDone) {
+  ServiceOptions options;
+  options.workers = 2;
+  options.exchange_interval = 30;
+  FuzzService service(options);
+  // The middle member fails to compile and drops out of the archipelago.
+  std::vector<FuzzJob> members = {
+      MakeJob("isle#0", corpus::CrowdsaleExample().source, 11, 150),
+      MakeJob("isle#bad", kUncompilable, 12, 150),
+      MakeJob("isle#1", corpus::CrowdsaleExample().source, 13, 150)};
+  Result<GroupTicket> group = service.SubmitIslandGroup(members);
+  ASSERT_TRUE(group.ok());
+  ASSERT_EQ(group.value().members.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    JobOutcome outcome =
+        ExpectStableOnceDone(&service, group.value().members[i]);
+    if (i == 1) {
+      EXPECT_FALSE(outcome.result.has_value());
+      EXPECT_FALSE(outcome.error.empty());
+    } else {
+      ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
+      EXPECT_EQ(outcome.result->island_id, i == 0 ? 0 : 1);
+      EXPECT_GE(outcome.result->executions, 150u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Satellite: cancelled island members must not corrupt their group.
 // ---------------------------------------------------------------------------
 

@@ -3,7 +3,8 @@
 // pools are warm, a wave execution should be effectively allocation-free —
 // plans, outcomes, traces, and cmp-record buffers all ping-pong through
 // pooled capacity. A regression here (someone re-introducing a per-exec
-// vector build) shows up as allocs/exec blowing past the budget.
+// vector build) shows up as allocs/exec blowing past the budget. The same
+// counters pin what a long-lived FuzzService keeps per finished job.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 
 #include "common/alloc_stats.h"
 #include "corpus/builtin.h"
+#include "corpus/datasets.h"
+#include "engine/fuzz_service.h"
 #include "fuzzer/campaign.h"
 #include "lang/compiler.h"
 
@@ -66,6 +69,61 @@ TEST(AllocRegressionTest, SteadyStateWaveLoopStaysWithinAllocBudget) {
   // rebuilds sneak back in.
   EXPECT_LT(per_exec, 8.0)
       << "steady-state hot loop is allocating per execution again";
+}
+
+/// Submits one D2 job per entry from source (MuFuzz, 200 executions — the
+/// daemon-scan job shape) and waits for each, discarding the outcomes.
+void RunD2Pass(engine::FuzzService* service,
+               const std::vector<corpus::CorpusEntry>& d2, uint64_t seed) {
+  std::vector<engine::JobTicket> tickets;
+  tickets.reserve(d2.size());
+  for (size_t i = 0; i < d2.size(); ++i) {
+    engine::FuzzJob job;
+    job.name = d2[i].name;
+    job.source = d2[i].source;
+    job.config.strategy = StrategyConfig::MuFuzz();
+    job.config.seed = seed * 1000 + i;
+    job.config.max_executions = 200;
+    auto ticket = service->Submit(std::move(job));
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(ticket.value());
+  }
+  for (engine::JobTicket ticket : tickets) {
+    engine::JobOutcome outcome = service->Wait(ticket);
+    EXPECT_TRUE(outcome.result.has_value()) << outcome.error;
+  }
+}
+
+TEST(AllocRegressionTest, FinishedJobRetainsOnlyItsOutcome) {
+  if (!AllocStatsEnabled()) {
+    GTEST_SKIP() << "built with MUFUZZ_ALLOC_STATS=OFF";
+  }
+  const std::vector<corpus::CorpusEntry> d2 = corpus::BuildD2();
+  engine::ServiceOptions options;
+  options.workers = 1;
+  engine::FuzzService service(options);
+  // The warm pass fills the process-wide code cache, the session pool and
+  // the tenant table, which later jobs reuse.
+  RunD2Pass(&service, d2, /*seed=*/1);
+
+  AllocCounters before = CurrentAllocStats();
+  RunD2Pass(&service, d2, /*seed=*/2);
+  RunD2Pass(&service, d2, /*seed=*/3);
+  AllocCounters after = CurrentAllocStats();
+
+  const double jobs = 2.0 * static_cast<double>(d2.size());
+  const double live_per_job =
+      (static_cast<double>(after.allocs) - static_cast<double>(before.allocs) -
+       (static_cast<double>(after.deallocs) -
+        static_cast<double>(before.deallocs))) /
+      jobs;
+  // What a finished job must keep is its outcome (the CampaignResult with
+  // its vectors, strings and set nodes), its progress and its record —
+  // about 6 allocations. Its compiled artifact (AST, bytecode, ABI, branch
+  // map) and its source are dead once it finished; keeping them cost
+  // about 44 allocations per job.
+  EXPECT_LE(live_per_job, 12.0)
+      << "finished jobs keep compile products or their source alive";
 }
 
 TEST(AllocRegressionTest, CountersMonotoneAndEnabledFlagConsistent) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/dependency_graph.h"
 #include "analysis/statevar_analysis.h"
 #include "corpus/builtin.h"
@@ -205,6 +207,28 @@ TEST(MaskTest, InterestingConstantsDeduplicate) {
   mutator.AddInterestingConstant(U256(5));
   mutator.AddInterestingConstant(U256(6));
   EXPECT_EQ(mutator.interesting_count(), 2u);
+}
+
+TEST(MaskTest, InterestingPoolKeepsInsertionOrderUpToCap) {
+  // Reference: the linear-scan pool (append unless present, stop at the
+  // cap). Values repeat often and differ in one limb only, so duplicate
+  // detection and index-slot collisions are both exercised.
+  Rng rng(11);
+  ByteMutator mutator;
+  std::vector<U256> reference;
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t limbs[4] = {0, 0, 0, 0};
+    limbs[rng.NextBelow(4)] = rng.NextBelow(40);
+    const U256 value(limbs[0], limbs[1], limbs[2], limbs[3]);
+    mutator.AddInterestingConstant(value);
+    if (reference.size() < ByteMutator::kMaxInteresting &&
+        std::find(reference.begin(), reference.end(), value) ==
+            reference.end()) {
+      reference.push_back(value);
+    }
+    ASSERT_EQ(mutator.interesting(), reference) << "after insert " << i;
+  }
+  EXPECT_EQ(mutator.interesting_count(), ByteMutator::kMaxInteresting);
 }
 
 TEST(MaskTest, MaskAllowDeny) {

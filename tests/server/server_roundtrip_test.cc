@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -236,6 +237,31 @@ TEST_F(ServerRoundTripTest, InProcessAndWireTicketsShareOneService) {
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ASSERT_TRUE(outcome->has_result) << outcome->error;
   EXPECT_EQ(outcome->name, "native");
+}
+
+TEST_F(ServerRoundTripTest, SequentialConnectionsLeaveNoHandlerThreads) {
+  // Every connection gets a handler thread; one that ended must be joined
+  // (not kept until Stop), or each connection ever opened pins a stack.
+  ServerOptions options;
+  options.service.workers = 1;
+  StartServer(options);
+  client_.Close();
+
+  for (int i = 0; i < 50; ++i) {
+    MufuzzClient conn;
+    ASSERT_TRUE(conn.Connect("127.0.0.1", server_->port()).ok());
+    ASSERT_TRUE(conn.Stats().ok()) << "connection " << i;
+  }
+  EXPECT_EQ(server_->connections_accepted(), 51u);
+  // A handler sees its client hang up asynchronously; once all have, only
+  // the last one to end is left unjoined.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->handler_threads() > 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(server_->handler_threads(), 2u);
 }
 
 }  // namespace
