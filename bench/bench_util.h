@@ -1,16 +1,16 @@
 #ifndef MUFUZZ_BENCH_BENCH_UTIL_H_
 #define MUFUZZ_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "corpus/datasets.h"
-#include "engine/parallel_runner.h"
+#include "engine/fuzz_service.h"
 #include "fuzzer/campaign.h"
 #include "lang/compiler.h"
 
@@ -30,7 +30,7 @@ inline std::optional<lang::ContractArtifact> CompileEntry(
 }
 
 /// Runs one fuzzing campaign over one corpus entry — the single-contract
-/// counterpart of MakeDatasetJobs + RunBatch, for one-off explorations and
+/// counterpart of MakeDatasetJobs + RunJobs, for one-off explorations and
 /// bench prototyping. Empty on compile failure — callers must skip, never
 /// average in a zeroed row (JobOutcome carries the same contract).
 inline std::optional<fuzzer::CampaignResult> RunOne(
@@ -45,8 +45,8 @@ inline std::optional<fuzzer::CampaignResult> RunOne(
   return fuzzer::RunCampaign(*artifact, config);
 }
 
-/// One batch job per dataset entry, seeded `base_seed + index` — the seeds
-/// the serial benches always used, so batch and serial runs agree
+/// One job per dataset entry, seeded `base_seed + index` — the seeds the
+/// serial benches always used, so service and serial runs agree
 /// bit-for-bit.
 inline std::vector<engine::FuzzJob> MakeDatasetJobs(
     const std::vector<corpus::CorpusEntry>& dataset,
@@ -65,11 +65,11 @@ inline std::vector<engine::FuzzJob> MakeDatasetJobs(
   return jobs;
 }
 
-/// One archipelago per dataset entry: `islands` jobs fuzz the same contract
-/// under distinct seeds and, when the runner enables migration, exchange
-/// their top seeds every round. The entry index doubles as the island group
-/// id; seeds are `base_seed + entry_index * islands + island` so any
-/// (entry, island) pair is reproducible in isolation.
+/// One archipelago per dataset entry: `islands` consecutive jobs fuzz the
+/// same contract under distinct seeds, and RunJobs with `group_size` =
+/// `islands` submits them as one island group that exchanges top seeds
+/// every round. Seeds are `base_seed + entry_index * islands + island` so
+/// any (entry, island) pair is reproducible in isolation.
 inline std::vector<engine::FuzzJob> MakeIslandJobs(
     const std::vector<corpus::CorpusEntry>& dataset,
     const fuzzer::StrategyConfig& strategy, int execs, uint64_t base_seed,
@@ -85,7 +85,6 @@ inline std::vector<engine::FuzzJob> MakeIslandJobs(
       job.config.seed = base_seed + i * static_cast<uint64_t>(islands) +
                         static_cast<uint64_t>(k);
       job.config.max_executions = execs;
-      job.island_group = static_cast<int>(i);
       jobs.push_back(std::move(job));
     }
   }
@@ -100,93 +99,80 @@ struct AggregateCoverage {
   std::vector<double> curve;
 };
 
-/// Streams `jobs` into a live FuzzService one submission at a time, each
-/// waited to completion before the next is admitted — the maximal
-/// scheduling contrast with RunBatch's submit-all pattern (jobs never
-/// coexist; the service repeatedly goes idle and re-wakes). Grouped jobs
-/// (`island_group` >= 0) go through SubmitIslandGroup per group, also
-/// sequentially. Outcomes come back in job order and must be bit-for-bit
-/// what RunBatch produces for the same jobs — the service determinism
-/// contract the CI reproduce harness diffs.
-inline std::vector<engine::JobOutcome> StreamJobs(
+/// Runs `jobs` on one FuzzService: submits every job, then waits for each,
+/// and returns the outcomes in job order. With `group_size` > 1, each run of
+/// `group_size` consecutive jobs is one island group (SubmitIslandGroup;
+/// `options.exchange_interval` must be > 0). A rejected submission becomes
+/// an error outcome in its jobs' slots. Outcomes are identical for any
+/// worker count — the service determinism contract the CI diffs check.
+inline std::vector<engine::JobOutcome> RunJobs(
     const std::vector<engine::FuzzJob>& jobs,
-    const engine::ServiceOptions& options) {
+    const engine::ServiceOptions& options = engine::ServiceOptions(),
+    size_t group_size = 1) {
   engine::FuzzService service(options);
-  std::map<int, std::vector<size_t>> groups;
   std::vector<engine::JobOutcome> outcomes(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (options.exchange_interval > 0 && jobs[i].island_group >= 0) {
-      groups[jobs[i].island_group].push_back(i);
-      continue;
-    }
-    auto ticket = service.Submit(jobs[i]);
-    if (ticket.ok()) {
-      outcomes[i] = service.Wait(ticket.value());
-    } else {
+  std::vector<std::pair<size_t, engine::JobTicket>> waits;
+  auto reject = [&](size_t first, size_t count, const Status& status) {
+    for (size_t i = first; i < first + count; ++i) {
       outcomes[i].name = jobs[i].name;
-      outcomes[i].error = ticket.status().ToString();
+      outcomes[i].error = status.ToString();
     }
-  }
-  for (const auto& [group_id, indices] : groups) {
-    std::vector<engine::FuzzJob> members;
-    for (size_t index : indices) members.push_back(jobs[index]);
-    auto group = service.SubmitIslandGroup(std::move(members));
-    if (!group.ok()) {
-      for (size_t index : indices) {
-        outcomes[index].name = jobs[index].name;
-        outcomes[index].error = group.status().ToString();
+  };
+  group_size = std::max<size_t>(1, group_size);
+  for (size_t first = 0; first < jobs.size(); first += group_size) {
+    if (group_size == 1) {
+      auto ticket = service.Submit(jobs[first]);
+      if (ticket.ok()) {
+        waits.emplace_back(first, ticket.value());
+      } else {
+        reject(first, 1, ticket.status());
       }
       continue;
     }
-    for (size_t k = 0; k < indices.size(); ++k) {
-      outcomes[indices[k]] = service.Wait(group.value().members[k]);
+    const size_t count = std::min(group_size, jobs.size() - first);
+    auto group = service.SubmitIslandGroup(
+        {jobs.begin() + first, jobs.begin() + first + count});
+    if (!group.ok()) {
+      reject(first, count, group.status());
+      continue;
     }
+    for (size_t k = 0; k < count; ++k) {
+      waits.emplace_back(first + k, group.value().members[k]);
+    }
+  }
+  for (const auto& [index, ticket] : waits) {
+    outcomes[index] = service.Wait(ticket);
   }
   return outcomes;
 }
 
-/// Fans the dataset across the parallel runner (`workers` <= 0 uses
+/// Fans the dataset across a FuzzService (`workers` <= 0 uses
 /// DefaultWorkerCount / $MUFUZZ_WORKERS) and merges in job order, so the
-/// aggregate is identical for any worker count. With `islands` > 1 and
-/// `exchange_interval` > 0 each entry becomes an island group (every island
-/// is one aggregate row) — still worker-count independent, which is what the
-/// CI bench-smoke migration diff checks. With `stream` the jobs go through
-/// a live FuzzService one at a time instead of the batch shim — identical
-/// output by the service determinism contract (the reproduce harness diffs
-/// the two). `fanout` > 0 overrides every job's speculative expansion
-/// width K — like wave_size it is part of the reproducibility key, and like
-/// wave_size the aggregate stays identical across worker counts (the
+/// aggregate is identical for any worker count. With `islands` > 1 (and
+/// `exchange_interval` > 0) each entry becomes an island group, and every
+/// island is one aggregate row — still worker-count independent, which is
+/// what the CI bench-smoke migration diff checks. `fanout` sets every
+/// job's speculative expansion width K — part of the reproducibility key,
+/// and the aggregate stays identical across worker counts at any K (the
 /// reproduce harness's fan-out leg diffs that).
 inline AggregateCoverage AggregateOverDataset(
     const std::vector<corpus::CorpusEntry>& dataset,
     const fuzzer::StrategyConfig& strategy, int execs, uint64_t seed,
     int points = 20, int workers = 0, int islands = 1,
-    int exchange_interval = 0, int migration_top_k = 2, int wave_size = 0,
-    bool stream = false, int fanout = 0) {
+    int exchange_interval = 0, int migration_top_k = 2, int fanout = 1) {
   AggregateCoverage agg;
   agg.curve.assign(points, 0);
   std::vector<engine::FuzzJob> jobs =
       islands > 1
           ? MakeIslandJobs(dataset, strategy, execs, seed, islands)
           : MakeDatasetJobs(dataset, strategy, execs, seed);
-  std::vector<engine::JobOutcome> outcomes;
-  if (stream) {
-    engine::ServiceOptions options;
-    options.workers = workers;
-    options.exchange_interval = exchange_interval;
-    options.migration_top_k = migration_top_k;
-    options.wave_size = wave_size;
-    options.fanout = fanout;
-    outcomes = StreamJobs(jobs, options);
-  } else {
-    engine::RunnerOptions options;
-    options.workers = workers;
-    options.exchange_interval = exchange_interval;
-    options.migration_top_k = migration_top_k;
-    options.wave_size = wave_size;
-    options.fanout = fanout;
-    outcomes = engine::RunBatch(jobs, options);
-  }
+  for (engine::FuzzJob& job : jobs) job.config.fanout = fanout;
+  engine::ServiceOptions options;
+  options.workers = workers;
+  options.exchange_interval = exchange_interval;
+  options.migration_top_k = migration_top_k;
+  std::vector<engine::JobOutcome> outcomes =
+      RunJobs(jobs, options, static_cast<size_t>(std::max(1, islands)));
   int counted = 0;
   for (const engine::JobOutcome& outcome : outcomes) {
     if (!outcome.result.has_value()) {

@@ -24,19 +24,11 @@ int main(int argc, char** argv) {
   // every contract as a 2-island group with cross-island seed migration.
   int exchange_interval = argc > 5 ? std::atoi(argv[5]) : 0;
   int islands = exchange_interval > 0 ? 2 : 1;
-  // Optional wave pipeline: wave size W per campaign. Results depend on W
-  // (documented wave semantics) but are bit-for-bit identical across
-  // runner worker counts.
-  int wave_size = argc > 6 ? std::atoi(argv[6]) : 0;
-  // Optional submission mode: non-zero streams jobs one at a time into a
-  // live FuzzService instead of the batch compat shim — identical output
-  // by the service determinism contract (the reproduce harness diffs it).
-  bool stream = argc > 7 && std::atoi(argv[7]) != 0;
   // Optional speculative fan-out: K parents expanded per campaign round.
-  // Like W, K changes results (it is part of the reproducibility key), so
-  // the reproduce harness diffs a fixed K across worker counts rather than
+  // K changes results (it is part of the reproducibility key), so the
+  // reproduce harness diffs a fixed K across worker counts rather than
   // against the serial golden.
-  int fanout = argc > 8 ? std::atoi(argv[8]) : 0;
+  int fanout = argc > 6 ? std::atoi(argv[6]) : 1;
   auto wall_start = std::chrono::steady_clock::now();
 
   auto small = mufuzz::corpus::BuildD1Small(small_n, seed);
@@ -55,17 +47,7 @@ int main(int argc, char** argv) {
                 "executions\n",
                 islands, exchange_interval);
   }
-  if (wave_size > 0) {
-    // "worker" keeps this line inside the CI diff's volatile-line filter.
-    std::printf("wave pipeline: W=%d per campaign (worker-count "
-                "independent)\n",
-                wave_size);
-  }
-  if (stream) {
-    // "worker" keeps this line inside the CI diff's volatile-line filter.
-    std::printf("submission: streamed into a FuzzService (worker mode)\n");
-  }
-  if (fanout > 0) {
+  if (fanout > 1) {
     // "worker" keeps this line inside the CI diff's volatile-line filter.
     std::printf("speculative fan-out: K=%d parents per round "
                 "(worker-count independent)\n",
@@ -79,14 +61,13 @@ int main(int argc, char** argv) {
   for (const auto& tool : tools) {
     double s = AggregateOverDataset(small, tool, 400, seed, /*points=*/20,
                                     workers, islands, exchange_interval,
-                                    /*migration_top_k=*/2, wave_size, stream,
-                                    fanout)
+                                    /*migration_top_k=*/2, fanout)
                    .mean_final *
                100.0;
     double l = AggregateOverDataset(large, tool, 500, seed + 777,
                                     /*points=*/20, workers, islands,
                                     exchange_interval, /*migration_top_k=*/2,
-                                    wave_size, stream, fanout)
+                                    fanout)
                    .mean_final *
                100.0;
     std::printf("%-12s %15.1f%% %15.1f%% %9.1f%%\n", tool.name.c_str(), s, l,

@@ -29,7 +29,7 @@ PanelResult RunConfig(const std::vector<CorpusEntry>& dataset,
                       uint64_t seed) {
   PanelResult out;
   int counted = 0;
-  auto outcomes = mufuzz::engine::RunBatch(
+  auto outcomes = mufuzz::bench::RunJobs(
       mufuzz::bench::MakeDatasetJobs(dataset, strategy, execs, seed));
   for (size_t i = 0; i < outcomes.size(); ++i) {
     if (!outcomes[i].result.has_value()) {

@@ -6,13 +6,13 @@
 #include <benchmark/benchmark.h>
 
 #include "analysis/prefix_inference.h"
+#include "bench_util.h"
 #include "common/keccak.h"
 #include "common/rng.h"
 #include "common/u256.h"
 #include "copy_state_backstop.h"
 #include "corpus/builtin.h"
 #include "corpus/generator.h"
-#include "engine/parallel_runner.h"
 #include "evm/code_cache.h"
 #include "evm/execution_backend.h"
 #include "evm/executor.h"
@@ -251,20 +251,6 @@ void BM_CampaignHundredExecs(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignHundredExecs);
 
-/// The staged campaign loop against BM_CampaignHundredExecs at wave size 8:
-/// what the plan-ahead/apply-behind schedule costs over the serial loop.
-void BM_PipelinedCampaign(benchmark::State& state) {
-  auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
-  for (auto _ : state) {
-    fuzzer::CampaignConfig config;
-    config.seed = 1;
-    config.max_executions = 100;
-    config.wave_size = 8;
-    benchmark::DoNotOptimize(fuzzer::RunCampaign(*artifact, config));
-  }
-}
-BENCHMARK(BM_PipelinedCampaign)->Unit(benchmark::kMillisecond);
-
 /// Speculative multi-parent expansion: Arg = fan-out K (parents expanded per
 /// round, one wave per parent in flight). K=1 is the serial parent chain —
 /// the baseline for what the wider schedules cost. Results depend on K (it
@@ -275,7 +261,6 @@ void BM_SpeculativeCampaign(benchmark::State& state) {
     fuzzer::CampaignConfig config;
     config.seed = 1;
     config.max_executions = 100;
-    config.wave_size = 8;
     config.fanout = static_cast<int>(state.range(0));
     benchmark::DoNotOptimize(fuzzer::RunCampaign(*artifact, config));
   }
@@ -283,8 +268,8 @@ void BM_SpeculativeCampaign(benchmark::State& state) {
 BENCHMARK(BM_SpeculativeCampaign)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// A batch of campaigns through the engine layer at varying worker counts —
-/// the fan-out path every table/figure bench now rides on. Arg = workers.
+/// A batch of campaigns through a FuzzService at varying worker counts —
+/// the path every table/figure bench rides on. Arg = workers.
 /// Multi-threaded, so it reports wall time: main-thread CPU time would
 /// leave out the workers.
 void BM_ParallelBatchCampaigns(benchmark::State& state) {
@@ -299,10 +284,10 @@ void BM_ParallelBatchCampaigns(benchmark::State& state) {
     job.config.max_executions = 100;
     jobs.push_back(std::move(job));
   }
-  engine::RunnerOptions options;
+  engine::ServiceOptions options;
   options.workers = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine::RunBatch(jobs, options));
+    benchmark::DoNotOptimize(bench::RunJobs(jobs, options));
   }
 }
 BENCHMARK(BM_ParallelBatchCampaigns)->Arg(1)->Arg(2)->Arg(4)

@@ -31,7 +31,6 @@ RUNS=(
   "fig5|fig5_coverage_over_time 4 2 1 1"
   "fig6|fig6_overall_coverage 4 2 1 1"
   "fig6_islands|fig6_overall_coverage 3 2 1 1 40"
-  "fig6_pipelined|fig6_overall_coverage 4 2 1 1 0 4"
   "fig7|fig7_ablation 4 1"
   "table3|table3_bug_detection 24 150 1"
   "table4|table4_real_world 6 200 1"
@@ -62,44 +61,18 @@ for run in "${RUNS[@]}"; do
   fi
 done
 
-# Determinism leg: the pipelined fig6 configuration must be bit-for-bit
-# identical when the runner uses 4 workers instead of 1.
-if [ "$MODE" != "--update" ]; then
-  echo "[reproduce] fig6_pipelined worker-count independence"
-  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 4 0 4) 2>/dev/null \
-    | strip_volatile > "$OUT_DIR/fig6_pipelined_w4.txt"
-  if ! diff -u "$OUT_DIR/fig6_pipelined.txt" "$OUT_DIR/fig6_pipelined_w4.txt"
-  then
-    echo "[reproduce] DIFF: pipelined results depend on worker count" >&2
-    status=1
-  fi
-fi
-
 # Fan-out leg: fig6 with speculative expansion K=4 (trailing `4` = fanout)
-# must be bit-for-bit identical whether the runner uses 1 worker or 4 — K
+# must be bit-for-bit identical whether the service uses 1 worker or 4 — K
 # widens the schedule, worker counts must still never touch it.
 if [ "$MODE" != "--update" ]; then
   echo "[reproduce] fig6 fan-out K=4 worker-count independence"
-  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 1 0 4 0 4) \
+  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 1 0 4) \
     2>/dev/null | strip_volatile > "$OUT_DIR/fig6_fanout_w1.txt"
-  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 4 0 4 0 4) \
+  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 4 0 4) \
     2>/dev/null | strip_volatile > "$OUT_DIR/fig6_fanout_w4.txt"
   if ! diff -u "$OUT_DIR/fig6_fanout_w1.txt" "$OUT_DIR/fig6_fanout_w4.txt"
   then
     echo "[reproduce] DIFF: fan-out results depend on worker count" >&2
-    status=1
-  fi
-fi
-
-# Service leg: fig6 streamed job-by-job into a live FuzzService (trailing
-# `1` = stream mode) must match the batch compat shim bit-for-bit — the
-# submission pattern is scheduling, never semantics.
-if [ "$MODE" != "--update" ]; then
-  echo "[reproduce] fig6 compat shim vs streamed FuzzService submission"
-  (cd "$BUILD_DIR" && ./fig6_overall_coverage 4 2 1 2 0 0 1) 2>/dev/null \
-    | strip_volatile > "$OUT_DIR/fig6_streamed.txt"
-  if ! diff -u "$GOLDEN_DIR/fig6.txt" "$OUT_DIR/fig6_streamed.txt"; then
-    echo "[reproduce] DIFF: streamed submission diverged from the batch" >&2
     status=1
   fi
 fi

@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
       job_entry.push_back(e);
     }
   }
-  auto outcomes = mufuzz::engine::RunBatch(jobs);
+  auto outcomes = mufuzz::bench::RunJobs(jobs);
   for (size_t j = 0; j < outcomes.size(); ++j) {
     size_t t = j % fuzz_tools.size();
     Account(&scores[static_tools.size() + t], suite[job_entry[j]],

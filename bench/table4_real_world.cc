@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   int flagged_contracts = 0;
   int counted = 0;
 
-  auto outcomes = mufuzz::engine::RunBatch(mufuzz::bench::MakeDatasetJobs(
+  auto outcomes = mufuzz::bench::RunJobs(mufuzz::bench::MakeDatasetJobs(
       dataset, mufuzz::fuzzer::StrategyConfig::MuFuzz(), execs, seed));
   for (size_t i = 0; i < outcomes.size(); ++i) {
     if (!outcomes[i].result.has_value()) {

@@ -2,7 +2,7 @@
 // (MuFuzz, its three ablations, and the baseline emulations) and prints a
 // coverage leaderboard — a minimal version of the Fig. 6 / Fig. 7 pipeline
 // for experimenting with your own strategy mixes. The whole strategy x
-// contract grid is dispatched as one batch through the engine layer, so it
+// contract grid is submitted to one FuzzService up front, so it
 // saturates however many cores you give it while producing the same numbers
 // as a serial loop.
 //
@@ -12,7 +12,7 @@
 #include <cstdlib>
 
 #include "corpus/generator.h"
-#include "engine/parallel_runner.h"
+#include "engine/fuzz_service.h"
 
 int main(int argc, char** argv) {
   int n = argc > 1 ? std::atoi(argv[1]) : 10;
@@ -39,8 +39,11 @@ int main(int argc, char** argv) {
       mufuzz::fuzzer::StrategyConfig::BlackBox(),
   };
 
-  // The full strategy x contract grid as one batch.
-  std::vector<mufuzz::engine::FuzzJob> jobs;
+  // The full strategy x contract grid, submitted up front: outcomes come
+  // back in ticket (= submission) order.
+  mufuzz::engine::ServiceOptions options;
+  options.workers = workers;
+  mufuzz::engine::FuzzService service(options);
   for (const auto& strategy : strategies) {
     for (size_t i = 0; i < corpus.size(); ++i) {
       mufuzz::engine::FuzzJob job;
@@ -49,12 +52,14 @@ int main(int argc, char** argv) {
       job.config.strategy = strategy;
       job.config.seed = seed + i;
       job.config.max_executions = execs;
-      jobs.push_back(std::move(job));
+      auto ticket = service.Submit(std::move(job));
+      if (!ticket.ok()) {
+        std::fprintf(stderr, "%s\n", ticket.status().ToString().c_str());
+        return 1;
+      }
     }
   }
-  mufuzz::engine::RunnerOptions options;
-  options.workers = workers;
-  auto outcomes = mufuzz::engine::RunBatch(jobs, options);
+  auto outcomes = service.WaitAll();
 
   std::printf("coverage over %d generated contracts, %d executions each, "
               "%d workers\n\n", n, execs, workers);

@@ -11,7 +11,7 @@
 #include <cstdlib>
 
 #include "corpus/builtin.h"
-#include "engine/parallel_runner.h"
+#include "engine/fuzz_service.h"
 #include "fuzzer/campaign.h"
 #include "lang/compiler.h"
 
@@ -71,16 +71,16 @@ int main(int argc, char** argv) {
   // 4. Scale out: the same campaign across four seeds, fanned over the
   //    engine layer's service workers — how the bench suite runs whole
   //    datasets.
-  std::vector<mufuzz::engine::FuzzJob> jobs;
+  mufuzz::engine::FuzzService service;
   for (uint64_t s = 1; s <= 4; ++s) {
     mufuzz::engine::FuzzJob job;
     job.name = "crowdsale/seed=" + std::to_string(s);
     job.artifact = &*artifact;
     job.config.seed = s;
     job.config.max_executions = execs;
-    jobs.push_back(std::move(job));
+    if (!service.Submit(std::move(job)).ok()) return 1;
   }
-  auto outcomes = mufuzz::engine::RunBatch(jobs);
+  auto outcomes = service.WaitAll();
   std::printf("\nparallel sweep over 4 seeds (%d workers available):\n",
               mufuzz::engine::DefaultWorkerCount());
   for (const auto& outcome : outcomes) {

@@ -2,10 +2,10 @@
 // blocking batch — submit jobs whenever they arrive, watch their progress,
 // cancel the ones you no longer need, and collect outcomes as they finish.
 //
-// This is the FuzzService counterpart of quickstart.cpp's RunBatch sweep:
-// the same jobs produce bit-for-bit the same results (the service's
-// determinism contract), but nothing blocks — a scanner can keep feeding
-// contracts into the engine while earlier ones are still fuzzing.
+// quickstart.cpp's seed sweep submits everything and then waits; here
+// nothing blocks — a scanner can keep feeding contracts into the engine
+// while earlier ones are still fuzzing, and the same jobs still produce
+// bit-for-bit the same results (the service's determinism contract).
 //
 //   ./service_streaming [executions] [workers]
 

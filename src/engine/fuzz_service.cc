@@ -70,18 +70,10 @@ FuzzService::~FuzzService() {
 // ------------------------------------------------------------- Validation --
 
 Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
-  if (options_.wave_size < 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions::wave_size must be >= 0 (0 = no override)");
-  }
   if (options_.migration_top_k < 0) {
     return Status::InvalidArgument(
         "ServiceOptions::migration_top_k must be >= 0 (0 = migrate "
         "nothing)");
-  }
-  if (options_.fanout < 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions::fanout must be >= 0 (0 = no override)");
   }
   if (options_.step_slots < 0) {
     return Status::InvalidArgument(
@@ -91,11 +83,6 @@ Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
     return Status::InvalidArgument(
         "ServiceOptions::metrics_log_interval_ms must be >= 0 (0 = no "
         "periodic log line)");
-  }
-  if (job.config.wave_size < 0) {
-    return Status::InvalidArgument("job \"" + job.name +
-                                   "\": CampaignConfig::wave_size must be "
-                                   ">= 0 (0/1 = the serial loop)");
   }
   if (job.config.fanout < 0) {
     return Status::InvalidArgument("job \"" + job.name +
@@ -119,13 +106,6 @@ Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
         "job \"" + job.name + "\": CampaignConfig::base_energy must be >= 1");
   }
   return Status::OK();
-}
-
-fuzzer::CampaignConfig FuzzService::EffectiveConfig(const FuzzJob& job) const {
-  fuzzer::CampaignConfig config = job.config;
-  if (options_.wave_size > 0) config.wave_size = options_.wave_size;
-  if (options_.fanout > 0) config.fanout = options_.fanout;
-  return config;
 }
 
 // -------------------------------------------------------------- Admission --
@@ -190,10 +170,9 @@ std::unique_ptr<FuzzService::JobRecord> FuzzService::NewRecordLocked(
   auto record = std::make_unique<JobRecord>();
   record->ticket = next_ticket_++;
   record->job = std::move(job);
-  record->config = EffectiveConfig(record->job);
   record->outcome.name = record->job.name;
   record->progress.state = JobState::kQueued;
-  record->progress.fanout = std::max(1, record->config.fanout);
+  record->progress.fanout = std::max(1, record->job.config.fanout);
   record->tenant_record = &tenants_[tenant];
   record->tenant = std::move(tenant);
   record->admitted_at = Clock::now();
@@ -747,7 +726,7 @@ void FuzzService::SetupStandalone(JobRecord* r) {
   if (r->artifact != nullptr) {
     if (options_.reuse_sessions) r->session = session_pool_.Acquire();
     r->campaign = std::make_unique<fuzzer::Campaign>(
-        r->artifact, r->config, r->session.get(), nullptr, -1);
+        r->artifact, r->job.config, r->session.get(), nullptr, -1);
     r->campaign->SeedCorpus();
   }
   r->active_ms += MsBetween(start, Clock::now());
@@ -767,7 +746,7 @@ void FuzzService::SetupGroup(GroupRecord* group,
     if (m->artifact == nullptr) continue;
     m->island_id = static_cast<int>(queues.size());
     queues.push_back(std::make_unique<fuzzer::SeedScheduler>(
-        m->config.strategy.distance_feedback));
+        m->job.config.strategy.distance_feedback));
     m->queue = queues.back().get();
   }
   group->sharder =
@@ -778,7 +757,7 @@ void FuzzService::SetupGroup(GroupRecord* group,
     // The campaign owns its SessionBackend: an island campaign's session must
     // survive across rounds, so pooled leasing would pin it anyway.
     m->campaign = std::make_unique<fuzzer::Campaign>(
-        m->artifact, m->config, nullptr, m->queue, m->island_id);
+        m->artifact, m->job.config, nullptr, m->queue, m->island_id);
     m->campaign->SeedCorpus();
     m->active_ms += MsBetween(start, Clock::now());
   }

@@ -31,14 +31,6 @@ struct FuzzJob {
   std::string source;  ///< compiled when `artifact` is null
   const lang::ContractArtifact* artifact = nullptr;
   fuzzer::CampaignConfig config;
-  /// Jobs sharing a non-negative group id form an island archipelago: when
-  /// `RunnerOptions::exchange_interval` > 0 their campaigns run in lockstep
-  /// rounds and exchange top seeds between rounds (see ShardedSeedScheduler).
-  /// Group members should fuzz the same contract — migrated sequences index
-  /// into the destination's ABI. -1 (default) = standalone job. Only the
-  /// ParallelRunner compat shim reads this tag; the FuzzService API forms
-  /// groups explicitly via SubmitIslandGroup and ignores it on Submit.
-  int island_group = -1;
 
   // ------------------------------------------------------- Multi-tenancy --
   /// Accounting identity for admission control, fair-share scheduling, and
@@ -71,8 +63,7 @@ struct JobOutcome {
   /// slices on whichever workers ran them. Under the interleaved FuzzService
   /// scheduler this is NOT wall-clock between first and last touch — a job
   /// parks between slices while other jobs' slices run, and that parked
-  /// time is excluded. (The pre-service batch runner ran each standalone
-  /// job in one uninterrupted slice, where the two notions coincided.)
+  /// time is excluded.
   double elapsed_ms = 0;
 };
 
@@ -109,16 +100,15 @@ struct JobProgress {
   /// Completed step slices for a standalone job, migration rounds for an
   /// island member.
   int round_index = 0;
-  /// Effective speculative fan-out (K) the job's campaign runs with —
-  /// parents expanded per selection round (service override applied).
+  /// Speculative fan-out (K) the job's campaign runs with — parents
+  /// expanded per selection round.
   int fanout = 1;
   /// Parents in the campaign's parked speculative set at snapshot time
   /// (streamed standalone jobs park the whole set across slices; 0 for
   /// island members, whose rounds drain, and once the job is done).
   int parents_in_flight = 0;
-  /// Executions run but not yet applied at snapshot time — the
-  /// speculative waves in flight, so progress keeps moving on large waves
-  /// instead of stalling at slice boundaries. 0 once done.
+  /// Executions run but not yet applied at snapshot time — one per parent
+  /// with a child in flight. 0 once done.
   uint64_t inflight_executions = 0;
   /// Set once the job finished via the cancel path.
   bool cancelled = false;
@@ -139,10 +129,11 @@ struct JobProgress {
   uint64_t heap_allocs = 0;
 };
 
-/// FuzzService knobs. The execution-semantics knobs (`wave_size`,
-/// `fanout`, `exchange_interval`, `migration_top_k`) are part of each
-/// job's reproducibility key; the scheduling knobs (`workers`,
-/// `round_quantum`, `step_slots`, `reuse_sessions`) never influence results.
+/// FuzzService knobs. The island knobs (`exchange_interval`,
+/// `migration_top_k`) are part of each island member's reproducibility key;
+/// the scheduling knobs (`workers`, `round_quantum`, `step_slots`,
+/// `reuse_sessions`) never influence results. Every campaign knob lives on
+/// the job's own CampaignConfig.
 struct ServiceOptions {
   /// Service worker threads running job slices; <= 0 means
   /// DefaultWorkerCount().
@@ -150,13 +141,6 @@ struct ServiceOptions {
   /// Lease execution sessions from the service's shared pool instead of
   /// allocating per campaign.
   bool reuse_sessions = true;
-  /// > 0 overrides every job's CampaignConfig::wave_size — the pipelined
-  /// mode's wave width W (part of the reproducibility key).
-  int wave_size = 0;
-  /// > 0 overrides every job's CampaignConfig::fanout — the speculative
-  /// multi-parent expansion width K (part of the reproducibility key,
-  /// exactly like wave_size; 1 = the serial parent chain).
-  int fanout = 0;
   /// Sequence executions each island runs between migration rounds —
   /// SubmitIslandGroup requires it > 0.
   int exchange_interval = 0;
@@ -273,8 +257,8 @@ int DefaultWorkerCount();
 ///
 /// ## Determinism contract
 ///
-/// A job's result is a pure function of its own `(config, seed, wave_size,
-/// fanout)` — independent of submission order, what else is running, worker
+/// A job's result is a pure function of its own CampaignConfig —
+/// independent of submission order, what else is running, worker
 /// count, which worker ran which slice and when, `round_quantum`,
 /// `step_slots`, and other jobs being cancelled around it. A streamed job
 /// parks its whole speculative parent set (all K parents and their
@@ -284,8 +268,8 @@ int DefaultWorkerCount();
 /// An island member's result is a pure function of its *group's* jobs and
 /// the (exchange_interval, migration_top_k) pair — members are coupled by
 /// seed migration, by design, but never coupled to jobs outside the group.
-/// Streamed standalone jobs reproduce the batch path (and a plain
-/// RunCampaign call) bit for bit. CI checks all of this differentially.
+/// A standalone job reproduces a plain RunCampaign call bit for bit, however
+/// it was submitted. CI checks all of this differentially.
 /// Only *when* work runs depends on scheduling: `first_step_round`,
 /// `ServiceStats::rounds` and the other counters are diagnostics.
 ///
@@ -302,11 +286,11 @@ class FuzzService {
   FuzzService(const FuzzService&) = delete;
   FuzzService& operator=(const FuzzService&) = delete;
 
-  /// Admits one standalone job (FuzzJob::island_group is ignored). Fails —
-  /// without admitting anything — on out-of-range config knobs: negative
-  /// `wave_size`, `fanout`, `initial_seeds`, or `max_executions` on the
-  /// job, or negative `wave_size` / `fanout` / `migration_top_k` /
-  /// `step_slots` / `metrics_log_interval_ms` on the service options.
+  /// Admits one standalone job. Fails — without admitting anything — on
+  /// out-of-range config knobs: negative `fanout`, `initial_seeds`, or
+  /// `max_executions` or `base_energy` below 1 on the job, or negative
+  /// `migration_top_k` / `step_slots` / `metrics_log_interval_ms` on the
+  /// service options.
   Result<JobTicket> Submit(FuzzJob job);
 
   /// Admits `jobs` as one island archipelago: members run in lockstep
@@ -377,7 +361,6 @@ class FuzzService {
   struct JobRecord {
     JobTicket ticket = 0;
     FuzzJob job;  ///< `source` is freed once the job is kDone
-    fuzzer::CampaignConfig config;  ///< effective (service overrides applied)
     Stage stage = Stage::kAdmitted;
     bool running = false;  ///< a slice of this standalone job is on a worker
     bool cancel_requested = false;
@@ -469,7 +452,6 @@ class FuzzService {
   /// empty-but-valid result, flagged cancelled.
   void CancelBeforeStartLocked(JobRecord* r);
   Status ValidateSubmission(const FuzzJob& job) const;
-  fuzzer::CampaignConfig EffectiveConfig(const FuzzJob& job) const;
   /// Builds the record of an admitted job (requires mu_).
   std::unique_ptr<JobRecord> NewRecordLocked(FuzzJob job, std::string tenant);
   bool AllDoneLocked() const;

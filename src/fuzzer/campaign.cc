@@ -222,9 +222,10 @@ void Campaign::ApplyWave(MutationPlanner::ParentPlan* parent,
     ExecSignals& stats = signals_scratch_;
     ApplyOutcome(inflight->outcomes[i], &stats);
     // UPDATE_ENERGY (Algorithm 1 line 29): productive children extend the
-    // parent's budget. Wave semantics: an extension earned by child i is
-    // visible when the *next* wave is planned, never retroactively — the
-    // schedule depends only on (seed, W, K), not on execution timing.
+    // parent's budget. An extension earned by a child is visible when the
+    // parent's next child after the one already in flight is planned,
+    // never retroactively — the schedule depends only on (seed, K), not on
+    // execution timing.
     planner_->ExtendEnergy(parent, stats.new_branches);
     ChildVerdict verdict = feedback_->JudgeChild(stats, &rng_);
     if (!verdict.keep) continue;
@@ -262,15 +263,13 @@ std::vector<Campaign::ParentSlot> Campaign::BeginParentSet(
 
 bool Campaign::SweepParentSet(std::vector<ParentSlot>* parents,
                               uint64_t bound) {
-  const int wave_size = std::max(1, config_.wave_size);
-
-  // Plan phase (rank order): every parent with budget gets its next wave
+  // Plan phase (rank order): every parent with budget gets its next child
   // planned and executed *before* anyone's outcomes are applied, and sweep
   // k's waves are applied only after sweep k+1 is planned. The plan/apply
   // interleaving is fixed by this loop: results are a pure function of
-  // (seed, W, K). (The lookahead and the fan-out both interleave rng draws
-  // differently than a serial no-lookahead loop would — W and K, like the
-  // seed, are part of the reproducibility key; see ARCHITECTURE.md.)
+  // (seed, K). (The fan-out interleaves rng draws differently than K serial
+  // chains would — K, like the seed, is part of the reproducibility key;
+  // see ARCHITECTURE.md.)
   std::vector<std::optional<InFlightWave>> next(parents->size());
   for (size_t r = 0; r < parents->size(); ++r) {
     ParentSlot& slot = (*parents)[r];
@@ -279,8 +278,7 @@ bool Campaign::SweepParentSet(std::vector<ParentSlot>* parents,
       continue;
     }
     MutationPlanner::Wave planned =
-        planner_->PlanWave(&slot.plan, wave_size,
-                           bound - planned_executions_, &rng_);
+        planner_->PlanWave(&slot.plan, bound - planned_executions_, &rng_);
     if (planned.children.empty()) {
       planner_->RecycleChildren(std::move(planned.children));
       planner_->RecyclePlans(std::move(planned.plans));

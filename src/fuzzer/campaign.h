@@ -35,23 +35,14 @@ struct CampaignConfig {
   int coverage_samples = 25;    ///< points on the coverage-over-time curve
   int mask_stride_divisor = 8;  ///< mask sampling density (len / divisor)
 
-  // ------------------------------------------------------- Wave pipeline --
-  /// Children planned per wave (W). Results are a pure function of (seed,
-  /// wave_size): W=1 is the classic serial loop; larger waves plan (and
-  /// execute) W children before any of their outcomes is applied, which
-  /// changes the rng interleaving — a schedule knob, not a throughput one.
-  /// Any W is bit-for-bit identical across worker counts.
-  int wave_size = 1;
-
   // --------------------------------------------------- Speculative fan-out --
   /// Parents speculatively expanded per selection round (K). Each round
   /// selects K distinct parents and keeps one wave per parent in flight,
   /// planning and applying strictly in (parent rank, child index) order —
-  /// so results are a pure function of (seed, wave_size, fanout), never of
-  /// where the campaign runs. 0/1 = the serial parent chain,
-  /// bit-for-bit identical to the pre-fanout schedule. Like wave_size, K
-  /// is part of the reproducibility key: K parents' waves interleave rng
-  /// draws differently than K serial chains would.
+  /// so results are a pure function of (seed, fanout), never of where the
+  /// campaign runs. 0/1 = the serial parent chain. K is part of the
+  /// reproducibility key: K parents' waves interleave rng draws differently
+  /// than K serial chains would.
   int fanout = 1;
 };
 
@@ -68,13 +59,13 @@ struct CampaignConfig {
 ///
 /// Execution is wave-pipelined over a speculative parent set: each
 /// selection round picks K = `fanout` distinct parents, and every pipeline
-/// sweep plans and executes one wave of W children per parent with budget
-/// (all K waves before anyone's outcomes are applied), then applies the
-/// previous sweep's waves strictly in (parent rank, child index) order.
-/// All randomness flows from Rngs seeded by the config and is drawn in
-/// planning/apply order, so results are identical wherever the campaign
-/// runs — serially or on any FuzzService worker. K=1 degenerates to the
-/// classic single-parent wave pipeline.
+/// sweep plans and executes one child (a one-child wave) per parent with
+/// budget (all K before anyone's outcome is applied), then applies the
+/// previous sweep's waves strictly in parent rank order. All randomness
+/// flows from Rngs seeded by the config and is drawn in planning/apply
+/// order, so results are identical wherever the campaign runs — serially
+/// or on any FuzzService worker. K=1 degenerates to the classic
+/// single-parent pipeline.
 class Campaign {
  public:
   /// When `backend` is null the campaign owns a private SessionBackend;
@@ -126,7 +117,7 @@ class Campaign {
   // pipeline: the current parent and any in-flight wave survive across
   // calls, so the plan/apply schedule is exactly the schedule of one
   // monolithic StepRound(max_executions) no matter how the run is chopped.
-  // That makes results a pure function of (config.seed, wave_size) — the
+  // That makes results a pure function of (config.seed, fanout) — the
   // pause quantum, unlike StepRound's round size, can never leak into them.
   // A campaign uses either the stepped interface or the streaming one;
   // mixing the two mid-run is unsupported.
@@ -169,8 +160,7 @@ class Campaign {
     /// across snapshots.
     uint64_t planned_executions = 0;
     /// Executions run but not yet applied — the speculative waves a
-    /// streamed campaign keeps across pauses, so progress doesn't look
-    /// stalled at round boundaries on large waves.
+    /// streamed campaign keeps across pauses (at most one per parent).
     uint64_t inflight_executions = 0;
     /// Parents in the currently parked speculative set (streaming only;
     /// 0 at set boundaries and on the stepped path, whose rounds drain).

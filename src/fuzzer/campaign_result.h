@@ -14,7 +14,7 @@ namespace mufuzz::fuzzer {
 
 /// Everything a campaign produces — the raw material of every table/figure.
 /// Lives in its own header so the feedback engine, the campaign, and the
-/// parallel runner can all speak it without include cycles.
+/// FuzzService can all speak it without include cycles.
 struct CampaignResult {
   /// Branch coverage over all JUMPI directions, in [0, 1].
   double branch_coverage = 0;
@@ -56,7 +56,7 @@ struct CampaignResult {
 
   /// Field-for-field equality over the deterministic fields — what the
   /// determinism tests assert when they compare the serial path against the
-  /// parallel runner. `code_cache` is deliberately excluded: cache traffic
+  /// FuzzService. `code_cache` is deliberately excluded: cache traffic
   /// varies with scheduling and sharing, results must not.
   bool operator==(const CampaignResult& o) const {
     return branch_coverage == o.branch_coverage &&

@@ -69,8 +69,7 @@ std::vector<MutationPlanner::ParentPlan> MutationPlanner::BeginParents(
 }
 
 MutationPlanner::Wave MutationPlanner::PlanWave(ParentPlan* parent,
-                                                int wave_size, uint64_t room,
-                                                Rng* rng) {
+                                                uint64_t room, Rng* rng) {
   Wave wave;
   if (!child_vec_pool_.empty()) {
     wave.children = std::move(child_vec_pool_.back());
@@ -80,22 +79,17 @@ MutationPlanner::Wave MutationPlanner::PlanWave(ParentPlan* parent,
     wave.plans = std::move(plan_vec_pool_.back());
     plan_vec_pool_.pop_back();
   }
-  if (!parent->valid) return wave;
-  int budget = std::min<int>(wave_size, parent->allowed - parent->planned);
-  budget = std::min<int>(
-      budget, static_cast<int>(std::min<uint64_t>(
-                  room, static_cast<uint64_t>(INT32_MAX))));
-  if (budget <= 0) return wave;
-  for (int i = 0; i < budget; ++i) {
-    // Copy-assign into a warm slot: the recycled Sequence's Tx/args vectors
-    // keep their capacity, so the parent copy doesn't allocate.
-    Sequence* seq = NextChildSlot(&wave.children);
-    *seq = parent->seq;
-    mutation_->MutateChild(seq, parent->mask, parent->mask_valid,
-                           parent->focus, rng);
-    BuildPlanInto(*seq, NextPlanSlot(&wave.plans));
-    ++parent->planned;
+  if (!parent->valid || parent->planned >= parent->allowed || room == 0) {
+    return wave;
   }
+  // Copy-assign into a warm slot: the recycled Sequence's Tx/args vectors
+  // keep their capacity, so the parent copy doesn't allocate.
+  Sequence* seq = NextChildSlot(&wave.children);
+  *seq = parent->seq;
+  mutation_->MutateChild(seq, parent->mask, parent->mask_valid, parent->focus,
+                         rng);
+  BuildPlanInto(*seq, NextPlanSlot(&wave.plans));
+  ++parent->planned;
   return wave;
 }
 

@@ -25,8 +25,8 @@ namespace mufuzz::fuzzer {
 /// randomness comes from the campaign Rng passed in. Since the campaign's
 /// staged loop calls BeginParents/PlanWave/ExtendEnergy in a fixed order
 /// (independent of backend timing), the full plan stream — and therefore
-/// the campaign result — is a pure function of the campaign seed, the wave
-/// size W, and the fan-out K, for any backend and any worker count.
+/// the campaign result — is a pure function of the campaign seed and the
+/// fan-out K, for any backend and any worker count.
 class MutationPlanner {
  public:
   MutationPlanner(const AbiCodec* codec, MutationPipeline* mutation,
@@ -73,8 +73,9 @@ class MutationPlanner {
   std::vector<ParentPlan> BeginParents(Rng* rng, const MaskHook& mask_hook,
                                        int fanout);
 
-  /// Plans up to min(wave_size, parent budget left, `room`) children.
-  Wave PlanWave(ParentPlan* parent, int wave_size, uint64_t room, Rng* rng);
+  /// Plans the parent's next child: one when the parent has budget left and
+  /// `room` > 0, none otherwise.
+  Wave PlanWave(ParentPlan* parent, uint64_t room, Rng* rng);
 
   /// Returns a spent wave's child sequences to the recycle pool (their
   /// nested Tx/args capacity is reused by the next PlanWave). Client thread

@@ -54,7 +54,9 @@ SeedId SeedScheduler::SelectExcluding(Rng* rng,
 
 std::vector<SeedId> SeedScheduler::SelectParents(Rng* rng, size_t k) {
   std::vector<SeedId> picked;
-  picked.reserve(k);
+  // Picks are distinct residents, so a round never outgrows the queue; `k`
+  // comes straight from a job's `fanout` and may be far larger.
+  picked.reserve(std::min(k, queue_.size()));
   for (size_t i = 0; i < k; ++i) {
     SeedId id = SelectExcluding(rng, picked);
     if (id == kInvalidSeedId) break;

@@ -125,7 +125,6 @@ void WriteConfig(const fuzzer::CampaignConfig& config, WireWriter* w) {
   for (int i = 0; i < 4; ++i) w->U64(config.initial_contract_balance.limb(i));
   w->I32(config.coverage_samples);
   w->I32(config.mask_stride_divisor);
-  w->I32(config.wave_size);
   w->I32(config.fanout);
 }
 
@@ -150,7 +149,6 @@ Status ReadConfig(WireReader* r, fuzzer::CampaignConfig* config) {
       U256(limbs[0], limbs[1], limbs[2], limbs[3]);
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->coverage_samples));
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->mask_stride_divisor));
-  MUFUZZ_RETURN_IF_ERROR(r->I32(&config->wave_size));
   MUFUZZ_RETURN_IF_ERROR(r->I32(&config->fanout));
   return Status::OK();
 }

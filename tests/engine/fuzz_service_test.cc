@@ -8,7 +8,6 @@
 
 #include "corpus/builtin.h"
 #include "corpus/datasets.h"
-#include "engine/parallel_runner.h"
 #include "fuzzer/campaign.h"
 #include "lang/compiler.h"
 
@@ -57,14 +56,14 @@ std::vector<FuzzJob> MixedJobs(int execs = 120) {
 // field, and proof that a rejected submission admits nothing.
 // ---------------------------------------------------------------------------
 
-TEST(FuzzServiceValidationTest, RejectsNegativeJobWaveSize) {
+TEST(FuzzServiceValidationTest, RejectsNegativeJobFanout) {
   FuzzService service;
   FuzzJob job = MakeJob("bad", corpus::CrowdsaleExample().source, 1, 50);
-  job.config.wave_size = -2;
+  job.config.fanout = -2;
   Result<JobTicket> ticket = service.Submit(job);
   ASSERT_FALSE(ticket.ok());
   EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(ticket.status().message().find("wave_size"), std::string::npos);
+  EXPECT_NE(ticket.status().message().find("fanout"), std::string::npos);
 }
 
 TEST(FuzzServiceValidationTest, RejectsNegativeJobInitialSeeds) {
@@ -107,17 +106,6 @@ TEST(FuzzServiceValidationTest, RejectsNonPositiveJobBaseEnergy) {
   }
 }
 
-TEST(FuzzServiceValidationTest, RejectsNegativeServiceWaveSize) {
-  ServiceOptions options;
-  options.wave_size = -4;
-  FuzzService service(options);
-  Result<JobTicket> ticket =
-      service.Submit(MakeJob("job", corpus::CrowdsaleExample().source, 1, 50));
-  ASSERT_FALSE(ticket.ok());
-  EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(ticket.status().message().find("wave_size"), std::string::npos);
-}
-
 TEST(FuzzServiceValidationTest, RejectsNegativeMigrationTopK) {
   ServiceOptions options;
   options.exchange_interval = 40;
@@ -155,27 +143,43 @@ TEST(FuzzServiceValidationTest, RejectsEmptyIslandGroup) {
 TEST(FuzzServiceValidationTest, RejectedSubmissionAdmitsNothing) {
   FuzzService service;
   FuzzJob job = MakeJob("bad", corpus::CrowdsaleExample().source, 1, 50);
-  job.config.wave_size = -1;
+  job.config.fanout = -1;
   ASSERT_FALSE(service.Submit(job).ok());
   EXPECT_TRUE(service.WaitAll().empty());
 }
 
-TEST(FuzzServiceValidationTest, ShimSurfacesValidationErrorsPerJob) {
-  // The compat shim turns the Status into an error outcome instead of the
-  // pre-service behavior of silently coercing garbage knobs.
-  RunnerOptions options;
-  options.wave_size = -3;
-  std::vector<JobOutcome> outcomes = RunBatch(
-      {MakeJob("job", corpus::CrowdsaleExample().source, 1, 50)}, options);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].result.has_value());
-  EXPECT_NE(outcomes[0].error.find("wave_size"), std::string::npos);
+TEST(FuzzServiceValidationTest, RejectedJobLeavesOthersRunning) {
+  // A rejection is per submission: the jobs admitted around it run to the
+  // results they would produce alone.
+  FuzzService service;
+  FuzzJob good = MakeJob("good", corpus::CrowdsaleExample().source, 1, 50);
+  FuzzJob bad = good;
+  bad.name = "bad";
+  bad.config.max_executions = -3;
+  Result<JobTicket> first = service.Submit(good);
+  ASSERT_TRUE(first.ok());
+  Result<JobTicket> rejected = service.Submit(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("max_executions"),
+            std::string::npos);
+  Result<JobTicket> second = service.Submit(good);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value(), first.value() + 1);  // no ticket was spent
+
+  auto artifact = lang::CompileContract(good.source);
+  ASSERT_TRUE(artifact.ok());
+  CampaignResult direct = fuzzer::RunCampaign(*artifact, good.config);
+  for (JobTicket ticket : {first.value(), second.value()}) {
+    JobOutcome outcome = service.Wait(ticket);
+    ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
+    EXPECT_EQ(direct, *outcome.result);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance criterion: per-job results from (a) the legacy batch entry
-// point, (b) jobs streamed one at a time into a live service, and (c) a
-// stream with an unrelated job cancelled mid-run are bit-for-bit identical
+// Per-job results from (a) every job submitted before any is waited for,
+// (b) jobs streamed one at a time into a live service, and (c) all jobs in
+// flight with an unrelated job cancelled mid-run are bit-for-bit identical
 // at 1, 2, and 4 workers.
 // ---------------------------------------------------------------------------
 
@@ -184,15 +188,18 @@ TEST(FuzzServiceDeterminismTest, BatchStreamAndCancelledStreamAgree) {
   for (int workers : {1, 2, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
 
-    // (a) legacy batch call (submit-all + WaitAll via the shim).
-    RunnerOptions runner_options;
-    runner_options.workers = workers;
-    std::vector<JobOutcome> batch = RunBatch(jobs, runner_options);
-
-    // (b) one live service, jobs streamed strictly one at a time — maximal
-    // contrast with the batch submission pattern.
     ServiceOptions service_options;
     service_options.workers = workers;
+
+    // (a) submit every job, then WaitAll.
+    FuzzService submit_all(service_options);
+    for (const FuzzJob& job : jobs) {
+      ASSERT_TRUE(submit_all.Submit(job).ok());
+    }
+    std::vector<JobOutcome> batch = submit_all.WaitAll();
+
+    // (b) one live service, jobs streamed strictly one at a time — maximal
+    // contrast with the submit-all pattern.
     FuzzService streamed(service_options);
     std::vector<JobOutcome> stream_outcomes;
     for (const FuzzJob& job : jobs) {
@@ -576,37 +583,49 @@ TEST(FuzzServiceIslandTest, CancelledMemberDoesNotCorruptGroupMigration) {
   EXPECT_GT(exported, 0u) << "survivors stopped exchanging";
 }
 
-TEST(FuzzServiceIslandTest, ServiceGroupsMatchShimIslandBatches) {
-  // SubmitIslandGroup and the shim's island_group tag are the same engine:
-  // identical jobs produce identical per-member results either way, at
-  // 1 and 4 workers.
+TEST(FuzzServiceIslandTest, GroupsMatchAcrossSubmissionPatterns) {
+  // An island group with a standalone job beside it: submitting both before
+  // waiting, and submitting each only after the previous one finished,
+  // give identical per-job results at 1 and 4 workers.
   std::vector<FuzzJob> members;
   for (int i = 0; i < 3; ++i) {
     members.push_back(MakeJob("isl#" + std::to_string(i),
                               corpus::GameExample().source, 20 + i, 200));
   }
-
-  RunnerOptions runner_options;
-  runner_options.workers = 1;
-  runner_options.exchange_interval = 40;
-  std::vector<FuzzJob> tagged = members;
-  for (FuzzJob& job : tagged) job.island_group = 0;
-  std::vector<JobOutcome> shim = RunBatch(tagged, runner_options);
+  FuzzJob solo = MakeJob("solo", corpus::CrowdsaleExample().source, 9, 150);
 
   for (int workers : {1, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ServiceOptions options;
     options.workers = workers;
     options.exchange_interval = 40;
-    FuzzService service(options);
-    Result<GroupTicket> group = service.SubmitIslandGroup(members);
+
+    FuzzService all_at_once(options);
+    Result<GroupTicket> group = all_at_once.SubmitIslandGroup(members);
     ASSERT_TRUE(group.ok());
+    Result<JobTicket> solo_ticket = all_at_once.Submit(solo);
+    ASSERT_TRUE(solo_ticket.ok());
+    std::vector<JobOutcome> batch = all_at_once.WaitAll();
+
+    FuzzService one_at_a_time(options);
+    Result<JobTicket> solo_first = one_at_a_time.Submit(solo);
+    ASSERT_TRUE(solo_first.ok());
+    JobOutcome solo_outcome = one_at_a_time.Wait(solo_first.value());
+    Result<GroupTicket> group_after = one_at_a_time.SubmitIslandGroup(members);
+    ASSERT_TRUE(group_after.ok());
+
+    ASSERT_EQ(batch.size(), members.size() + 1);
     for (size_t i = 0; i < members.size(); ++i) {
-      JobOutcome outcome = service.Wait(group.value().members[i]);
-      ASSERT_TRUE(shim[i].result.has_value());
-      ASSERT_TRUE(outcome.result.has_value());
-      EXPECT_EQ(*shim[i].result, *outcome.result) << members[i].name;
+      JobOutcome outcome =
+          one_at_a_time.Wait(group_after.value().members[i]);
+      ASSERT_TRUE(batch[i].result.has_value()) << batch[i].error;
+      ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
+      EXPECT_EQ(*batch[i].result, *outcome.result) << members[i].name;
+      EXPECT_EQ(outcome.result->island_id, static_cast<int>(i));
     }
+    ASSERT_TRUE(batch.back().result.has_value()) << batch.back().error;
+    ASSERT_TRUE(solo_outcome.result.has_value()) << solo_outcome.error;
+    EXPECT_EQ(*batch.back().result, *solo_outcome.result);
   }
 }
 

@@ -1,12 +1,16 @@
+// Island archipelagos on a FuzzService: groups go in through
+// SubmitIslandGroup next to standalone jobs, and every member's result is
+// independent of the worker count.
+
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "corpus/builtin.h"
-#include "engine/parallel_runner.h"
+#include "engine/fuzz_service.h"
 #include "fuzzer/campaign.h"
-#include "lang/compiler.h"
 
 namespace mufuzz::engine {
 namespace {
@@ -14,62 +18,90 @@ namespace {
 using fuzzer::CampaignResult;
 using fuzzer::StrategyConfig;
 
-/// An archipelago batch: two groups fuzzing the two paper examples (each
-/// island = same contract, different seed) plus one standalone job riding
-/// in the same batch.
-std::vector<FuzzJob> IslandBatch(int execs = 200) {
-  std::vector<FuzzJob> jobs;
-  for (int i = 0; i < 4; ++i) {
-    FuzzJob job;
-    job.name = "crowdsale#" + std::to_string(i);
-    job.source = corpus::CrowdsaleExample().source;
-    job.config.strategy = StrategyConfig::MuFuzz();
-    job.config.seed = 1 + i;
-    job.config.max_executions = execs;
-    job.island_group = 0;
-    jobs.push_back(std::move(job));
-  }
-  for (int i = 0; i < 3; ++i) {
-    FuzzJob job;
-    job.name = "game#" + std::to_string(i);
-    job.source = corpus::GameExample().source;
-    job.config.strategy = StrategyConfig::MuFuzz();
-    job.config.seed = 10 + i;
-    job.config.max_executions = execs;
-    job.island_group = 1;
-    jobs.push_back(std::move(job));
-  }
-  FuzzJob standalone;
-  standalone.name = "standalone";
-  standalone.source = corpus::CrowdsaleExample().source;
-  standalone.config.strategy = StrategyConfig::SFuzz();
-  standalone.config.seed = 42;
-  standalone.config.max_executions = execs;
-  jobs.push_back(std::move(standalone));
-  return jobs;
+FuzzJob MakeJob(const std::string& name, const std::string& source,
+                uint64_t seed, int execs,
+                StrategyConfig strategy = StrategyConfig::MuFuzz()) {
+  FuzzJob job;
+  job.name = name;
+  job.source = source;
+  job.config.strategy = strategy;
+  job.config.seed = seed;
+  job.config.max_executions = execs;
+  return job;
 }
 
-RunnerOptions MigrationOptions(int workers) {
-  RunnerOptions options;
+/// An archipelago batch: two groups fuzzing the two paper examples (each
+/// island = same contract, different seed) plus one standalone job riding
+/// in the same service.
+struct IslandBatch {
+  std::vector<std::vector<FuzzJob>> groups;
+  std::optional<FuzzJob> standalone;
+};
+
+IslandBatch MakeIslandBatch(int execs = 200) {
+  IslandBatch batch;
+  batch.groups.resize(2);
+  for (int i = 0; i < 4; ++i) {
+    batch.groups[0].push_back(MakeJob("crowdsale#" + std::to_string(i),
+                                      corpus::CrowdsaleExample().source,
+                                      1 + i, execs));
+  }
+  for (int i = 0; i < 3; ++i) {
+    batch.groups[1].push_back(MakeJob("game#" + std::to_string(i),
+                                      corpus::GameExample().source, 10 + i,
+                                      execs));
+  }
+  batch.standalone = MakeJob("standalone", corpus::CrowdsaleExample().source,
+                             42, execs, StrategyConfig::SFuzz());
+  return batch;
+}
+
+ServiceOptions MigrationOptions(int workers) {
+  ServiceOptions options;
   options.workers = workers;
   options.exchange_interval = 40;
   options.migration_top_k = 2;
   return options;
 }
 
-// The PR's acceptance criterion: with migration enabled, the merged batch
-// output is bit-for-bit identical at 1, 2, and 4 workers — island ids come
-// from job order and migration runs behind a round barrier, so thread
-// scheduling can never leak into results.
+/// Submits every group and then the standalone job (if any), then waits for
+/// all: outcomes in submission order (group members in island order, the
+/// standalone job last).
+std::vector<JobOutcome> RunAll(const IslandBatch& batch,
+                               const ServiceOptions& options) {
+  FuzzService service(options);
+  std::vector<JobTicket> tickets;
+  for (const std::vector<FuzzJob>& members : batch.groups) {
+    Result<GroupTicket> group = service.SubmitIslandGroup(members);
+    EXPECT_TRUE(group.ok()) << group.status().ToString();
+    if (!group.ok()) continue;
+    for (JobTicket ticket : group.value().members) tickets.push_back(ticket);
+  }
+  if (batch.standalone.has_value()) {
+    Result<JobTicket> standalone = service.Submit(*batch.standalone);
+    EXPECT_TRUE(standalone.ok()) << standalone.status().ToString();
+    if (standalone.ok()) tickets.push_back(standalone.value());
+  }
+  std::vector<JobOutcome> outcomes;
+  for (JobTicket ticket : tickets) outcomes.push_back(service.Wait(ticket));
+  return outcomes;
+}
+
+// With migration enabled, the merged output is bit-for-bit identical at 1,
+// 2, and 4 workers — island ids come from submission order and migration
+// runs behind a round barrier, so thread scheduling can never leak into
+// results.
 TEST(IslandRunnerTest, MigrationOutputIsWorkerCountIndependent) {
-  std::vector<FuzzJob> jobs = IslandBatch();
+  IslandBatch batch = MakeIslandBatch();
 
-  std::vector<JobOutcome> w1 = RunBatch(jobs, MigrationOptions(1));
-  std::vector<JobOutcome> w2 = RunBatch(jobs, MigrationOptions(2));
-  std::vector<JobOutcome> w4 = RunBatch(jobs, MigrationOptions(4));
+  std::vector<JobOutcome> w1 = RunAll(batch, MigrationOptions(1));
+  std::vector<JobOutcome> w2 = RunAll(batch, MigrationOptions(2));
+  std::vector<JobOutcome> w4 = RunAll(batch, MigrationOptions(4));
 
-  ASSERT_EQ(w1.size(), jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
+  ASSERT_EQ(w1.size(), 8u);
+  ASSERT_EQ(w2.size(), w1.size());
+  ASSERT_EQ(w4.size(), w1.size());
+  for (size_t i = 0; i < w1.size(); ++i) {
     ASSERT_TRUE(w1[i].result.has_value()) << w1[i].name << ": " << w1[i].error;
     ASSERT_TRUE(w2[i].result.has_value()) << w2[i].name;
     ASSERT_TRUE(w4[i].result.has_value()) << w4[i].name;
@@ -82,7 +114,8 @@ TEST(IslandRunnerTest, MigrationOutputIsWorkerCountIndependent) {
 
 TEST(IslandRunnerTest, MigrationActuallyExchangesSeeds) {
   std::vector<JobOutcome> outcomes =
-      RunBatch(IslandBatch(), MigrationOptions(2));
+      RunAll(MakeIslandBatch(), MigrationOptions(2));
+  ASSERT_EQ(outcomes.size(), 8u);
 
   uint64_t imported = 0, exported = 0;
   for (size_t i = 0; i < 4; ++i) {  // the crowdsale group
@@ -103,39 +136,18 @@ TEST(IslandRunnerTest, MigrationActuallyExchangesSeeds) {
   EXPECT_EQ(standalone.queue_stats.exported, 0u);
 }
 
-TEST(IslandRunnerTest, GroupedJobsWithoutMigrationRunStandalone) {
-  // exchange_interval == 0 turns the group tag into a no-op: each job must
-  // produce exactly what a direct RunCampaign produces.
-  std::vector<FuzzJob> jobs = IslandBatch(/*execs=*/120);
-  RunnerOptions options;
-  options.workers = 2;  // migration off (default exchange_interval = 0)
-  std::vector<JobOutcome> outcomes = RunBatch(jobs, options);
-
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    auto artifact = lang::CompileContract(jobs[i].source);
-    ASSERT_TRUE(artifact.ok());
-    CampaignResult direct = fuzzer::RunCampaign(*artifact, jobs[i].config);
-    ASSERT_TRUE(outcomes[i].result.has_value());
-    EXPECT_EQ(direct, *outcomes[i].result) << "job " << jobs[i].name;
-    EXPECT_EQ(outcomes[i].result->island_id, -1);
-  }
-}
-
 TEST(IslandRunnerTest, CompileFailureDropsIslandNotGroup) {
-  std::vector<FuzzJob> jobs;
+  IslandBatch batch;
+  batch.groups.resize(1);
   for (int i = 0; i < 3; ++i) {
-    FuzzJob job;
-    job.name = "island#" + std::to_string(i);
-    job.source = corpus::CrowdsaleExample().source;
-    job.config.seed = 1 + i;
-    job.config.max_executions = 80;
-    job.island_group = 0;
-    jobs.push_back(std::move(job));
+    batch.groups[0].push_back(MakeJob("island#" + std::to_string(i),
+                                      corpus::CrowdsaleExample().source,
+                                      1 + i, 80, StrategyConfig()));
   }
-  jobs[1].name = "broken";
-  jobs[1].source = "contract Broken { function f( public {} }";
+  batch.groups[0][1].name = "broken";
+  batch.groups[0][1].source = "contract Broken { function f( public {} }";
 
-  std::vector<JobOutcome> outcomes = RunBatch(jobs, MigrationOptions(2));
+  std::vector<JobOutcome> outcomes = RunAll(batch, MigrationOptions(2));
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_FALSE(outcomes[1].result.has_value());
   EXPECT_FALSE(outcomes[1].error.empty());
@@ -151,14 +163,11 @@ TEST(IslandRunnerTest, CompileFailureDropsIslandNotGroup) {
 }
 
 TEST(IslandRunnerTest, SingleIslandGroupStillCompletes) {
-  FuzzJob job;
-  job.name = "lonely";
-  job.source = corpus::CrowdsaleExample().source;
-  job.config.seed = 3;
-  job.config.max_executions = 100;
-  job.island_group = 7;
+  IslandBatch batch;
+  batch.groups = {{MakeJob("lonely", corpus::CrowdsaleExample().source, 3,
+                           100, StrategyConfig())}};
 
-  std::vector<JobOutcome> outcomes = RunBatch({job}, MigrationOptions(2));
+  std::vector<JobOutcome> outcomes = RunAll(batch, MigrationOptions(2));
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_TRUE(outcomes[0].result.has_value());
   EXPECT_GT(outcomes[0].result->executions, 0u);

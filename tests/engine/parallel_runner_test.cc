@@ -1,4 +1,6 @@
-#include "engine/parallel_runner.h"
+// Running a set of jobs in parallel on one FuzzService: submit every job,
+// then wait for each. Outcomes come back per ticket, so they are in job
+// order, and each equals what a plain serial RunCampaign produces.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +9,10 @@
 
 #include "corpus/builtin.h"
 #include "corpus/datasets.h"
+#include "engine/fuzz_service.h"
 #include "fuzzer/campaign.h"
 #include "lang/compiler.h"
+#include "submit_all.h"
 
 namespace mufuzz::engine {
 namespace {
@@ -45,16 +49,19 @@ std::vector<FuzzJob> MixedBatch(int execs = 150) {
   return jobs;
 }
 
+std::vector<JobOutcome> RunAll(const std::vector<FuzzJob>& jobs,
+                               int workers = 0, bool reuse_sessions = true) {
+  ServiceOptions options;
+  options.workers = workers;
+  options.reuse_sessions = reuse_sessions;
+  return SubmitAllThenWait(jobs, options);
+}
+
 TEST(ParallelRunnerTest, FourWorkersReproduceSerialBitForBit) {
   std::vector<FuzzJob> jobs = MixedBatch();
 
-  RunnerOptions serial;
-  serial.workers = 1;
-  RunnerOptions parallel;
-  parallel.workers = 4;
-
-  std::vector<JobOutcome> a = RunBatch(jobs, serial);
-  std::vector<JobOutcome> b = RunBatch(jobs, parallel);
+  std::vector<JobOutcome> a = RunAll(jobs, /*workers=*/1);
+  std::vector<JobOutcome> b = RunAll(jobs, /*workers=*/4);
 
   ASSERT_EQ(a.size(), jobs.size());
   ASSERT_EQ(b.size(), jobs.size());
@@ -68,12 +75,10 @@ TEST(ParallelRunnerTest, FourWorkersReproduceSerialBitForBit) {
 }
 
 TEST(ParallelRunnerTest, BatchMatchesDirectRunCampaign) {
-  // The runner is a fan-out, not a different engine: each outcome must be
+  // The service is a fan-out, not a different engine: each outcome must be
   // exactly what a plain RunCampaign call produces for the same job.
   std::vector<FuzzJob> jobs = MixedBatch(/*execs=*/100);
-  RunnerOptions options;
-  options.workers = 4;
-  std::vector<JobOutcome> outcomes = RunBatch(jobs, options);
+  std::vector<JobOutcome> outcomes = RunAll(jobs, /*workers=*/4);
 
   for (size_t i = 0; i < jobs.size(); ++i) {
     auto artifact = lang::CompileContract(jobs[i].source);
@@ -88,15 +93,10 @@ TEST(ParallelRunnerTest, SessionReuseDoesNotLeakStateAcrossJobs) {
   // Same batch with and without pooled-session reuse: identical results
   // prove Bind() fully resets a recycled session.
   std::vector<FuzzJob> jobs = MixedBatch(/*execs=*/100);
-  RunnerOptions with_reuse;
-  with_reuse.workers = 2;
-  with_reuse.reuse_sessions = true;
-  RunnerOptions without_reuse;
-  without_reuse.workers = 2;
-  without_reuse.reuse_sessions = false;
-
-  std::vector<JobOutcome> a = RunBatch(jobs, with_reuse);
-  std::vector<JobOutcome> b = RunBatch(jobs, without_reuse);
+  std::vector<JobOutcome> a =
+      RunAll(jobs, /*workers=*/2, /*reuse_sessions=*/true);
+  std::vector<JobOutcome> b =
+      RunAll(jobs, /*workers=*/2, /*reuse_sessions=*/false);
   for (size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(a[i].result.has_value());
     ASSERT_TRUE(b[i].result.has_value());
@@ -114,7 +114,7 @@ TEST(ParallelRunnerTest, CompileFailureIsASkipMarkerNotAZeroRow) {
   bad.source = "contract Broken { function f( public {} }";
   bad.config.max_executions = 50;
 
-  std::vector<JobOutcome> outcomes = RunBatch({bad, good});
+  std::vector<JobOutcome> outcomes = RunAll({bad, good});
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_FALSE(outcomes[0].result.has_value());
   EXPECT_FALSE(outcomes[0].error.empty());
@@ -125,9 +125,7 @@ TEST(ParallelRunnerTest, CompileFailureIsASkipMarkerNotAZeroRow) {
 
 TEST(ParallelRunnerTest, OutcomesStayInJobOrderRegardlessOfWorkers) {
   std::vector<FuzzJob> jobs = MixedBatch(/*execs=*/60);
-  RunnerOptions options;
-  options.workers = 4;
-  std::vector<JobOutcome> outcomes = RunBatch(jobs, options);
+  std::vector<JobOutcome> outcomes = RunAll(jobs, /*workers=*/4);
   ASSERT_EQ(outcomes.size(), jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(outcomes[i].name, jobs[i].name);
@@ -143,15 +141,11 @@ TEST(ParallelRunnerTest, PrecompiledArtifactJobsSkipCompilation) {
   job.config.seed = 9;
   job.config.max_executions = 80;
 
-  std::vector<JobOutcome> outcomes = RunBatch({job, job});
+  std::vector<JobOutcome> outcomes = RunAll({job, job});
   ASSERT_EQ(outcomes.size(), 2u);
   ASSERT_TRUE(outcomes[0].result.has_value());
   // Two identical jobs are identical campaigns.
   EXPECT_EQ(*outcomes[0].result, *outcomes[1].result);
-}
-
-TEST(ParallelRunnerTest, EmptyBatchIsFine) {
-  EXPECT_TRUE(RunBatch({}).empty());
 }
 
 TEST(ParallelRunnerTest, DefaultWorkerCountIsPositive) {

@@ -58,7 +58,6 @@ TEST(AllocRegressionTest, SteadyStateWaveLoopStaysWithinAllocBudget) {
   config.strategy = StrategyConfig::MuFuzz();
   config.seed = 7;
   config.max_executions = 4000;
-  config.wave_size = 4;
 
   double per_exec = SteadyAllocsPerExec(config, /*warm_execs=*/600,
                                         /*measure_execs=*/1200);

@@ -2,15 +2,15 @@
 // K-parent expansion must widen the schedule without ever widening the set
 // of things results may depend on.
 //
-//  1. fanout=1 (explicit or default) reproduces the serial parent chain
-//     bit-for-bit — K, like W, only changes results when it actually
-//     changes.
+//  1. fanout=0 reproduces fanout=1, the serial parent chain, bit-for-bit
+//     — K only changes results when it actually changes.
 //  2. For any fixed K, results are independent of the FuzzService worker
 //     count (1/2/4): all K in-flight waves apply in (parent rank, child
 //     index) order.
-//  3. The same holds through the engine layer: fanned-out batches, island
+//  3. The same holds through the engine layer: fanned-out job sets, island
 //     archipelagos, streamed jobs at any round quantum, and
 //     streamed-then-cancelled jobs are all bit-for-bit reproducible.
+//  4. A K far past the queue size costs no more than K = the queue bound.
 //
 // CampaignResult::operator== is field-for-field (coverage, curves, bugs,
 // executions/transactions/instructions, queue stats — including the new
@@ -20,44 +20,45 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/alloc_stats.h"
 #include "corpus/builtin.h"
 #include "corpus/datasets.h"
 #include "engine/fuzz_service.h"
-#include "engine/parallel_runner.h"
 #include "fuzzer/campaign.h"
 #include "lang/compiler.h"
+#include "../engine/submit_all.h"
 
 namespace mufuzz::fuzzer {
 namespace {
 
 std::vector<corpus::CorpusEntry> DiffCorpus() {
   // Three generated fig6 (D1-small) contracts plus the two hand-written
-  // paper examples — the same shape diversity the wave-pipeline suite uses.
+  // paper examples — the same shape diversity the pipeline suite uses.
   std::vector<corpus::CorpusEntry> entries = corpus::BuildD1Small(3, 42);
   entries.push_back(corpus::CrowdsaleExample());
   entries.push_back(corpus::GameExample());
   return entries;
 }
 
-CampaignConfig MakeConfig(uint64_t seed, int fanout, int wave_size,
-                          int execs = 200) {
+CampaignConfig MakeConfig(uint64_t seed, int fanout, int execs = 200) {
   CampaignConfig config;
   config.strategy = StrategyConfig::MuFuzz();
   config.seed = seed;
   config.max_executions = execs;
-  config.wave_size = wave_size;
   config.fanout = fanout;
   return config;
 }
 
 CampaignResult RunWith(const lang::ContractArtifact& artifact, uint64_t seed,
-                       int fanout, int wave_size, int execs = 200) {
-  return RunCampaign(artifact, MakeConfig(seed, fanout, wave_size, execs));
+                       int fanout, int execs = 200) {
+  return RunCampaign(artifact, MakeConfig(seed, fanout, execs));
 }
+
 
 TEST(FanoutDiffTest, Fanout1ReproducesSerialParentChainBitForBit) {
   for (const corpus::CorpusEntry& entry : DiffCorpus()) {
@@ -65,10 +66,8 @@ TEST(FanoutDiffTest, Fanout1ReproducesSerialParentChainBitForBit) {
     ASSERT_TRUE(artifact.ok()) << entry.name;
     // fanout=1 (the default) is the pre-fanout schedule; fanout=0, the "no
     // speculation" spelling, must match it.
-    CampaignResult serial = RunWith(*artifact, 7, /*fanout=*/1,
-                                    /*wave_size=*/4);
-    CampaignResult no_spec = RunWith(*artifact, 7, /*fanout=*/0,
-                                     /*wave_size=*/4);
+    CampaignResult serial = RunWith(*artifact, 7, /*fanout=*/1);
+    CampaignResult no_spec = RunWith(*artifact, 7, /*fanout=*/0);
     EXPECT_EQ(serial, no_spec) << entry.name << " fanout=0 vs fanout=1";
   }
 }
@@ -82,8 +81,8 @@ TEST(FanoutDiffTest, Fanout4IsServiceWorkerCountIndependent) {
     engine::FuzzJob job;
     job.name = entry.name;
     job.source = entry.source;
-    job.config = MakeConfig(9, /*fanout=*/4, /*wave_size=*/4);
-    // K=4 through a direct RunCampaign is the reference: four waves in
+    job.config = MakeConfig(9, /*fanout=*/4);
+    // K=4 through a direct RunCampaign is the reference: four children in
     // flight, applied in rank order on whichever worker runs the job.
     references.push_back(RunCampaign(*artifact, job.config));
     jobs.push_back(std::move(job));
@@ -92,17 +91,12 @@ TEST(FanoutDiffTest, Fanout4IsServiceWorkerCountIndependent) {
     engine::ServiceOptions options;
     options.workers = workers;
     options.round_quantum = 16;
-    engine::FuzzService service(options);
-    std::vector<engine::JobTicket> tickets;
-    for (const engine::FuzzJob& job : jobs) {
-      Result<engine::JobTicket> ticket = service.Submit(job);
-      ASSERT_TRUE(ticket.ok());
-      tickets.push_back(ticket.value());
-    }
+    std::vector<engine::JobOutcome> outcomes =
+        engine::SubmitAllThenWait(jobs, options);
+    ASSERT_EQ(outcomes.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-      engine::JobOutcome outcome = service.Wait(tickets[i]);
-      ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
-      EXPECT_EQ(references[i], *outcome.result)
+      ASSERT_TRUE(outcomes[i].result.has_value()) << outcomes[i].error;
+      EXPECT_EQ(references[i], *outcomes[i].result)
           << jobs[i].name << " with " << workers << " service worker(s)";
     }
   }
@@ -111,10 +105,8 @@ TEST(FanoutDiffTest, Fanout4IsServiceWorkerCountIndependent) {
 TEST(FanoutDiffTest, FanoutCampaignIsDeterministicAndCountsSelections) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
   ASSERT_TRUE(artifact.ok());
-  CampaignResult r1 = RunWith(*artifact, 3, /*fanout=*/4, /*wave_size=*/8,
-                              /*execs=*/300);
-  CampaignResult r2 = RunWith(*artifact, 3, /*fanout=*/4, /*wave_size=*/8,
-                              /*execs=*/300);
+  CampaignResult r1 = RunWith(*artifact, 3, /*fanout=*/4, /*execs=*/300);
+  CampaignResult r2 = RunWith(*artifact, 3, /*fanout=*/4, /*execs=*/300);
   EXPECT_EQ(r1, r2);
   EXPECT_GT(r1.executions, 0u);
   EXPECT_GT(r1.branch_coverage, 0.0);
@@ -134,38 +126,35 @@ TEST(FanoutDiffTest, FanoutBatchIsRunnerWorkerCountIndependent) {
     job.config.strategy = StrategyConfig::MuFuzz();
     job.config.seed = 11 + jobs.size();
     job.config.max_executions = 150;
+    job.config.fanout = 4;
     jobs.push_back(std::move(job));
   }
-  auto run = [&](int runner_workers) {
-    engine::RunnerOptions options;
-    options.workers = runner_workers;
-    options.wave_size = 4;
-    options.fanout = 4;
-    return engine::RunBatch(jobs, options);
-  };
-  std::vector<engine::JobOutcome> w1 = run(1);
-  std::vector<engine::JobOutcome> w4 = run(4);
+  engine::ServiceOptions one_worker;
+  one_worker.workers = 1;
+  engine::ServiceOptions four_workers;
+  four_workers.workers = 4;
+  std::vector<engine::JobOutcome> w1 =
+      engine::SubmitAllThenWait(jobs, one_worker);
+  std::vector<engine::JobOutcome> w4 =
+      engine::SubmitAllThenWait(jobs, four_workers);
   ASSERT_EQ(w1.size(), jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(w1[i].result.has_value()) << w1[i].name << w1[i].error;
     ASSERT_TRUE(w4[i].result.has_value()) << w4[i].name;
     EXPECT_EQ(*w1[i].result, *w4[i].result) << jobs[i].name;
-    // The service override is the job's effective K: the direct campaign
-    // with the same config must agree bit for bit (the serial monolith of
-    // the same (seed, W, K) key).
+    // The direct campaign with the same config must agree bit for bit
+    // (the serial monolith of the same (seed, K) key).
     auto artifact = lang::CompileContract(jobs[i].source);
     ASSERT_TRUE(artifact.ok());
-    CampaignConfig direct = jobs[i].config;
-    direct.wave_size = 4;
-    direct.fanout = 4;
-    EXPECT_EQ(RunCampaign(*artifact, direct), *w1[i].result) << jobs[i].name;
+    EXPECT_EQ(RunCampaign(*artifact, jobs[i].config), *w1[i].result)
+        << jobs[i].name;
   }
 }
 
 TEST(FanoutDiffTest, FanoutComposesWithIslands) {
-  // Islands × fan-out × waves, diffed across runner worker counts:
-  // migration rounds are barriers, so each island's K-parent rounds nest
-  // inside its exchange interval unchanged.
+  // Islands × fan-out, diffed across service worker counts: migration
+  // rounds are barriers, so each island's K-parent rounds nest inside its
+  // exchange interval unchanged.
   std::vector<engine::FuzzJob> jobs;
   for (int island = 0; island < 3; ++island) {
     engine::FuzzJob job;
@@ -174,19 +163,27 @@ TEST(FanoutDiffTest, FanoutComposesWithIslands) {
     job.config.strategy = StrategyConfig::MuFuzz();
     job.config.seed = 1 + island;
     job.config.max_executions = 150;
-    job.island_group = 0;
+    job.config.fanout = 4;
     jobs.push_back(std::move(job));
   }
-  auto run = [&](int runner_workers) {
-    engine::RunnerOptions options;
-    options.workers = runner_workers;
+  auto run = [&](int workers) {
+    engine::ServiceOptions options;
+    options.workers = workers;
     options.exchange_interval = 40;
-    options.wave_size = 4;
-    options.fanout = 4;
-    return engine::RunBatch(jobs, options);
+    engine::FuzzService service(options);
+    Result<engine::GroupTicket> group = service.SubmitIslandGroup(jobs);
+    EXPECT_TRUE(group.ok()) << group.status().ToString();
+    std::vector<engine::JobOutcome> outcomes;
+    if (!group.ok()) return outcomes;
+    for (engine::JobTicket ticket : group.value().members) {
+      outcomes.push_back(service.Wait(ticket));
+    }
+    return outcomes;
   };
   std::vector<engine::JobOutcome> w1 = run(1);
   std::vector<engine::JobOutcome> w4 = run(4);
+  ASSERT_EQ(w1.size(), jobs.size());
+  ASSERT_EQ(w4.size(), jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(w1[i].result.has_value()) << w1[i].name;
     ASSERT_TRUE(w4[i].result.has_value()) << w4[i].name;
@@ -197,13 +194,11 @@ TEST(FanoutDiffTest, FanoutComposesWithIslands) {
 
 TEST(FanoutDiffTest, FanoutStreamedResultIsQuantumIndependent) {
   // The streamed path parks the whole K-parent set (and its in-flight
-  // waves) across quanta: any round_quantum must reproduce the monolithic
-  // schedule.
+  // children) across quanta: any round_quantum must reproduce the
+  // monolithic schedule.
   auto run = [&](int quantum) {
     engine::ServiceOptions options;
     options.workers = 2;
-    options.wave_size = 4;
-    options.fanout = 4;
     options.round_quantum = quantum;
     engine::FuzzService service(options);
     engine::FuzzJob job;
@@ -212,6 +207,7 @@ TEST(FanoutDiffTest, FanoutStreamedResultIsQuantumIndependent) {
     job.config.strategy = StrategyConfig::MuFuzz();
     job.config.seed = 5;
     job.config.max_executions = 300;
+    job.config.fanout = 4;
     auto ticket = service.Submit(job);
     EXPECT_TRUE(ticket.ok());
     return service.Wait(ticket.value());
@@ -226,8 +222,6 @@ TEST(FanoutDiffTest, FanoutStreamedResultIsQuantumIndependent) {
 TEST(FanoutDiffTest, FanoutStreamedThenCancelledJobIsPartialButValid) {
   engine::ServiceOptions options;
   options.workers = 1;
-  options.wave_size = 4;
-  options.fanout = 4;
   options.round_quantum = 16;  // fine-grained rounds → prompt cancel
   engine::FuzzService service(options);
   engine::FuzzJob job;
@@ -236,6 +230,7 @@ TEST(FanoutDiffTest, FanoutStreamedThenCancelledJobIsPartialButValid) {
   job.config.strategy = StrategyConfig::MuFuzz();
   job.config.seed = 11;
   job.config.max_executions = 1000000;
+  job.config.fanout = 4;
   auto ticket = service.Submit(job);
   ASSERT_TRUE(ticket.ok());
   for (;;) {
@@ -263,6 +258,25 @@ TEST(FanoutDiffTest, FanoutStreamedThenCancelledJobIsPartialButValid) {
   EXPECT_EQ(final_progress.parents_in_flight, 0);
   EXPECT_EQ(final_progress.inflight_executions, 0u);
   EXPECT_EQ(final_progress.executions, outcome.result->executions);
+}
+
+TEST(FanoutDiffTest, FanoutIntMaxReservesOnlyResidents) {
+  // `fanout` reaches SeedScheduler::SelectParents straight from a SUBMIT,
+  // which accepts any non-negative i32. Picks stop at the resident count, so
+  // K = INT_MAX runs exactly the schedule of K = the queue bound — and must
+  // not reserve room for INT_MAX picks (16 GiB) on every selection round.
+  if (!AllocStatsEnabled()) {
+    GTEST_SKIP() << "built without MUFUZZ_ALLOC_STATS";
+  }
+  auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
+  ASSERT_TRUE(artifact.ok());
+  CampaignResult bounded = RunWith(
+      *artifact, 5, static_cast<int>(SeedScheduler::kDefaultMaxQueue));
+  const uint64_t before = CurrentAllocStats().bytes;
+  CampaignResult unbounded = RunWith(*artifact, 5, /*fanout=*/INT_MAX);
+  const uint64_t bytes = CurrentAllocStats().bytes - before;
+  EXPECT_EQ(bounded, unbounded);
+  EXPECT_LT(bytes, uint64_t{64} << 20) << "bytes allocated by one campaign";
 }
 
 }  // namespace

@@ -72,7 +72,6 @@ TEST(ProtocolTest, SubmitRequestRoundTripsEveryField) {
   request.deadline_ms = 12'345;
   request.config.seed = 99;
   request.config.max_executions = 777;
-  request.config.wave_size = 8;
   request.config.fanout = 4;
   request.config.call_failure_probability = 0.125;
   request.config.initial_contract_balance = U256(1, 2, 3, 4);
@@ -88,13 +87,28 @@ TEST(ProtocolTest, SubmitRequestRoundTripsEveryField) {
   EXPECT_EQ(decoded.deadline_ms, request.deadline_ms);
   EXPECT_EQ(decoded.config.seed, request.config.seed);
   EXPECT_EQ(decoded.config.max_executions, request.config.max_executions);
-  EXPECT_EQ(decoded.config.wave_size, request.config.wave_size);
   EXPECT_EQ(decoded.config.fanout, request.config.fanout);
   EXPECT_EQ(decoded.config.call_failure_probability,
             request.config.call_failure_probability);
   EXPECT_TRUE(decoded.config.initial_contract_balance ==
               request.config.initial_contract_balance);
   EXPECT_EQ(decoded.config.strategy.mask_guided, false);
+}
+
+TEST(ProtocolTest, RejectsSubmitWithRetiredWaveSizeField) {
+  // Earlier peers sent an i32 wave width between mask_stride_divisor and
+  // fanout. Such a payload is 4 bytes longer than the current layout and
+  // must fail as a whole rather than run with shifted fields.
+  SubmitRequest request;
+  request.source = "contract C {}";
+  request.config.fanout = 4;
+  Bytes payload = EncodeSubmitRequest(request);
+  ASSERT_GE(payload.size(), 4u);
+  const uint8_t retired_field[4] = {4, 0, 0, 0};
+  payload.insert(payload.end() - 4, retired_field, retired_field + 4);
+  SubmitRequest decoded;
+  EXPECT_EQ(DecodeSubmitRequest(payload, &decoded).code(),
+            StatusCode::kParseError);
 }
 
 TEST(ProtocolTest, RejectsOutOfRangeEnums) {
