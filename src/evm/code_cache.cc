@@ -13,7 +13,7 @@ namespace {
 struct RawInsn {
   uint32_t pc = 0;
   uint8_t opcode = 0;
-  bool leader = false;  ///< starts a basic block
+  bool leader = false;  ///< starts a block (see DecodeCode)
   U256 imm;             ///< pre-parsed PUSH immediate (zero-padded)
 };
 
@@ -185,6 +185,23 @@ U256 FoldArith(uint8_t opcode, const U256& a, const U256& b, bool* overflow) {
   }
 }
 
+/// True for instructions after which the next one starts a block: the basic
+/// block terminators, a halting undefined byte, and the instructions that
+/// must see exact gas and step counts (GAS, the CALL family).
+bool EndsBlock(uint8_t opcode) {
+  if (!GetOpInfo(opcode).defined || IsBlockTerminator(opcode)) return true;
+  switch (static_cast<Op>(opcode)) {
+    case Op::kGas:
+    case Op::kCall:
+    case Op::kCallcode:
+    case Op::kDelegatecall:
+    case Op::kStaticcall:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// Stack-effect aggregate of the block starting at raw[start]: the minimum
 /// entry height that runs every instruction without underflow, and the peak
 /// net growth above the entry height. Conservative past a halting
@@ -232,7 +249,55 @@ bool FusedJumpLabel(const DecodedInsn& ins, U256* label) {
   }
 }
 
+/// The original instructions one decoded instruction stands for.
+uint32_t ComponentCount(const DecodedInsn& insn) {
+  switch (insn.ir) {
+    case IrOp::kBlockCheck:
+    case IrOp::kUndefined:
+    case IrOp::kEnd:
+      return 0;
+    case IrOp::kPushJump:
+    case IrOp::kPushJumpi:
+    case IrOp::kDupSload:
+      return 2;
+    case IrOp::kPushPushArith:
+    case IrOp::kCmpJumpi:
+    case IrOp::kIszeroJumpi:
+      return 3;
+    case IrOp::kDispatchJumpi:
+      return 5;
+    default:
+      return 1;
+  }
+}
+
+uint32_t ComponentGas(const DecodedInsn& insn) {
+  switch (insn.ir) {
+    case IrOp::kBlockCheck:
+    case IrOp::kUndefined:
+    case IrOp::kEnd:
+      return 0;
+    case IrOp::kDispatchJumpi:
+      // DUP1, PUSHn, EQ, PUSHm, JUMPI.
+      return uint32_t{insn.gas} + insn.gas2 + GetOpInfo(Op::kEq).gas +
+             insn.gas3 + GetOpInfo(Op::kJumpi).gas;
+    default:
+      // Unused component slots are zero.
+      return uint32_t{insn.gas} + insn.gas2 + insn.gas3;
+  }
+}
+
 }  // namespace
+
+BlockCharge ChargeAfter(const DecodedInsn* insn) {
+  BlockCharge charge;
+  for (++insn; insn->ir != IrOp::kBlockCheck && insn->ir != IrOp::kEnd;
+       ++insn) {
+    charge.gas += ComponentGas(*insn);
+    charge.length += ComponentCount(*insn);
+  }
+  return charge;
+}
 
 std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
   auto out = std::make_shared<DecodedCode>();
@@ -240,8 +305,7 @@ std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
   out->pc_to_insn.assign(code.size(), -1);
 
   // Pass 1: linear scan — parse immediates (zero-padded past the code end),
-  // mark basic-block leaders (entry, JUMPDEST, fall-through after a
-  // terminator or a halting undefined byte).
+  // mark block leaders (entry, JUMPDEST, the instruction after EndsBlock).
   std::vector<RawInsn> raw;
   bool next_is_leader = true;
   for (size_t pc = 0; pc < code.size();) {
@@ -260,7 +324,7 @@ std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
       }
       r.imm = U256::FromBytesBE(BytesView(buf, 32)).value();
     }
-    next_is_leader = !info.defined || IsBlockTerminator(op);
+    next_is_leader = EndsBlock(op);
     raw.push_back(std::move(r));
     pc += 1 + info.immediate;
   }
@@ -278,7 +342,7 @@ std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
     return non_leader(j) && raw[j].opcode == static_cast<uint8_t>(op);
   };
   // `PUSHm L; JUMPI` at j with a label of at most 4 bytes, so it fits the
-  // 32-bit pc space without the byte path's truncation quirk.
+  // 32-bit pc field.
   auto short_push_jumpi = [&](size_t j) {
     return non_leader(j) && IsPush(raw[j].opcode) &&
            PushSize(raw[j].opcode) <= 4 && is_op(j + 1, Op::kJumpi);
@@ -356,15 +420,28 @@ std::shared_ptr<const DecodedCode> DecodeCode(BytesView code) {
   end.pc = static_cast<uint32_t>(code.size());
   insns.push_back(end);
 
-  // Pass 3: resolve fused jump targets against the finished JUMPDEST table,
-  // with the byte path's exact truncation semantics (FitsU64, then the low
-  // 64 bits truncated to uint32 before validation).
+  // Pass 3: resolve fused jump targets against the finished JUMPDEST table;
+  // a label is valid iff its full value is a JUMPDEST pc.
   for (DecodedInsn& ins : insns) {
     U256 label;
     if (!FusedJumpLabel(ins, &label) || !label.FitsU64()) continue;
-    uint32_t dest = static_cast<uint32_t>(label.low64());
+    const uint64_t dest = label.low64();
     if (dest < code.size() && out->pc_to_insn[dest] >= 0) {
       ins.jump_target = out->pc_to_insn[dest];
+    }
+  }
+
+  // Pass 4: each kBlockCheck's static charge. A block has fewer original
+  // instructions than the code has bytes, so the count fits its field.
+  for (DecodedInsn& ins : insns) {
+    if (ins.ir != IrOp::kBlockCheck) continue;
+    const BlockCharge block = ChargeAfter(&ins);
+    ins.pc3 = static_cast<uint32_t>(block.length);
+    if (block.gas <= UINT32_MAX) {
+      ins.pc2 = static_cast<uint32_t>(block.gas);
+    } else {
+      // Too much gas for the field: the block always runs per-op.
+      ins.block_need = DecodedInsn::kBlockUnsafe;
     }
   }
 

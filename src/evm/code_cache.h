@@ -19,11 +19,13 @@ namespace mufuzz::evm {
 /// switch fallback — on this, so the hot loop never touches the raw opcode
 /// byte except to report it in observer events.
 enum class IrOp : uint8_t {
-  /// Pseudo-instruction inserted before every basic-block leader: decides
-  /// whether the block's stack effects are provably in bounds for the
-  /// current stack height (then per-op stack checks are skipped) or the
-  /// block must run with the byte-path's per-op checks. Emits nothing,
-  /// charges nothing.
+  /// Pseudo-instruction inserted before every block leader. When the entry
+  /// stack height proves the block's stack effects in bounds, no step
+  /// observer is set, and the gas and step budgets cover the whole block,
+  /// it charges the block's static gas, steps and instruction count at once
+  /// and the block runs without per-op bookkeeping (block mode); otherwise
+  /// the block runs the byte path's per-op bookkeeping and checks. Emits
+  /// nothing itself.
   kBlockCheck = 0,
   kStop,
   kArith,          ///< ADD..SIGNEXTEND (binary arithmetic)
@@ -107,8 +109,12 @@ struct DecodedInsn {
   /// constant for kPushPushArith, or the selector for kDispatchJumpi.
   U256 immediate;
   uint32_t pc = 0;        ///< byte pc of the (first) original instruction
-  uint32_t pc2 = 0;       ///< second fused component (kDispatchJumpi: L)
-  uint32_t pc3 = 0;       ///< third fused component
+  /// Second fused component (kDispatchJumpi: L; kBlockCheck: the block's
+  /// static gas sum, see BlockGas).
+  uint32_t pc2 = 0;
+  /// Third fused component (kBlockCheck: the block's count of original
+  /// instructions, see BlockLength).
+  uint32_t pc3 = 0;
   /// Pre-resolved instruction index for fused jumps (the target block's
   /// kBlockCheck); -1 when the label is not a valid JUMPDEST.
   int32_t jump_target = -1;
@@ -128,9 +134,26 @@ struct DecodedInsn {
   bool folded_overflow = false;  ///< kPushPushArith: constant-folded op wraps
 
   static constexpr uint16_t kBlockUnsafe = 2048;
+
+  /// kBlockCheck: the static gas of every original instruction in the block.
+  uint32_t BlockGas() const { return pc2; }
+  /// kBlockCheck: the block's original instructions, fused components
+  /// included and a trailing undefined opcode excluded (it never counts).
+  uint32_t BlockLength() const { return pc3; }
 };
 // One instruction per cache line: new shapes reuse fields, never add any.
 static_assert(sizeof(DecodedInsn) == 64);
+
+/// The static charge of the decoded instructions after `insn`, up to the end
+/// of its block: their gas, and their count of original instructions (fused
+/// components included; an undefined opcode counts as none, as in the byte
+/// loop). After a kBlockCheck that is its whole block; the decoded loop uses
+/// it to give back the part of a block that a halt leaves unexecuted.
+struct BlockCharge {
+  uint64_t gas = 0;
+  uint64_t length = 0;
+};
+BlockCharge ChargeAfter(const DecodedInsn* insn);
 
 /// The immutable decode of one contract's bytecode: a flat instruction
 /// array (kEnd-terminated), the original bytes (CODESIZE/CODECOPY and the
@@ -146,7 +169,10 @@ struct DecodedCode {
 };
 
 /// Decodes raw bytecode into the linear IR (leader marking, block
-/// stack-effect aggregation, superinstruction fusion, jump pre-resolution).
+/// stack-effect and static-charge aggregation, superinstruction fusion, jump
+/// pre-resolution). A block is a basic block, except that GAS and the CALL
+/// family also end one: GAS reads the gas left and a call runs frames that
+/// share the step counter, so both must see them exact.
 std::shared_ptr<const DecodedCode> DecodeCode(BytesView code);
 
 /// Cumulative counters of one CodeCache. Hit/miss counts depend on how many

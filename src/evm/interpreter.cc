@@ -27,6 +27,13 @@ std::unordered_set<uint32_t> FindJumpdests(BytesView code) {
   return dests;
 }
 
+/// True iff the whole of `dest` is the pc of a valid JUMPDEST.
+bool IsJumpdest(const std::unordered_set<uint32_t>& jumpdests,
+                const U256& dest) {
+  return dest.FitsU64() && dest.low64() <= UINT32_MAX &&
+         jumpdests.contains(static_cast<uint32_t>(dest.low64()));
+}
+
 }  // namespace
 
 U256 Keccak256Memo::Hash(BytesView input) {
@@ -450,7 +457,7 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         }
         uint64_t offset = off.value.low64();
         uint64_t length = len.value.low64();
-        if (!charge(6 * ((length + 31) / 32))) return out_of_gas();
+        if (!charge(KeccakWordGas(length))) return out_of_gas();
         BytesView input;
         if (!memory.ViewOut(offset, length, &input)) {
           return {Outcome::kMemoryError, {}, call.gas - gas};
@@ -706,8 +713,7 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
       case Op::kJump: {
         Word dest;
         stack.Pop(&dest);
-        if (!dest.value.FitsU64() ||
-            !jumpdests.contains(static_cast<uint32_t>(dest.value.low64()))) {
+        if (!IsJumpdest(jumpdests, dest.value)) {
           return {Outcome::kBadJump, {}, call.gas - gas};
         }
         pc = static_cast<uint32_t>(dest.value.low64());
@@ -737,9 +743,7 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         }
         if (cond.taint & kTaintCaller) caller_guard_seen = true;
         if (taken) {
-          if (!dest.value.FitsU64() ||
-              !jumpdests.contains(
-                  static_cast<uint32_t>(dest.value.low64()))) {
+          if (!IsJumpdest(jumpdests, dest.value)) {
             return {Outcome::kBadJump, {}, call.gas - gas};
           }
           pc = static_cast<uint32_t>(dest.value.low64());

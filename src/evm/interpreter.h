@@ -104,6 +104,12 @@ inline bool ReturnDataInBounds(const U256& offset, uint64_t len,
   return start <= size && len <= size - start;
 }
 
+/// KECCAK256's per-word gas: 6 for each 32-byte word of input, counted
+/// without overflow for any 64-bit length.
+inline uint64_t KeccakWordGas(uint64_t length) {
+  return 6 * (length / 32 + (length % 32 != 0 ? 1 : 0));
+}
+
 /// Direct-mapped memo of KECCAK256 over short inputs. Contracts hash the
 /// same few 32/64-byte words (mapping slots: key || slot index) over and
 /// over, so a small table keyed on the exact input bytes turns almost every

@@ -11,13 +11,24 @@
 // OnStep, gas charge, stack-arity check, then the operation. Fused
 // superinstructions perform that bookkeeping once per original instruction.
 //
-// The per-op stack checks are hoisted to basic-block granularity: each
-// block's leader carries (min entry height, peak growth) computed at decode
-// time, and when the entry height proves the whole block safe the handlers
-// skip arity/overflow checks and use the unchecked stack accessors. Blocks
-// that cannot be proven safe (the error path) run with the byte loop's
-// exact per-op checks, so a stack error aborts at the same instruction with
-// the same partial event stream.
+// Most blocks skip that per-op path. Each block's kBlockCheck carries, from
+// decode time, the block's stack needs (min entry height, peak growth), its
+// static gas sum and its count of original instructions. When the entry
+// height proves the block free of stack errors, no step observer is set and
+// the gas and step budgets cover the whole block, the check charges the
+// gas, steps_ and instructions_ once and the block runs in block mode: no
+// per-op bookkeeping, no stack checks. Within the block nothing can then run
+// out of static gas or hit the step limit, so the per-op path's outcome is
+// the same; only a halt before the block's end (a memory error, a failed
+// dynamic charge) sees the early charge, and it gives back what the block
+// has not executed (GIVE_BACK) before it reports gas or returns. GAS and the
+// CALL family, which read the gas left or run frames sharing steps_, end
+// their block at decode time, so they always see exact counters. A KECCAK
+// word charge that fails in block mode gives back and retries on the per-op
+// path. Every other block (the error path, a tight gas or step budget, a
+// step-stream observer) runs the byte loop's exact per-op bookkeeping and
+// checks, so it aborts at the same instruction with the same partial event
+// stream. Dynamic gas is charged per op in both modes.
 
 #include <cstring>
 #include <unordered_map>
@@ -171,13 +182,12 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
   Bytes& return_data = lease.arena.return_data;
   bool caller_guard_seen = false;
   uint64_t gas = call.gas;
-  size_t ip = 0;        ///< index into decoded.insns
-  bool checked = true;  ///< per-op stack checks on (kBlockCheck updates)
-  const DecodedInsn* ins = insns;
+  const DecodedInsn* ins = insns;  ///< the instruction being executed
+  /// The current block was charged whole at its kBlockCheck (see the top of
+  /// this file); false runs the per-op bookkeeping and stack checks.
+  bool block_mode = false;
 
-  auto out_of_gas = [&]() {
-    return ExecResult{Outcome::kOutOfGas, {}, call.gas};
-  };
+  // Stack errors only happen on the per-op path.
   auto stack_err = [&]() {
     return ExecResult{Outcome::kStackError, {}, call.gas - gas};
   };
@@ -243,33 +253,65 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
   // Executing a frame brings the callee account into existence (journaled).
   state_->Touch(call.to);
 
-// Per-original-instruction bookkeeping, in the byte loop's exact order.
-#define BOOKKEEP(pc_, opcode_, gas_)                         \
+// Leaves block mode before the block's end: gives back the block's charge
+// for the instructions after `ins`, which then run on the per-op path. A
+// macro and a by-value call, not a lambda capturing `gas` and `ins` by
+// reference: GCC keeps such a lambda out of line, which pins both counters
+// to the stack frame for the whole loop.
+#define GIVE_BACK()                                \
+  do {                                             \
+    if (block_mode) {                              \
+      block_mode = false;                          \
+      const BlockCharge rest = ChargeAfter(ins);   \
+      gas += rest.gas;                             \
+      steps_ -= rest.length;                       \
+      instructions_ -= rest.length;                \
+    }                                              \
+  } while (0)
+
+// Every halt but a block's normal end goes through these two.
+#define HALT(outcome)                                   \
+  do {                                                  \
+    GIVE_BACK();                                        \
+    return ExecResult{(outcome), {}, call.gas - gas};   \
+  } while (0)
+#define OUT_OF_GAS()                                         \
   do {                                                       \
-    if (++steps_ > config_.max_steps) {                      \
-      return ExecResult{Outcome::kStepLimit, {}, call.gas - gas}; \
-    }                                                        \
-    ++instructions_;                                         \
-    if (step_observer_ != nullptr) {                         \
-      step_observer_->OnStep((pc_), (opcode_), call.depth);  \
-    }                                                        \
-    if (!charge(gas_)) return out_of_gas();                  \
+    GIVE_BACK();                                             \
+    return ExecResult{Outcome::kOutOfGas, {}, call.gas};     \
+  } while (0)
+
+// Per-original-instruction bookkeeping on the per-op path, in the byte
+// loop's exact order.
+#define STEP(pc_, opcode_, gas_)                                          \
+  do {                                                                    \
+    if (++steps_ > config_.max_steps) {                                   \
+      return ExecResult{Outcome::kStepLimit, {}, call.gas - gas};         \
+    }                                                                     \
+    ++instructions_;                                                      \
+    if (step_observer_ != nullptr) {                                      \
+      step_observer_->OnStep((pc_), (opcode_), call.depth);               \
+    }                                                                     \
+    if (gas < (gas_)) return ExecResult{Outcome::kOutOfGas, {}, call.gas}; \
+    gas -= (gas_);                                                        \
   } while (0)
 
 // Handler prologue for unfused instructions.
-#define PRELUDE()                                                      \
-  do {                                                                 \
-    BOOKKEEP(ins->pc, ins->opcode, ins->gas);                          \
-    if (checked && stack.size() < static_cast<size_t>(ins->inputs)) {  \
-      return stack_err();                                              \
-    }                                                                  \
+#define PRELUDE()                                             \
+  do {                                                        \
+    if (!block_mode) {                                        \
+      STEP(ins->pc, ins->opcode, ins->gas);                   \
+      if (stack.size() < static_cast<size_t>(ins->inputs)) {  \
+        return stack_err();                                   \
+      }                                                       \
+    }                                                         \
   } while (0)
 
-// Push that replicates the byte loop's overflow handling in checked mode
-// and skips it in block-proven-safe mode.
+// Push that replicates the byte loop's overflow handling on the per-op path
+// and skips it in block mode, where the block check proved it cannot fail.
 #define PUSH_W(w)                                   \
   do {                                              \
-    if (checked) {                                  \
+    if (!block_mode) {                              \
       if (!stack.Push(w)) return stack_err();       \
     } else {                                        \
       stack.PushUnsafe(w);                          \
@@ -278,11 +320,7 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
 
 #ifdef MUFUZZ_THREADED_DISPATCH
 #define HANDLER(name) lbl_##name:
-#define DISPATCH()                                        \
-  do {                                                    \
-    ins = &insns[ip];                                     \
-    goto* kDispatchTable[static_cast<int>(ins->ir)];      \
-  } while (0)
+#define DISPATCH() goto* kDispatchTable[static_cast<int>(ins->ir)]
 #define MUFUZZ_LABEL_ENTRY(name) &&lbl_##name,
   static const void* const kDispatchTable[] = {
       MUFUZZ_IR_OPS(MUFUZZ_LABEL_ENTRY)};
@@ -292,7 +330,6 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
 #define HANDLER(name) case IrOp::k##name:
 #define DISPATCH() goto dispatch_top
 dispatch_top:
-  ins = &insns[ip];
   switch (ins->ir) {
 #endif
 
@@ -301,7 +338,7 @@ dispatch_top:
 // dispatch flavor.
 #define NEXT()   \
   do {           \
-    ++ip;        \
+    ++ins;       \
     DISPATCH();  \
   } while (0)
 
@@ -309,10 +346,8 @@ dispatch_top:
 #define FUSED_JUMPI_TAIL(taken)                                   \
   do {                                                            \
     if (taken) {                                                  \
-      if (ins->jump_target < 0) {                                 \
-        return ExecResult{Outcome::kBadJump, {}, call.gas - gas}; \
-      }                                                           \
-      ip = static_cast<size_t>(ins->jump_target);                 \
+      if (ins->jump_target < 0) HALT(Outcome::kBadJump);   \
+      ins = insns + ins->jump_target;                             \
       DISPATCH();                                                 \
     }                                                             \
     NEXT();                                                       \
@@ -320,9 +355,19 @@ dispatch_top:
 
   HANDLER(BlockCheck) {
     // The whole block is provably free of stack errors iff the entry height
-    // covers the deepest pop and the peak growth stays under the cap.
-    checked = stack.size() < ins->block_need ||
-              stack.size() + ins->block_peak > Stack::kMaxDepth;
+    // covers the deepest pop and the peak growth stays under the cap; it
+    // cannot run out of static gas or steps iff the budgets cover it all.
+    // (steps_ + length cannot wrap: length < 2^32 and steps_ counts steps.)
+    const size_t height = stack.size();
+    block_mode = height >= ins->block_need &&
+                 height + ins->block_peak <= Stack::kMaxDepth &&
+                 step_observer_ == nullptr && gas >= ins->BlockGas() &&
+                 steps_ + ins->BlockLength() <= config_.max_steps;
+    if (block_mode) {
+      gas -= ins->BlockGas();
+      steps_ += ins->BlockLength();
+      instructions_ += ins->BlockLength();
+    }
     NEXT();
   }
 
@@ -467,14 +512,18 @@ dispatch_top:
     Word off = stack.PopUnsafe();
     Word len = stack.PopUnsafe();
     if (!off.value.FitsU64() || !len.value.FitsU64()) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     uint64_t offset = off.value.low64();
     uint64_t length = len.value.low64();
-    if (!charge(6 * ((length + 31) / 32))) return out_of_gas();
+    const uint64_t word_gas = KeccakWordGas(length);
+    // In block mode the rest of the block is charged already: a word charge
+    // that fails gives that back and retries on the per-op path.
+    if (gas < word_gas) GIVE_BACK();
+    if (!charge(word_gas)) OUT_OF_GAS();
     BytesView input;
     if (!memory.ViewOut(offset, length, &input)) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     PUSH_W(Word(keccak_memo_.Hash(input), mem_taint_range(offset, length)));
     NEXT();
@@ -557,12 +606,12 @@ dispatch_top:
     Word src = stack.PopUnsafe();
     Word len = stack.PopUnsafe();
     if (!dst.value.FitsU64() || !len.value.FitsU64()) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     uint64_t src_off = src.value.FitsU64() ? src.value.low64() : UINT64_MAX;
     if (!memory.CopyIn(dst.value.low64(), call.data, src_off,
                        len.value.low64())) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     mem_taint_store(dst.value.low64(), len.value.low64(), kTaintCalldata);
     NEXT();
@@ -580,12 +629,12 @@ dispatch_top:
     Word src = stack.PopUnsafe();
     Word len = stack.PopUnsafe();
     if (!dst.value.FitsU64() || !len.value.FitsU64()) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     uint64_t src_off = src.value.FitsU64() ? src.value.low64() : UINT64_MAX;
     if (!memory.CopyIn(dst.value.low64(), code, src_off,
                        len.value.low64())) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     NEXT();
   }
@@ -608,17 +657,17 @@ dispatch_top:
     Word src = stack.PopUnsafe();
     Word len = stack.PopUnsafe();
     if (!dst.value.FitsU64() || !len.value.FitsU64()) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     // EIP-211: reading past the end of the return data halts, even a
     // zero-length read.
     if (!ReturnDataInBounds(src.value, len.value.low64(),
                             return_data.size())) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     if (!memory.CopyIn(dst.value.low64(), return_data, src.value.low64(),
                        len.value.low64())) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     NEXT();
   }
@@ -675,11 +724,11 @@ dispatch_top:
     PRELUDE();
     Word off = stack.PopUnsafe();
     if (!off.value.FitsU64()) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     U256 v;
     if (!memory.Load32(off.value.low64(), &v)) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     MemTag tag = mem_tag_load(off.value.low64());
     Word loaded(v, tag.taint);
@@ -694,7 +743,7 @@ dispatch_top:
     Word val = stack.PopUnsafe();
     if (!off.value.FitsU64() ||
         !memory.Store32(off.value.low64(), val.value)) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     mem_taint_store(off.value.low64(), 32, val.taint, val.call_id);
     NEXT();
@@ -707,7 +756,7 @@ dispatch_top:
     if (!off.value.FitsU64() ||
         !memory.Store8(off.value.low64(),
                        static_cast<uint8_t>(val.value.low64() & 0xff))) {
-      return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+      HALT(Outcome::kMemoryError);
     }
     mem_taint_store(off.value.low64(), 1, val.taint);
     NEXT();
@@ -728,7 +777,7 @@ dispatch_top:
   HANDLER(Sstore) {
     PRELUDE();
     if (call.is_static) {
-      return ExecResult{Outcome::kStaticViolation, {}, call.gas - gas};
+      HALT(Outcome::kStaticViolation);
     }
     Word key = stack.PopUnsafe();
     Word val = stack.PopUnsafe();
@@ -743,14 +792,14 @@ dispatch_top:
   HANDLER(Jump) {
     PRELUDE();
     Word dest = stack.PopUnsafe();
-    // Same truncation quirk as the byte path: FitsU64, then the low 64 bits
-    // truncated to uint32 before validation.
-    uint32_t d32 = static_cast<uint32_t>(dest.value.low64());
-    if (!dest.value.FitsU64() || d32 >= code.size() || pc_to_insn[d32] < 0) {
-      return ExecResult{Outcome::kBadJump, {}, call.gas - gas};
+    const uint64_t d = dest.value.low64();
+    if (!dest.value.FitsU64() || d >= code.size() || pc_to_insn[d] < 0) {
+      HALT(Outcome::kBadJump);
     }
-    if (observer_ != nullptr) observer_->OnJump(ins->pc, d32, call.depth);
-    ip = static_cast<size_t>(pc_to_insn[d32]);
+    if (observer_ != nullptr) {
+      observer_->OnJump(ins->pc, static_cast<uint32_t>(d), call.depth);
+    }
+    ins = insns + pc_to_insn[d];
     DISPATCH();
   }
 
@@ -764,12 +813,11 @@ dispatch_top:
                                    : 0,
               taken, cond.cmp_id, cond.call_id, cond.taint);
     if (taken) {
-      uint32_t d32 = static_cast<uint32_t>(dest.value.low64());
-      if (!dest.value.FitsU64() || d32 >= code.size() ||
-          pc_to_insn[d32] < 0) {
-        return ExecResult{Outcome::kBadJump, {}, call.gas - gas};
+      const uint64_t d = dest.value.low64();
+      if (!dest.value.FitsU64() || d >= code.size() || pc_to_insn[d] < 0) {
+        HALT(Outcome::kBadJump);
       }
-      ip = static_cast<size_t>(pc_to_insn[d32]);
+      ins = insns + pc_to_insn[d];
       DISPATCH();
     }
     NEXT();
@@ -805,7 +853,7 @@ dispatch_top:
     Bytes out;
     if (off.value.FitsU64() && len.value.FitsU64()) {
       if (!memory.CopyOut(off.value.low64(), len.value.low64(), &out)) {
-        return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+        HALT(Outcome::kMemoryError);
       }
     }
     return ExecResult{static_cast<Op>(ins->opcode) == Op::kReturn
@@ -822,7 +870,7 @@ dispatch_top:
   HANDLER(Selfdestruct) {
     PRELUDE();
     if (call.is_static) {
-      return ExecResult{Outcome::kStaticViolation, {}, call.gas - gas};
+      HALT(Outcome::kStaticViolation);
     }
     Word beneficiary = stack.PopUnsafe();
     Address to = Address::FromWord(beneficiary.value);
@@ -842,6 +890,7 @@ dispatch_top:
     PRELUDE();
     // Contract creation from within contracts is out of scope for the
     // MiniSol corpus; treat as an invalid operation.
+    GIVE_BACK();
     return ExecResult{Outcome::kInvalidOp, {}, call.gas};
   }
 
@@ -865,18 +914,18 @@ dispatch_top:
 
       if (!in_off.value.FitsU64() || !in_len.value.FitsU64() ||
           !out_off.value.FitsU64() || !out_len.value.FitsU64()) {
-        return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+        HALT(Outcome::kMemoryError);
       }
       Bytes input;
       if (!memory.CopyOut(in_off.value.low64(), in_len.value.low64(),
                           &input)) {
-        return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+        HALT(Outcome::kMemoryError);
       }
 
       Address target = Address::FromWord(to_w.value);
       U256 value = has_value ? value_w.value : U256::Zero();
       if (!value.IsZero()) {
-        if (!charge(9000)) return out_of_gas();
+        if (!charge(9000)) OUT_OF_GAS();
       }
       uint64_t gas_requested =
           gas_w.value.FitsU64() ? gas_w.value.low64() : gas;
@@ -983,7 +1032,7 @@ dispatch_top:
       if (copy_len > 0) {
         if (!memory.CopyIn(out_off.value.low64(), child_output, 0,
                            copy_len)) {
-          return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
+          HALT(Outcome::kMemoryError);
         }
       }
       status = Word(success ? U256::One() : U256::Zero(), kTaintCallResult);
@@ -1002,7 +1051,7 @@ dispatch_top:
   HANDLER(Dup) {
     PRELUDE();
     int n = DupDepth(ins->opcode);
-    if (checked) {
+    if (!block_mode) {
       if (!stack.Dup(n)) return stack_err();
     } else {
       stack.PushUnsafe(Word(stack.TopUnsafe(n - 1)));
@@ -1013,7 +1062,7 @@ dispatch_top:
   HANDLER(Swap) {
     PRELUDE();
     int n = SwapDepth(ins->opcode);
-    if (checked) {
+    if (!block_mode) {
       if (!stack.Swap(n)) return stack_err();
     } else {
       stack.SwapUnsafe(n);
@@ -1035,7 +1084,7 @@ dispatch_top:
     // The byte path bails before OnStep and the gas charge — but after the
     // step-limit bump.
     if (++steps_ > config_.max_steps) {
-      return ExecResult{Outcome::kStepLimit, {}, call.gas - gas};
+      HALT(Outcome::kStepLimit);
     }
     return ExecResult{Outcome::kInvalidOp, {}, call.gas};
   }
@@ -1043,30 +1092,32 @@ dispatch_top:
   HANDLER(PushJump) {
     // PUSH component. The pushed word is consumed by the JUMP immediately,
     // so it never materializes — but the overflow the byte path would hit
-    // must still be reported in checked mode.
-    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
-    if (checked && stack.size() >= Stack::kMaxDepth) return stack_err();
-    // JUMP component (its arity is satisfied by the virtual push).
-    BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
-    if (ins->jump_target < 0) {
-      return ExecResult{Outcome::kBadJump, {}, call.gas - gas};
+    // must still be reported on the per-op path.
+    if (!block_mode) {
+      STEP(ins->pc, ins->opcode, ins->gas);
+      if (stack.size() >= Stack::kMaxDepth) return stack_err();
+      // JUMP component (its arity is satisfied by the virtual push).
+      STEP(ins->pc2, ins->opcode2, ins->gas2);
     }
+    if (ins->jump_target < 0) HALT(Outcome::kBadJump);
     if (observer_ != nullptr) {
       observer_->OnJump(ins->pc2,
                         static_cast<uint32_t>(ins->immediate.low64()),
                         call.depth);
     }
-    ip = static_cast<size_t>(ins->jump_target);
+    ins = insns + ins->jump_target;
     DISPATCH();
   }
 
   HANDLER(PushJumpi) {
-    // PUSH dest component.
-    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
-    if (checked && stack.size() >= Stack::kMaxDepth) return stack_err();
-    // JUMPI component: needs the condition under the virtual dest.
-    BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
-    if (checked && stack.size() < 1) return stack_err();
+    if (!block_mode) {
+      // PUSH dest component.
+      STEP(ins->pc, ins->opcode, ins->gas);
+      if (stack.size() >= Stack::kMaxDepth) return stack_err();
+      // JUMPI component: needs the condition under the virtual dest.
+      STEP(ins->pc2, ins->opcode2, ins->gas2);
+      if (stack.size() < 1) return stack_err();
+    }
     Word cond = stack.PopUnsafe();
     bool taken = !cond.value.IsZero();
     on_branch(ins->pc2,
@@ -1080,35 +1131,37 @@ dispatch_top:
   HANDLER(DupSload) {
     // DUPn component: the duplicated key never round-trips through the
     // stack; it is read in place below.
-    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
-    int n = DupDepth(ins->opcode);
-    if (checked) {
+    const int n = DupDepth(ins->opcode);
+    if (!block_mode) {
+      STEP(ins->pc, ins->opcode, ins->gas);
       if (stack.size() < static_cast<size_t>(n)) return stack_err();
       if (stack.size() >= Stack::kMaxDepth) return stack_err();
+      // SLOAD component (arity satisfied by the virtual dup).
+      STEP(ins->pc2, ins->opcode2, ins->gas2);
     }
-    // SLOAD component (arity satisfied by the virtual dup).
-    BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
     U256 key = stack.TopUnsafe(n - 1).value;  // SLOAD discards the key taint
     const Account* acct = state_->Find(call.to);
     U256 v = acct ? acct->storage.Load(key) : U256::Zero();
     uint32_t t = kTaintStorage | (acct ? acct->storage.LoadTaint(key) : 0);
     // Net effect of DUP + SLOAD is one push; the byte path's SLOAD push can
     // never overflow after the dup succeeded, so the unchecked push is
-    // exact in both modes.
+    // exact on both paths.
     stack.PushUnsafe(Word(v, t));
     NEXT();
   }
 
   HANDLER(PushPushArith) {
-    // PUSH a component.
-    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
-    if (checked && stack.size() >= Stack::kMaxDepth) return stack_err();
-    // PUSH b component: the byte path pushes a first, so its overflow
-    // threshold is one lower.
-    BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
-    if (checked && stack.size() + 1 >= Stack::kMaxDepth) return stack_err();
-    // Folded arithmetic component (arity satisfied by the virtual pushes).
-    BOOKKEEP(ins->pc3, ins->opcode3, ins->gas3);
+    if (!block_mode) {
+      // PUSH a component.
+      STEP(ins->pc, ins->opcode, ins->gas);
+      if (stack.size() >= Stack::kMaxDepth) return stack_err();
+      // PUSH b component: the byte path pushes a first, so its overflow
+      // threshold is one lower.
+      STEP(ins->pc2, ins->opcode2, ins->gas2);
+      if (stack.size() + 1 >= Stack::kMaxDepth) return stack_err();
+      // Folded arithmetic component (arity satisfied by the virtual pushes).
+      STEP(ins->pc3, ins->opcode3, ins->gas3);
+    }
     if (ins->folded_overflow && observer_ != nullptr) {
       observer_->OnOverflow({ins->pc3, static_cast<Op>(ins->opcode3),
                              kTaintNone, false, call.depth});
@@ -1119,43 +1172,48 @@ dispatch_top:
 
   // The fused compare-and-branch shapes below never materialize the
   // comparison result or the pushed label: the operands are read in place
-  // and the net stack effect is applied once. Every component still gets
-  // its own BOOKKEEP and, in checked mode, the stack error the byte loop
-  // would raise at that component.
+  // and the net stack effect is applied once. On the per-op path every
+  // component still gets its own bookkeeping and the stack error the byte
+  // loop would raise at that component.
 
   HANDLER(DispatchJumpi) {
     // DUP1 component: the selector stays where it is.
-    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
-    if (checked &&
-        (stack.size() < 1 || stack.size() >= Stack::kMaxDepth)) {
-      return stack_err();
-    }
     const uint32_t n = static_cast<uint32_t>(PushSize(ins->opcode2));
     const uint32_t eq_pc = ins->pc + 2 + n;
-    // PUSHn s component: it would land above the duplicate.
-    BOOKKEEP(ins->pc + 1, ins->opcode2, ins->gas2);
-    if (checked && stack.size() + 1 >= Stack::kMaxDepth) return stack_err();
-    // EQ component: x = s (untainted, no call id), y = the duplicate.
-    BOOKKEEP(eq_pc, static_cast<uint8_t>(Op::kEq), kEqGas);
+    if (!block_mode) {
+      STEP(ins->pc, ins->opcode, ins->gas);
+      if (stack.size() < 1 || stack.size() >= Stack::kMaxDepth) {
+        return stack_err();
+      }
+      // PUSHn s component: it would land above the duplicate.
+      STEP(ins->pc + 1, ins->opcode2, ins->gas2);
+      if (stack.size() + 1 >= Stack::kMaxDepth) return stack_err();
+      // EQ component: x = s (untainted, no call id), y = the duplicate.
+      STEP(eq_pc, static_cast<uint8_t>(Op::kEq), kEqGas);
+    }
     const Word& sel = stack.TopUnsafe();
     const bool taken = sel.value == ins->immediate;
     const int32_t cmp_id = static_cast<int32_t>(cmp_records_.size());
     cmp_records_.push_back(
         {CmpOp::kEq, ins->immediate, sel.value, false, sel.taint});
-    // PUSHm L component: cannot overflow, the EQ freed a slot.
-    BOOKKEEP(eq_pc + 1, ins->opcode3, ins->gas3);
-    // JUMPI component.
     const uint32_t jumpi_pc =
         eq_pc + 2 + static_cast<uint32_t>(PushSize(ins->opcode3));
-    BOOKKEEP(jumpi_pc, static_cast<uint8_t>(Op::kJumpi), kJumpiGas);
+    if (!block_mode) {
+      // PUSHm L component: cannot overflow, the EQ freed a slot.
+      STEP(eq_pc + 1, ins->opcode3, ins->gas3);
+      // JUMPI component.
+      STEP(jumpi_pc, static_cast<uint8_t>(Op::kJumpi), kJumpiGas);
+    }
     on_branch(jumpi_pc, ins->pc2, taken, cmp_id, sel.call_id, sel.taint);
     FUSED_JUMPI_TAIL(taken);
   }
 
   HANDLER(CmpJumpi) {
     // Compare component.
-    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
-    if (checked && stack.size() < 2) return stack_err();
+    if (!block_mode) {
+      STEP(ins->pc, ins->opcode, ins->gas);
+      if (stack.size() < 2) return stack_err();
+    }
     const Word& x = stack.TopUnsafe(0);
     const Word& y = stack.TopUnsafe(1);
     CmpOp cmp_op;
@@ -1165,10 +1223,12 @@ dispatch_top:
     const int32_t cmp_id = static_cast<int32_t>(cmp_records_.size());
     cmp_records_.push_back({cmp_op, x.value, y.value, false, taint});
     stack.DropUnsafe(2);
-    // PUSH L component: cannot overflow, the compare freed a slot.
-    BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
-    // JUMPI component.
-    BOOKKEEP(ins->pc3, ins->opcode3, ins->gas3);
+    if (!block_mode) {
+      // PUSH L component: cannot overflow, the compare freed a slot.
+      STEP(ins->pc2, ins->opcode2, ins->gas2);
+      // JUMPI component.
+      STEP(ins->pc3, ins->opcode3, ins->gas3);
+    }
     on_branch(ins->pc3, static_cast<uint32_t>(ins->immediate.low64()), taken,
               cmp_id, call_id, taint);
     FUSED_JUMPI_TAIL(taken);
@@ -1176,16 +1236,20 @@ dispatch_top:
 
   HANDLER(IszeroJumpi) {
     // ISZERO component: the result would replace x in place.
-    BOOKKEEP(ins->pc, ins->opcode, ins->gas);
-    if (checked && stack.size() < 1) return stack_err();
+    if (!block_mode) {
+      STEP(ins->pc, ins->opcode, ins->gas);
+      if (stack.size() < 1) return stack_err();
+    }
     const Word& x = stack.TopUnsafe();
     const bool taken = x.value.IsZero();
     const int32_t cmp_id = RecordIszero(&cmp_records_, x);
-    // PUSH L component.
-    BOOKKEEP(ins->pc2, ins->opcode2, ins->gas2);
-    if (checked && stack.size() >= Stack::kMaxDepth) return stack_err();
-    // JUMPI component.
-    BOOKKEEP(ins->pc3, ins->opcode3, ins->gas3);
+    if (!block_mode) {
+      // PUSH L component.
+      STEP(ins->pc2, ins->opcode2, ins->gas2);
+      if (stack.size() >= Stack::kMaxDepth) return stack_err();
+      // JUMPI component.
+      STEP(ins->pc3, ins->opcode3, ins->gas3);
+    }
     on_branch(ins->pc3, static_cast<uint32_t>(ins->immediate.low64()), taken,
               cmp_id, x.call_id, x.taint);
     stack.DropUnsafe(1);
@@ -1209,7 +1273,10 @@ dispatch_top:
 #undef HANDLER
 #undef PUSH_W
 #undef PRELUDE
-#undef BOOKKEEP
+#undef STEP
+#undef OUT_OF_GAS
+#undef HALT
+#undef GIVE_BACK
 #ifdef MUFUZZ_LABEL_ENTRY
 #undef MUFUZZ_LABEL_ENTRY
 #endif

@@ -4,11 +4,17 @@
 // outcome, output, gas, the comparison records, the full observer event
 // stream (including the raw per-step (pc, opcode, depth) tuples), and the
 // final world state — the subject must be bit-for-bit the byte path.
+//
+// A step-stream observer keeps the decoded loop on its per-op path, so each
+// differential case also runs the subject under an observer that does not
+// opt into the step stream: that run charges whole blocks at once (block
+// mode) and must agree with the oracle on everything but the step stream.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,7 +51,7 @@ class FullTrace : public TraceRecorder {
     int depth;
   };
 
-  FullTrace() : TraceRecorder(/*step_stream=*/true) {}
+  explicit FullTrace(bool step_stream = true) : TraceRecorder(step_stream) {}
 
   void OnStep(uint32_t pc, uint8_t opcode, int depth) override {
     steps_.push_back({pc, opcode, depth});
@@ -57,16 +63,9 @@ class FullTrace : public TraceRecorder {
   std::vector<Step> steps_;
 };
 
-void ExpectSameTrace(const FullTrace& a, const FullTrace& b) {
-  ASSERT_EQ(a.steps().size(), b.steps().size());
-  for (size_t i = 0; i < a.steps().size(); ++i) {
-    SCOPED_TRACE("step " + std::to_string(i));
-    EXPECT_EQ(a.steps()[i].pc, b.steps()[i].pc);
-    EXPECT_EQ(a.steps()[i].opcode, b.steps()[i].opcode);
-    EXPECT_EQ(a.steps()[i].depth, b.steps()[i].depth);
-  }
+/// Every event list and the instruction count; not the step stream.
+void ExpectSameEvents(const TraceRecorder& a, const TraceRecorder& b) {
   EXPECT_EQ(a.instruction_count(), b.instruction_count());
-  EXPECT_EQ(a.instruction_count(), a.steps().size());
 
   ASSERT_EQ(a.branches().size(), b.branches().size());
   for (size_t i = 0; i < a.branches().size(); ++i) {
@@ -160,6 +159,19 @@ void ExpectSameTrace(const FullTrace& a, const FullTrace& b) {
   EXPECT_EQ(a.checked_calls(), b.checked_calls());
 }
 
+/// The step streams, then everything ExpectSameEvents compares.
+void ExpectSameTrace(const FullTrace& a, const FullTrace& b) {
+  ASSERT_EQ(a.steps().size(), b.steps().size());
+  for (size_t i = 0; i < a.steps().size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    EXPECT_EQ(a.steps()[i].pc, b.steps()[i].pc);
+    EXPECT_EQ(a.steps()[i].opcode, b.steps()[i].opcode);
+    EXPECT_EQ(a.steps()[i].depth, b.steps()[i].depth);
+  }
+  EXPECT_EQ(a.instruction_count(), a.steps().size());
+  ExpectSameEvents(a, b);
+}
+
 void ExpectSameCmps(const std::vector<CmpRecord>& a,
                     const std::vector<CmpRecord>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -173,63 +185,127 @@ void ExpectSameCmps(const std::vector<CmpRecord>& a,
   }
 }
 
-/// One raw-bytecode transaction under one dispatch mode, with its full
-/// observable output captured for comparison.
+/// One transaction under one dispatch mode, with its full observable output
+/// captured for comparison.
 struct RawRun {
+  explicit RawRun(bool step_stream) : trace(step_stream) {}
+
   ExecResult exec;
   std::vector<CmpRecord> cmps;
   FullTrace trace;
   WorldState state;
 };
 
-RawRun RunRaw(DispatchMode mode, const Bytes& code, const Bytes& calldata,
-              const U256& value, uint64_t gas, CodeCache* cache,
-              uint64_t max_steps = EvmConfig().max_steps) {
-  RawRun r;
-  const Address contract = Address::FromUint(0xc0de);
-  const Address sender = Address::FromUint(0xab01);
-  r.state.SetCode(contract, code);
-  r.state.SetBalance(sender, U256::PowerOfTen(20));
-  AcceptingHost host;
+/// How a differential run executes: the interpreter limits it varies, and
+/// the host. With `reentry_calldata` set, a ReentrancyProbeHost calls back
+/// into the caller with that calldata; otherwise an AcceptingHost.
+struct RunSetup {
+  uint64_t max_steps = EvmConfig().max_steps;
+  std::optional<Bytes> reentry_calldata;
+};
+
+/// Runs `call` from a copy of `pre` under `mode`.
+RawRun RunCall(DispatchMode mode, const WorldState& pre,
+               const MessageCall& call, CodeCache* cache,
+               const RunSetup& setup, bool step_stream = true) {
+  RawRun r(step_stream);
+  r.state = pre;
+  AcceptingHost accepting;
+  ReentrancyProbeHost probe;
+  Host* host = &accepting;
+  if (setup.reentry_calldata.has_value()) {
+    probe.SetReentryCalldata(*setup.reentry_calldata);
+    host = &probe;
+  }
   EvmConfig config;
   config.dispatch = mode;
   config.code_cache = cache;
-  config.max_steps = max_steps;
-  Interpreter interp(&r.state, &host, BlockContext(), config);
+  config.max_steps = setup.max_steps;
+  Interpreter interp(&r.state, host, BlockContext(), config);
   interp.set_observer(&r.trace);
-  MessageCall call;
-  call.to = contract;
-  call.code_address = contract;
-  call.caller = sender;
-  call.origin = sender;
-  call.value = value;
-  call.data = calldata;
-  call.gas = gas;
   r.exec = interp.ExecuteTransaction(call);
   r.cmps = interp.cmp_records();
   return r;
 }
 
-/// Runs `code` under both dispatch modes and asserts every observable
-/// is identical. Returns the byte-switch result for extra assertions.
-ExecResult ExpectModesAgree(const Bytes& code, const Bytes& calldata = {},
-                            const U256& value = U256(),
-                            uint64_t gas = 1000000,
-                            uint64_t max_steps = EvmConfig().max_steps) {
-  CodeCache cache;
-  RawRun oracle = RunRaw(DispatchMode::kByteSwitch, code, calldata, value,
-                         gas, &cache, max_steps);
-  RawRun subject = RunRaw(DispatchMode::kDecoded, code, calldata, value, gas,
-                          &cache, max_steps);
+const Address kContract = Address::FromUint(0xc0de);
+const Address kSender = Address::FromUint(0xab01);
+
+/// `code` installed at kContract, and a funded kSender.
+WorldState RawPreState(const Bytes& code) {
+  WorldState state;
+  state.SetCode(kContract, code);
+  state.SetBalance(kSender, U256::PowerOfTen(20));
+  return state;
+}
+
+/// kSender calling kContract.
+MessageCall RawCall(const Bytes& calldata, const U256& value, uint64_t gas) {
+  MessageCall call;
+  call.to = kContract;
+  call.code_address = kContract;
+  call.caller = kSender;
+  call.origin = kSender;
+  call.value = value;
+  call.data = calldata;
+  call.gas = gas;
+  return call;
+}
+
+RawRun RunRaw(DispatchMode mode, const Bytes& code, const Bytes& calldata,
+              const U256& value, uint64_t gas, CodeCache* cache,
+              uint64_t max_steps = EvmConfig().max_steps) {
+  RunSetup setup;
+  setup.max_steps = max_steps;
+  return RunCall(mode, RawPreState(code), RawCall(calldata, value, gas),
+                 cache, setup);
+}
+
+/// Outcome, output, gas, comparison records and world state.
+void ExpectSameResult(const RawRun& oracle, const RawRun& subject) {
   EXPECT_EQ(oracle.exec.outcome, subject.exec.outcome)
       << OutcomeToString(oracle.exec.outcome) << " vs "
       << OutcomeToString(subject.exec.outcome);
   EXPECT_EQ(oracle.exec.output, subject.exec.output);
   EXPECT_EQ(oracle.exec.gas_used, subject.exec.gas_used);
   ExpectSameCmps(oracle.cmps, subject.cmps);
-  ExpectSameTrace(oracle.trace, subject.trace);
   EXPECT_EQ(oracle.state.accounts(), subject.state.accounts());
+}
+
+/// Runs `call` from `pre` on the byte oracle and twice on the decoded loop:
+/// under a step-stream observer (the per-op path) and under one that does
+/// not opt in (block mode). Asserts every observable agrees with the oracle
+/// and returns the oracle's result.
+ExecResult ExpectCallAgrees(const WorldState& pre, const MessageCall& call,
+                            const RunSetup& setup = {}) {
+  CodeCache cache;
+  RawRun oracle = RunCall(DispatchMode::kByteSwitch, pre, call, &cache, setup);
+  {
+    SCOPED_TRACE("decoded, step stream");
+    RawRun subject = RunCall(DispatchMode::kDecoded, pre, call, &cache, setup);
+    ExpectSameResult(oracle, subject);
+    ExpectSameTrace(oracle.trace, subject.trace);
+  }
+  {
+    SCOPED_TRACE("decoded, no step stream");
+    RawRun subject = RunCall(DispatchMode::kDecoded, pre, call, &cache, setup,
+                             /*step_stream=*/false);
+    ExpectSameResult(oracle, subject);
+    ExpectSameEvents(oracle.trace, subject.trace);
+    EXPECT_TRUE(subject.trace.steps().empty());
+  }
   return oracle.exec;
+}
+
+/// ExpectCallAgrees for raw bytecode at kContract.
+ExecResult ExpectModesAgree(const Bytes& code, const Bytes& calldata = {},
+                            const U256& value = U256(),
+                            uint64_t gas = 1000000,
+                            uint64_t max_steps = EvmConfig().max_steps) {
+  RunSetup setup;
+  setup.max_steps = max_steps;
+  return ExpectCallAgrees(RawPreState(code), RawCall(calldata, value, gas),
+                          setup);
 }
 
 /// Returns the first decoded instruction with the given IrOp, or nullptr.
@@ -303,26 +379,84 @@ TEST(DecodedDispatchTest, NoFusionAcrossBlockLeaders) {
   EXPECT_EQ(result.outcome, Outcome::kStackError);
 }
 
-TEST(DecodedDispatchTest, FusedJumpTruncatesDestinationLikeByteOracle) {
-  // The byte path truncates a u64-sized jump destination to its low 32 bits
-  // before the JUMPDEST lookup; the decode-time resolution of fused jumps
-  // must replicate that quirk. Destination (1<<32)+10 therefore lands on the
-  // JUMPDEST at pc 10.
-  const uint64_t dest = (uint64_t{1} << 32) + 10;
-  Bytes code;
-  code.push_back(0x67 /* PUSH8 */);
-  AppendU64BE(&code, dest);            // pcs 0..8
-  code.push_back(static_cast<uint8_t>(Op::kJump));      // pc 9
-  code.push_back(static_cast<uint8_t>(Op::kJumpdest));  // pc 10
-  code.push_back(static_cast<uint8_t>(Op::kStop));      // pc 11
+TEST(DecodedDispatchTest, FusedJumpRejectsDestinationAbove32Bits) {
+  // A destination is valid iff its whole value is a JUMPDEST's pc: (1<<32)+10
+  // is a bad jump although its low 32 bits name the JUMPDEST at pc 10. The
+  // decoder's fused-jump resolution and both loops must all say so.
+  for (const uint64_t dest : {(uint64_t{1} << 32) + 10, uint64_t{10}}) {
+    SCOPED_TRACE("destination " + std::to_string(dest));
+    Bytes code;
+    code.push_back(0x67 /* PUSH8 */);
+    AppendU64BE(&code, dest);            // pcs 0..8
+    code.push_back(static_cast<uint8_t>(Op::kJump));      // pc 9
+    code.push_back(static_cast<uint8_t>(Op::kJumpdest));  // pc 10
+    code.push_back(static_cast<uint8_t>(Op::kStop));      // pc 11
 
-  std::shared_ptr<const DecodedCode> decoded = DecodeCode(code);
-  const DecodedInsn* fused = FindIr(*decoded, IrOp::kPushJump);
-  ASSERT_NE(fused, nullptr);
-  EXPECT_GE(fused->jump_target, 0);
+    std::shared_ptr<const DecodedCode> decoded = DecodeCode(code);
+    const DecodedInsn* fused = FindIr(*decoded, IrOp::kPushJump);
+    ASSERT_NE(fused, nullptr);
+    const bool valid = dest == 10;
+    EXPECT_EQ(fused->jump_target, valid ? decoded->pc_to_insn[10] : -1);
 
-  ExecResult result = ExpectModesAgree(code);
-  EXPECT_EQ(result.outcome, Outcome::kSuccess);
+    ExecResult result = ExpectModesAgree(code);
+    EXPECT_EQ(result.outcome, valid ? Outcome::kSuccess : Outcome::kBadJump);
+  }
+}
+
+TEST(DecodedDispatchTest, UnfusedJumpsRejectDestinationAbove32Bits) {
+  // The same destinations through plain JUMP and JUMPI: DUP1; POP between
+  // the push and the jump keeps them from fusing.
+  for (const bool conditional : {false, true}) {
+    for (const uint64_t low : {uint64_t{0}, uint64_t{1} << 32}) {
+      Bytes code;
+      if (conditional) code.push_back(static_cast<uint8_t>(Op::kPush1));
+      if (conditional) code.push_back(0x01);  // taken
+      const uint64_t dest_pc = code.size() + 9 + 3 + (conditional ? 1 : 0);
+      code.push_back(0x67 /* PUSH8 */);
+      AppendU64BE(&code, low + dest_pc);
+      code.push_back(static_cast<uint8_t>(Op::kDup1));
+      code.push_back(static_cast<uint8_t>(Op::kPop));
+      code.push_back(static_cast<uint8_t>(conditional ? Op::kJumpi
+                                                      : Op::kJump));
+      if (conditional) code.push_back(static_cast<uint8_t>(Op::kStop));
+      ASSERT_EQ(code.size(), dest_pc);
+      code.push_back(static_cast<uint8_t>(Op::kJumpdest));
+      AppendU64BE(&code, 0);  // eight STOPs: success iff the jump landed
+      SCOPED_TRACE(std::string(conditional ? "JUMPI" : "JUMP") + " to " +
+                   std::to_string(low + dest_pc));
+
+      std::shared_ptr<const DecodedCode> decoded = DecodeCode(code);
+      EXPECT_NE(FindIr(*decoded, conditional ? IrOp::kJumpi : IrOp::kJump),
+                nullptr);
+      ExecResult result = ExpectModesAgree(code);
+      EXPECT_EQ(result.outcome,
+                low == 0 ? Outcome::kSuccess : Outcome::kBadJump);
+    }
+  }
+}
+
+TEST(DecodedDispatchTest, KeccakWordCostDoesNotWrap) {
+  EXPECT_EQ(KeccakWordGas(0), 0u);
+  EXPECT_EQ(KeccakWordGas(1), 6u);
+  EXPECT_EQ(KeccakWordGas(32), 6u);
+  EXPECT_EQ(KeccakWordGas(33), 12u);
+  EXPECT_EQ(KeccakWordGas(UINT64_MAX), 6 * (uint64_t{1} << 59));
+  // Lengths whose `length + 31` wraps: the word charge runs out of gas and
+  // consumes it all, in both loops; it is not a charge of 0 followed by a
+  // memory error.
+  for (const uint64_t length : {UINT64_MAX, UINT64_MAX - 30}) {
+    SCOPED_TRACE("length " + std::to_string(length));
+    Bytes code;
+    code.push_back(0x67 /* PUSH8 */);
+    AppendU64BE(&code, length);
+    code.push_back(static_cast<uint8_t>(Op::kPush1));
+    code.push_back(0x00);
+    code.push_back(static_cast<uint8_t>(Op::kKeccak256));
+    code.push_back(static_cast<uint8_t>(Op::kStop));
+    const ExecResult result = ExpectModesAgree(code, {}, U256(), 100000);
+    EXPECT_EQ(result.outcome, Outcome::kOutOfGas);
+    EXPECT_EQ(result.gas_used, 100000u);
+  }
 }
 
 TEST(DecodedDispatchTest, FusedJumpiUnderflowChargesBothComponents) {
@@ -941,6 +1075,213 @@ TEST(DecodedDispatchTest, RandomBranchShapesAgreeWithByteOracle) {
   }
 }
 
+// --------------------------------------------------------- block charging --
+
+TEST(DecodedBlockChargeTest, BlockCheckCarriesStaticGasAndLength) {
+  // PUSH1 1; PUSH1 2; ADD (fused); POP; GAS | POP; STOP — GAS ends its block
+  // so it reads exact gas, and the fused triple counts as three.
+  const Bytes code = {OpByte(Op::kPush1), 0x01, OpByte(Op::kPush1), 0x02,
+                      OpByte(Op::kAdd),   OpByte(Op::kPop),
+                      OpByte(Op::kGas),   OpByte(Op::kPop),
+                      OpByte(Op::kStop)};
+  std::shared_ptr<const DecodedCode> decoded = DecodeCode(code);
+  std::vector<const DecodedInsn*> checks;
+  for (const DecodedInsn& insn : decoded->insns) {
+    if (insn.ir == IrOp::kBlockCheck) checks.push_back(&insn);
+  }
+  ASSERT_EQ(checks.size(), 2u);
+  EXPECT_EQ(checks[0]->BlockGas(), 3u + 3 + 3 + 2 + 2);
+  EXPECT_EQ(checks[0]->BlockLength(), 5u);
+  EXPECT_EQ(checks[1]->BlockGas(), 2u);
+  EXPECT_EQ(checks[1]->BlockLength(), 2u);
+  EXPECT_EQ(ExpectModesAgree(code).gas_used, 15u);
+}
+
+/// ExpectModesAgree at every gas budget from 0 to `extra` past what the
+/// program uses with plenty.
+void ExpectModesAgreeAtEveryGas(const Bytes& code, const U256& value,
+                                uint64_t extra = 1) {
+  const ExecResult full = ExpectModesAgree(code, {}, value);
+  for (uint64_t gas = 0; gas <= full.gas_used + extra; ++gas) {
+    SCOPED_TRACE("gas " + std::to_string(gas));
+    ExpectModesAgree(code, {}, value, gas);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(DecodedBlockChargeTest, GasThenValueCallMidBlock) {
+  // Straight-line code around GAS; CALL with value: GAS must push the exact
+  // gas left, and the CALL must charge its 9000 and forward gas from it.
+  Bytes code;
+  for (int i = 0; i < 4; ++i) AppendPush(&code, 0, 1);  // no io
+  AppendPush(&code, 1, 1);                              // value
+  AppendPush(&code, 0xdead, 2);                         // code-less target
+  code.push_back(OpByte(Op::kGas));
+  code.push_back(OpByte(Op::kCall));
+  code.push_back(OpByte(Op::kGas));  // the gas left after the call
+  AppendPush(&code, 0, 1);
+  code.push_back(OpByte(Op::kMstore));
+  AppendPush(&code, 0x20, 1);
+  code.push_back(OpByte(Op::kMstore));  // the call's status
+  AppendPush(&code, 0x40, 1);
+  AppendPush(&code, 0, 1);
+  code.push_back(OpByte(Op::kReturn));
+  ExpectModesAgreeAtEveryGas(code, U256(5), 2400);
+}
+
+TEST(DecodedBlockChargeTest, HostReentryUnderTightStepLimit) {
+  // Called with value, the contract sends 1 wei to a code-less account
+  // mid-block; the host calls back in without value, and the re-entered
+  // frame runs a short block and stores. Both frames share one step
+  // counter: every limit must stop the same instruction in every loop.
+  Bytes code;
+  code.push_back(OpByte(Op::kCallvalue));
+  AppendPush(&code, 0, 1);  // patched: the JUMPDEST below
+  code.push_back(OpByte(Op::kJumpi));
+  AppendPush(&code, 1, 1);
+  AppendPush(&code, 2, 1);
+  code.push_back(OpByte(Op::kAdd));
+  AppendPush(&code, 0, 1);
+  code.push_back(OpByte(Op::kSstore));
+  code.push_back(OpByte(Op::kStop));
+  code[2] = static_cast<uint8_t>(code.size());
+  code.push_back(OpByte(Op::kJumpdest));
+  for (int i = 0; i < 4; ++i) AppendPush(&code, 0, 1);
+  AppendPush(&code, 1, 1);
+  AppendPush(&code, 0xdead, 2);
+  AppendPush(&code, 100000, 3);
+  code.push_back(OpByte(Op::kCall));
+  AppendPush(&code, 1, 1);
+  code.push_back(OpByte(Op::kAdd));
+  AppendPush(&code, 1, 1);
+  code.push_back(OpByte(Op::kSstore));
+  code.push_back(OpByte(Op::kStop));
+
+  const WorldState pre = RawPreState(code);
+  const MessageCall call = RawCall({}, U256(1), 1000000);
+  RunSetup setup;
+  setup.reentry_calldata = Bytes{0x01};
+  const ExecResult full = ExpectCallAgrees(pre, call, setup);
+  ASSERT_EQ(full.outcome, Outcome::kSuccess);
+  CodeCache cache;
+  const uint64_t steps =
+      RunCall(DispatchMode::kByteSwitch, pre, call, &cache, setup)
+          .trace.instruction_count();
+  // Outer: to the JUMPDEST 3, the call 1 + 7 + 1, after it 5; inner 3 + 6.
+  EXPECT_EQ(steps, 3u + 9 + 5 + 3 + 6);
+  for (uint64_t limit = 0; limit <= steps; ++limit) {
+    SCOPED_TRACE("max_steps " + std::to_string(limit));
+    setup.max_steps = limit;
+    ExpectCallAgrees(pre, call, setup);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(DecodedBlockChargeTest, FailingKeccakWordChargeMidBlock) {
+  // KECCAK256 over 64 bytes (6 gas a word) followed by a zero-gas STOP, or
+  // by a compare (a record) and a store. At budgets where the block fits but
+  // the word charge does not, block mode gives back the rest of the block;
+  // at some of them the charge then succeeds on the per-op path.
+  for (const bool zero_gas_tail : {true, false}) {
+    SCOPED_TRACE(zero_gas_tail ? "STOP after KECCAK256" : "work after it");
+    Bytes code;
+    AppendPush(&code, 0x40, 1);
+    AppendPush(&code, 0, 1);
+    code.push_back(OpByte(Op::kKeccak256));
+    if (!zero_gas_tail) {
+      AppendPush(&code, 7, 1);
+      code.push_back(OpByte(Op::kLt));
+      AppendPush(&code, 0, 1);
+      code.push_back(OpByte(Op::kMstore));
+    }
+    code.push_back(OpByte(Op::kStop));
+    ExpectModesAgreeAtEveryGas(code, U256());
+  }
+  // The first budget that covers the block but not the words: three
+  // instructions ran, STOP did not.
+  const Bytes code = {OpByte(Op::kPush1), 0x40, OpByte(Op::kPush1), 0x00,
+                      OpByte(Op::kKeccak256), OpByte(Op::kStop)};
+  CodeCache cache;
+  RunSetup setup;
+  const RawRun r = RunCall(DispatchMode::kDecoded, RawPreState(code),
+                           RawCall({}, U256(), 36 + 11), &cache, setup,
+                           /*step_stream=*/false);
+  EXPECT_EQ(r.exec.outcome, Outcome::kOutOfGas);
+  EXPECT_EQ(r.trace.instruction_count(), 3u);
+}
+
+TEST(DecodedBlockChargeTest, MemoryErrorMidBlockGivesBackTheRest) {
+  // An MSTORE past the memory cap halts mid-block: gas_used and the
+  // instruction count cover the three instructions run, not the block.
+  Bytes code;
+  AppendPush(&code, 1, 1);
+  AppendPush(&code, 0xffffffff, 4);
+  code.push_back(OpByte(Op::kMstore));
+  AppendPush(&code, 2, 1);
+  AppendPush(&code, 3, 1);
+  code.push_back(OpByte(Op::kAdd));
+  code.push_back(OpByte(Op::kPop));
+  code.push_back(OpByte(Op::kStop));
+  const ExecResult r = ExpectModesAgree(code);
+  EXPECT_EQ(r.outcome, Outcome::kMemoryError);
+  EXPECT_EQ(r.gas_used, 9u);
+  ExpectModesAgreeAtEveryGas(code, U256());
+}
+
+TEST(DecodedBlockChargeTest, BuiltinTransactionsAgreeAtEveryGasAndStepLimit) {
+  // Every function of the two paper examples, each called from the state
+  // the previous call left, at every gas budget up to what it uses and at
+  // every step limit up to what it runs.
+  for (const corpus::CorpusEntry* entry :
+       {&corpus::CrowdsaleExample(), &corpus::GameExample()}) {
+    SCOPED_TRACE(entry->name);
+    Result<lang::ContractArtifact> artifact =
+        lang::CompileContract(entry->source);
+    ASSERT_TRUE(artifact.ok());
+    AcceptingHost host;
+    ChainSession chain(&host);
+    chain.FundAccount(kSender, U256::PowerOfTen(24));
+    Result<Address> addr = chain.Deploy(artifact->runtime_code,
+                                        artifact->ctor_code, {}, kSender,
+                                        U256());
+    ASSERT_TRUE(addr.ok());
+    WorldState pre = chain.state();
+    for (const lang::AbiFunction& fn : artifact->abi.functions) {
+      SCOPED_TRACE(fn.name);
+      MessageCall call;
+      call.to = *addr;
+      call.code_address = *addr;
+      call.caller = kSender;
+      call.origin = kSender;
+      call.value = fn.payable ? U256::PowerOfTen(16) * U256(88) : U256();
+      AppendU32BE(&call.data, fn.selector);
+      for (size_t i = 0; i < fn.inputs.size(); ++i) {
+        U256(3).AppendBytesBE(&call.data);
+      }
+      call.gas = 1000000;
+      CodeCache cache;
+      RawRun full =
+          RunCall(DispatchMode::kByteSwitch, pre, call, &cache, RunSetup());
+      const uint64_t gas_used = full.exec.gas_used;
+      const uint64_t steps = full.trace.instruction_count();
+      for (call.gas = 0; call.gas <= gas_used; ++call.gas) {
+        SCOPED_TRACE("gas " + std::to_string(call.gas));
+        ExpectCallAgrees(pre, call);
+        if (HasFailure()) return;
+      }
+      call.gas = 1000000;
+      RunSetup setup;
+      for (setup.max_steps = 0; setup.max_steps <= steps;
+           ++setup.max_steps) {
+        SCOPED_TRACE("max_steps " + std::to_string(setup.max_steps));
+        ExpectCallAgrees(pre, call, setup);
+        if (HasFailure()) return;
+      }
+      pre = std::move(full.state);
+    }
+  }
+}
+
 // ------------------------------------------------------ instruction count --
 
 /// A recorder that overrides OnStep without opting into the step stream:
@@ -1205,6 +1546,8 @@ TEST(DecodedDispatchTest, RandomProgramsAgreeWithByteOracle) {
 /// Everything observable from running one compiled contract through a
 /// ChainSession under one dispatch mode.
 struct CorpusRun {
+  explicit CorpusRun(bool step_stream) : trace(step_stream) {}
+
   bool deploy_ok = false;
   std::vector<ExecResult> results;
   std::vector<std::vector<CmpRecord>> cmps;
@@ -1213,8 +1556,9 @@ struct CorpusRun {
 };
 
 CorpusRun RunCorpusEntry(const lang::ContractArtifact& artifact,
-                         DispatchMode mode, uint64_t seed) {
-  CorpusRun run;
+                         DispatchMode mode, uint64_t seed,
+                         bool step_stream = true) {
+  CorpusRun run(step_stream);
   CodeCache cache;
   EvmConfig config;
   config.dispatch = mode;
@@ -1271,20 +1615,28 @@ TEST(DecodedDispatchTest, BuiltinCorpusAgreesWithByteOracle) {
     const uint64_t seed = 1000 + e;
     CorpusRun oracle =
         RunCorpusEntry(*artifact, DispatchMode::kByteSwitch, seed);
-    CorpusRun subject =
-        RunCorpusEntry(*artifact, DispatchMode::kDecoded, seed);
-
-    ASSERT_EQ(oracle.deploy_ok, subject.deploy_ok);
-    ASSERT_EQ(oracle.results.size(), subject.results.size());
-    for (size_t i = 0; i < oracle.results.size(); ++i) {
-      SCOPED_TRACE("tx " + std::to_string(i));
-      EXPECT_EQ(oracle.results[i].outcome, subject.results[i].outcome);
-      EXPECT_EQ(oracle.results[i].output, subject.results[i].output);
-      EXPECT_EQ(oracle.results[i].gas_used, subject.results[i].gas_used);
-      ExpectSameCmps(oracle.cmps[i], subject.cmps[i]);
+    for (bool step_stream : {true, false}) {
+      SCOPED_TRACE(step_stream ? "decoded, step stream"
+                               : "decoded, no step stream");
+      CorpusRun subject = RunCorpusEntry(*artifact, DispatchMode::kDecoded,
+                                         seed, step_stream);
+      ASSERT_EQ(oracle.deploy_ok, subject.deploy_ok);
+      ASSERT_EQ(oracle.results.size(), subject.results.size());
+      for (size_t i = 0; i < oracle.results.size(); ++i) {
+        SCOPED_TRACE("tx " + std::to_string(i));
+        EXPECT_EQ(oracle.results[i].outcome, subject.results[i].outcome);
+        EXPECT_EQ(oracle.results[i].output, subject.results[i].output);
+        EXPECT_EQ(oracle.results[i].gas_used, subject.results[i].gas_used);
+        ExpectSameCmps(oracle.cmps[i], subject.cmps[i]);
+      }
+      if (step_stream) {
+        ExpectSameTrace(oracle.trace, subject.trace);
+      } else {
+        ExpectSameEvents(oracle.trace, subject.trace);
+        EXPECT_TRUE(subject.trace.steps().empty());
+      }
+      EXPECT_EQ(oracle.accounts, subject.accounts);
     }
-    ExpectSameTrace(oracle.trace, subject.trace);
-    EXPECT_EQ(oracle.accounts, subject.accounts);
   }
 }
 
