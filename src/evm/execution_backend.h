@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,6 +64,11 @@ struct TxOutcome {
     if (cmps.capacity() > kMaxRetainedEvents) cmps.shrink_to_fit();
   }
 };
+
+// Outcome slots are relocated by move through the recycle pools; a copying
+// relocation would deep-copy every trace.
+static_assert(std::is_nothrow_move_constructible_v<TxOutcome>);
+static_assert(std::is_nothrow_move_assignable_v<TxOutcome>);
 
 /// Everything one executed SequencePlan produced, in transaction order.
 struct SequenceOutcome {

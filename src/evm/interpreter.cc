@@ -317,8 +317,7 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
             break;
         }
         if (overflow && observer_ != nullptr) {
-          observer_->OnOverflow(
-              {insn_pc, op, x.taint | y.taint, false, call.depth});
+          observer_->OnOverflow({insn_pc, op, x.taint | y.taint, call.depth});
         }
         Word result(r, x.taint | y.taint);
         if (!stack.Push(result)) return stack_err();
@@ -478,9 +477,6 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         Word a;
         stack.Pop(&a);
         Address addr = Address::FromWord(a.value);
-        if (observer_ != nullptr) {
-          observer_->OnBalanceRead({insn_pc, call.depth});
-        }
         if (!stack.Push(Word(state_->GetBalance(addr),
                              a.taint | kTaintBalance))) {
           return stack_err();
@@ -488,9 +484,6 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         break;
       }
       case Op::kSelfbalance:
-        if (observer_ != nullptr) {
-          observer_->OnBalanceRead({insn_pc, call.depth});
-        }
         if (!stack.Push(Word(state_->GetBalance(call.to), kTaintBalance))) {
           return stack_err();
         }
@@ -598,9 +591,6 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         Bytes seed;
         AppendU64BE(&seed, n.value.low64());
         auto digest = Keccak256(seed);
-        if (observer_ != nullptr) {
-          observer_->OnBlockRead({insn_pc, op, call.depth});
-        }
         if (!stack.Push(
                 Word(U256::FromBytesBE(BytesView(digest.data(), 32)).value(),
                      kTaintBlock))) {
@@ -632,9 +622,6 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
             break;
           default:
             break;
-        }
-        if (observer_ != nullptr) {
-          observer_->OnBlockRead({insn_pc, op, call.depth});
         }
         if (!stack.Push(Word(v, kTaintBlock))) return stack_err();
         break;
@@ -704,10 +691,6 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         stack.Pop(&key);
         stack.Pop(&val);
         state_->SetStorage(call.to, key.value, val.value, val.taint);
-        if (observer_ != nullptr) {
-          observer_->OnStore(
-              {insn_pc, key.value, val.value, val.taint, call.depth});
-        }
         break;
       }
       case Op::kJump: {
@@ -717,7 +700,6 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
           return {Outcome::kBadJump, {}, call.gas - gas};
         }
         pc = static_cast<uint32_t>(dest.value.low64());
-        if (observer_ != nullptr) observer_->OnJump(insn_pc, pc, call.depth);
         break;
       }
       case Op::kJumpi: {
@@ -728,9 +710,6 @@ ExecResult Interpreter::RunFrameBytes(const MessageCall& call,
         if (observer_ != nullptr) {
           BranchEvent ev;
           ev.pc = insn_pc;
-          ev.dest = dest.value.FitsU64()
-                        ? static_cast<uint32_t>(dest.value.low64())
-                        : 0;
           ev.taken = taken;
           ev.cmp_id = cond.cmp_id;
           ev.call_id = cond.call_id;

@@ -139,17 +139,17 @@ class Keccak256Memo {
 ///
 /// One instance executes transactions against a WorldState. Nested CALLs to
 /// in-state contracts recurse internally; calls to code-less addresses are
-/// delegated to the Host (which may re-enter via ReentryHandle). The observer
-/// receives branch, call, store, overflow, and taint events — the feedback
-/// channels MuFuzz's three components consume.
+/// delegated to the Host (which may re-enter via ReentryHandle). The
+/// recorder receives branch, call, overflow, selfdestruct and checked-call
+/// events — the feedback channels MuFuzz's three components consume.
 class Interpreter : public ReentryHandle {
  public:
   Interpreter(WorldState* state, Host* host, BlockContext block,
               EvmConfig config = EvmConfig());
 
-  /// Observer for instrumentation events; may be nullptr. OnStep reaches it
-  /// only if it opted into the step stream (ExecObserver::step_stream).
-  void set_observer(ExecObserver* observer) {
+  /// Recorder for instrumentation events; may be nullptr. OnStep reaches it
+  /// only if it opted into the step stream (TraceRecorder::step_stream).
+  void set_observer(TraceRecorder* observer) {
     observer_ = observer;
     step_observer_ =
         observer != nullptr && observer->step_stream() ? observer : nullptr;
@@ -236,9 +236,9 @@ class Interpreter : public ReentryHandle {
   BlockContext block_;
   EvmConfig config_;
   CodeCache* cache_ = nullptr;
-  ExecObserver* observer_ = nullptr;
+  TraceRecorder* observer_ = nullptr;
   /// observer_ when it takes the step stream, else nullptr.
-  ExecObserver* step_observer_ = nullptr;
+  TraceRecorder* step_observer_ = nullptr;
 
   std::vector<CmpRecord> cmp_records_;
   int32_t next_call_id_ = 0;

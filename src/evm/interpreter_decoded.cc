@@ -233,12 +233,11 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
 
   // A JUMPI's observer events and guard tracking, given its condition word's
   // instrumentation.
-  auto on_branch = [&](uint32_t pc, uint32_t dest, bool taken,
-                       int32_t cmp_id, int32_t call_id, uint32_t taint) {
+  auto on_branch = [&](uint32_t pc, bool taken, int32_t cmp_id,
+                       int32_t call_id, uint32_t taint) {
     if (observer_ != nullptr) {
       BranchEvent ev;
       ev.pc = pc;
-      ev.dest = dest;
       ev.taken = taken;
       ev.cmp_id = cmp_id;
       ev.call_id = call_id;
@@ -418,7 +417,7 @@ dispatch_top:
     }
     if (overflow && observer_ != nullptr) {
       observer_->OnOverflow({ins->pc, static_cast<Op>(ins->opcode),
-                             x.taint | y.taint, false, call.depth});
+                             x.taint | y.taint, call.depth});
     }
     PUSH_W(Word(r, x.taint | y.taint));
     NEXT();
@@ -539,18 +538,12 @@ dispatch_top:
     PRELUDE();
     Word a = stack.PopUnsafe();
     Address addr = Address::FromWord(a.value);
-    if (observer_ != nullptr) {
-      observer_->OnBalanceRead({ins->pc, call.depth});
-    }
     PUSH_W(Word(state_->GetBalance(addr), a.taint | kTaintBalance));
     NEXT();
   }
 
   HANDLER(Selfbalance) {
     PRELUDE();
-    if (observer_ != nullptr) {
-      observer_->OnBalanceRead({ins->pc, call.depth});
-    }
     PUSH_W(Word(state_->GetBalance(call.to), kTaintBalance));
     NEXT();
   }
@@ -676,10 +669,6 @@ dispatch_top:
     PRELUDE();
     Word n = stack.PopUnsafe();
     auto digest = Keccak256(BlockhashSeed(n.value.low64()));
-    if (observer_ != nullptr) {
-      observer_->OnBlockRead(
-          {ins->pc, static_cast<Op>(ins->opcode), call.depth});
-    }
     PUSH_W(Word(U256::FromBytesBE32(digest.data()), kTaintBlock));
     NEXT();
   }
@@ -705,10 +694,6 @@ dispatch_top:
         break;
       default:
         break;
-    }
-    if (observer_ != nullptr) {
-      observer_->OnBlockRead(
-          {ins->pc, static_cast<Op>(ins->opcode), call.depth});
     }
     PUSH_W(Word(v, kTaintBlock));
     NEXT();
@@ -782,10 +767,6 @@ dispatch_top:
     Word key = stack.PopUnsafe();
     Word val = stack.PopUnsafe();
     state_->SetStorage(call.to, key.value, val.value, val.taint);
-    if (observer_ != nullptr) {
-      observer_->OnStore(
-          {ins->pc, key.value, val.value, val.taint, call.depth});
-    }
     NEXT();
   }
 
@@ -796,9 +777,6 @@ dispatch_top:
     if (!dest.value.FitsU64() || d >= code.size() || pc_to_insn[d] < 0) {
       HALT(Outcome::kBadJump);
     }
-    if (observer_ != nullptr) {
-      observer_->OnJump(ins->pc, static_cast<uint32_t>(d), call.depth);
-    }
     ins = insns + pc_to_insn[d];
     DISPATCH();
   }
@@ -808,10 +786,7 @@ dispatch_top:
     Word dest = stack.PopUnsafe();
     Word cond = stack.PopUnsafe();
     bool taken = !cond.value.IsZero();
-    on_branch(ins->pc,
-              dest.value.FitsU64() ? static_cast<uint32_t>(dest.value.low64())
-                                   : 0,
-              taken, cond.cmp_id, cond.call_id, cond.taint);
+    on_branch(ins->pc, taken, cond.cmp_id, cond.call_id, cond.taint);
     if (taken) {
       const uint64_t d = dest.value.low64();
       if (!dest.value.FitsU64() || d >= code.size() || pc_to_insn[d] < 0) {
@@ -1100,11 +1075,6 @@ dispatch_top:
       STEP(ins->pc2, ins->opcode2, ins->gas2);
     }
     if (ins->jump_target < 0) HALT(Outcome::kBadJump);
-    if (observer_ != nullptr) {
-      observer_->OnJump(ins->pc2,
-                        static_cast<uint32_t>(ins->immediate.low64()),
-                        call.depth);
-    }
     ins = insns + ins->jump_target;
     DISPATCH();
   }
@@ -1120,11 +1090,7 @@ dispatch_top:
     }
     Word cond = stack.PopUnsafe();
     bool taken = !cond.value.IsZero();
-    on_branch(ins->pc2,
-              ins->immediate.FitsU64()
-                  ? static_cast<uint32_t>(ins->immediate.low64())
-                  : 0,
-              taken, cond.cmp_id, cond.call_id, cond.taint);
+    on_branch(ins->pc2, taken, cond.cmp_id, cond.call_id, cond.taint);
     FUSED_JUMPI_TAIL(taken);
   }
 
@@ -1164,7 +1130,7 @@ dispatch_top:
     }
     if (ins->folded_overflow && observer_ != nullptr) {
       observer_->OnOverflow({ins->pc3, static_cast<Op>(ins->opcode3),
-                             kTaintNone, false, call.depth});
+                             kTaintNone, call.depth});
     }
     PUSH_W(Word(ins->immediate));
     NEXT();
@@ -1204,7 +1170,7 @@ dispatch_top:
       // JUMPI component.
       STEP(jumpi_pc, static_cast<uint8_t>(Op::kJumpi), kJumpiGas);
     }
-    on_branch(jumpi_pc, ins->pc2, taken, cmp_id, sel.call_id, sel.taint);
+    on_branch(jumpi_pc, taken, cmp_id, sel.call_id, sel.taint);
     FUSED_JUMPI_TAIL(taken);
   }
 
@@ -1229,8 +1195,7 @@ dispatch_top:
       // JUMPI component.
       STEP(ins->pc3, ins->opcode3, ins->gas3);
     }
-    on_branch(ins->pc3, static_cast<uint32_t>(ins->immediate.low64()), taken,
-              cmp_id, call_id, taint);
+    on_branch(ins->pc3, taken, cmp_id, call_id, taint);
     FUSED_JUMPI_TAIL(taken);
   }
 
@@ -1250,8 +1215,7 @@ dispatch_top:
       // JUMPI component.
       STEP(ins->pc3, ins->opcode3, ins->gas3);
     }
-    on_branch(ins->pc3, static_cast<uint32_t>(ins->immediate.low64()), taken,
-              cmp_id, x.call_id, x.taint);
+    on_branch(ins->pc3, taken, cmp_id, x.call_id, x.taint);
     stack.DropUnsafe(1);
     FUSED_JUMPI_TAIL(taken);
   }

@@ -42,19 +42,25 @@ class CoverageMap {
   /// lookups never grow the tables.
   CoverageMap(int total_jumpis, std::span<const uint32_t> jumpi_pcs)
       : total_jumpis_(total_jumpis) {
-    for (uint32_t pc : jumpi_pcs) (void)InternSlot(pc);
+    for (uint32_t pc : jumpi_pcs) (void)Slot(pc);
   }
 
   /// Slot of the JUMPI at `pc`, interning it on first sight. Slots are
   /// dense and stable: the pre-interned pcs take slots 0..n-1 in span order,
   /// and later pcs append. The *At calls below take a slot from here, so a
   /// caller handling one branch event resolves its pc once.
-  size_t Slot(uint32_t pc) { return InternSlot(pc); }
+  size_t Slot(uint32_t pc) {
+    if (pc < pc_slot_.size()) {
+      const int32_t slot = pc_slot_[pc];
+      if (slot >= 0) return static_cast<size_t>(slot);
+    }
+    return InternSlot(pc);
+  }
   size_t slot_count() const { return slot_pcs_.size(); }
 
   /// Records a branch direction; returns true if it is new coverage.
   bool AddBranch(uint32_t pc, bool taken) {
-    return AddBranchAt(InternSlot(pc), taken);
+    return AddBranchAt(Slot(pc), taken);
   }
   bool AddBranchAt(size_t slot, bool taken) {
     size_t bit = 2 * slot + (taken ? 1 : 0);
@@ -79,7 +85,7 @@ class CoverageMap {
   /// to an executed branch. Returns true if it improves (shrinks) the best
   /// known distance — the "DISTANCE decreases" trigger of Algorithms 1–2.
   bool OfferDistance(uint32_t pc, bool want_taken, uint64_t distance) {
-    return OfferDistanceAt(InternSlot(pc), want_taken, distance);
+    return OfferDistanceAt(Slot(pc), want_taken, distance);
   }
   bool OfferDistanceAt(size_t slot, bool want_taken, uint64_t distance) {
     size_t bit = 2 * slot + (want_taken ? 1 : 0);
@@ -138,24 +144,10 @@ class CoverageMap {
   }
 
  private:
-  /// Slot for `pc`, interning it (and growing the dense tables) on first
-  /// sight. Steady state never takes the grow path: the campaign pre-interns
-  /// the artifact's full branch map.
-  size_t InternSlot(uint32_t pc) {
-    if (pc < pc_slot_.size()) {
-      int32_t slot = pc_slot_[pc];
-      if (slot >= 0) return static_cast<size_t>(slot);
-    } else {
-      pc_slot_.resize(static_cast<size_t>(pc) + 1, -1);
-    }
-    size_t slot = slot_pcs_.size();
-    pc_slot_[pc] = static_cast<int32_t>(slot);
-    slot_pcs_.push_back(pc);
-    covered_bits_.resize((2 * slot_pcs_.size() + 63) / 64, 0);
-    distance_seen_bits_.resize((2 * slot_pcs_.size() + 63) / 64, 0);
-    best_distance_.resize(2 * slot_pcs_.size(), UINT64_MAX);
-    return slot;
-  }
+  /// Interns `pc`, which has no slot yet, growing the dense tables. Out of
+  /// line (coverage.cc): steady state never takes it, because the campaign
+  /// pre-interns the artifact's full branch map.
+  size_t InternSlot(uint32_t pc);
 
   int32_t FindSlot(uint32_t pc) const {
     return pc < pc_slot_.size() ? pc_slot_[pc] : -1;

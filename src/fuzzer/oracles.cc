@@ -45,14 +45,31 @@ void RunTxOracles(const OracleContext& ctx, BugKeySet* seen,
     out->push_back(build());
   };
 
+  // One pass over the branches decides which of the three branch oracles
+  // can fire at all; the common transaction carries no block, origin or
+  // balance taint and skips their loops. The loops that do run keep the
+  // fixed order below, so skipping never reorders the reports.
+  uint32_t branch_taint = evm::kTaintNone;
+  for (const BranchEvent& ev : trace.branches()) branch_taint |= ev.cond_taint;
+  bool balance_eq = false;
+  for (const CmpRecord& cmp : *ctx.cmp_records) {
+    if (cmp.op == CmpOp::kEq && (cmp.taint & evm::kTaintBalance)) {
+      balance_eq = true;
+      break;
+    }
+  }
+
   // ---- BD: block-state taint reaching control flow or a call value. ----
-  for (const BranchEvent& ev : trace.branches()) {
-    if (ev.cond_taint & evm::kTaintBlock) {
-      emit(BugClass::kBlockDependency, ev.pc, [&] {
-        return BugReport{BugClass::kBlockDependency, ev.pc,
-                         LineForPc(ctx.artifact, ev.pc),
-                         "block-state value influences branch condition", -1};
-      });
+  if (branch_taint & evm::kTaintBlock) {
+    for (const BranchEvent& ev : trace.branches()) {
+      if (ev.cond_taint & evm::kTaintBlock) {
+        emit(BugClass::kBlockDependency, ev.pc, [&] {
+          return BugReport{BugClass::kBlockDependency, ev.pc,
+                           LineForPc(ctx.artifact, ev.pc),
+                           "block-state value influences branch condition",
+                           -1};
+        });
+      }
     }
   }
   for (const CallEvent& ev : trace.calls()) {
@@ -66,29 +83,33 @@ void RunTxOracles(const OracleContext& ctx, BugKeySet* seen,
   }
 
   // ---- TO: tx.origin in a branch condition. ----
-  for (const BranchEvent& ev : trace.branches()) {
-    if (ev.cond_taint & evm::kTaintOrigin) {
-      emit(BugClass::kTxOriginUse, ev.pc, [&] {
-        return BugReport{BugClass::kTxOriginUse, ev.pc,
-                         LineForPc(ctx.artifact, ev.pc),
-                         "tx.origin used in branch condition", -1};
-      });
+  if (branch_taint & evm::kTaintOrigin) {
+    for (const BranchEvent& ev : trace.branches()) {
+      if (ev.cond_taint & evm::kTaintOrigin) {
+        emit(BugClass::kTxOriginUse, ev.pc, [&] {
+          return BugReport{BugClass::kTxOriginUse, ev.pc,
+                           LineForPc(ctx.artifact, ev.pc),
+                           "tx.origin used in branch condition", -1};
+        });
+      }
     }
   }
 
   // ---- SE: strict equality over a balance read feeding a JUMPI. ----
-  for (const BranchEvent& ev : trace.branches()) {
-    if (ev.cmp_id < 0 ||
-        ev.cmp_id >= static_cast<int32_t>(ctx.cmp_records->size())) {
-      continue;
-    }
-    const CmpRecord& cmp = (*ctx.cmp_records)[ev.cmp_id];
-    if (cmp.op == CmpOp::kEq && (cmp.taint & evm::kTaintBalance)) {
-      emit(BugClass::kStrictEtherEquality, ev.pc, [&] {
-        return BugReport{BugClass::kStrictEtherEquality, ev.pc,
-                         LineForPc(ctx.artifact, ev.pc),
-                         "balance compared for strict equality", -1};
-      });
+  if (balance_eq) {
+    for (const BranchEvent& ev : trace.branches()) {
+      if (ev.cmp_id < 0 ||
+          ev.cmp_id >= static_cast<int32_t>(ctx.cmp_records->size())) {
+        continue;
+      }
+      const CmpRecord& cmp = (*ctx.cmp_records)[ev.cmp_id];
+      if (cmp.op == CmpOp::kEq && (cmp.taint & evm::kTaintBalance)) {
+        emit(BugClass::kStrictEtherEquality, ev.pc, [&] {
+          return BugReport{BugClass::kStrictEtherEquality, ev.pc,
+                           LineForPc(ctx.artifact, ev.pc),
+                           "balance compared for strict equality", -1};
+        });
+      }
     }
   }
 

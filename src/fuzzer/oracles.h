@@ -16,7 +16,8 @@ namespace mufuzz::fuzzer {
 
 /// Inputs available to the per-transaction oracles: the execution trace of
 /// one transaction, the comparison records backing its branch events, and
-/// the compiled artifact for pc→source attribution.
+/// the compiled artifact for pc→source attribution. `trace` and
+/// `cmp_records` must be set; `artifact` may be null (lines read 0).
 struct OracleContext {
   const evm::TraceRecorder* trace = nullptr;
   const std::vector<evm::CmpRecord>* cmp_records = nullptr;

@@ -7,16 +7,12 @@ namespace mufuzz::fuzzer {
 SequenceBuilder::SequenceBuilder(const AbiCodec* codec,
                                  const analysis::ContractDataflow* dataflow,
                                  const analysis::DependencyGraph* graph)
-    : codec_(codec), dataflow_(dataflow), graph_(graph) {}
-
-std::vector<int> SequenceBuilder::RepeatableFunctions() const {
-  std::vector<int> out;
-  for (size_t i = 0; i < dataflow_->functions.size(); ++i) {
-    if (dataflow_->FunctionIsRepeatable(i)) {
-      out.push_back(static_cast<int>(i));
+    : codec_(codec), graph_(graph) {
+  for (size_t i = 0; i < dataflow->functions.size(); ++i) {
+    if (dataflow->FunctionIsRepeatable(i)) {
+      repeatable_.push_back(static_cast<int>(i));
     }
   }
-  return out;
 }
 
 Sequence SequenceBuilder::InitialSequence(const StrategyConfig& config,
@@ -106,20 +102,17 @@ void SequenceBuilder::MutateSequence(Sequence* seq,
   }
 
   enum class MutKind { kRepeatRaw, kExtend, kSwap, kReplace, kDrop };
-  std::vector<MutKind> choices = {MutKind::kExtend, MutKind::kSwap,
-                                  MutKind::kReplace, MutKind::kDrop};
-  std::vector<int> repeatable =
-      config.raw_repetition ? RepeatableFunctions() : std::vector<int>{};
-  if (!repeatable.empty()) {
-    // The sequence-aware rule gets extra probability mass: it is the
-    // mutation that drives deep-state discovery.
-    choices.push_back(MutKind::kRepeatRaw);
-    choices.push_back(MutKind::kRepeatRaw);
-  }
+  // The sequence-aware rule gets extra probability mass (the last two
+  // entries): it is the mutation that drives deep-state discovery.
+  static constexpr MutKind kChoices[] = {
+      MutKind::kExtend, MutKind::kSwap,      MutKind::kReplace,
+      MutKind::kDrop,   MutKind::kRepeatRaw, MutKind::kRepeatRaw};
+  const bool repeat_raw = config.raw_repetition && !repeatable_.empty();
+  const size_t choice_count = repeat_raw ? 6 : 4;
 
-  switch (rng->Pick(choices)) {
+  switch (kChoices[rng->NextBelow(choice_count)]) {
     case MutKind::kRepeatRaw: {
-      int fn = repeatable[rng->NextBelow(repeatable.size())];
+      int fn = repeatable_[rng->NextBelow(repeatable_.size())];
       if (seq->size() >= kMaxSequenceLength) break;
       auto it = std::find_if(seq->begin(), seq->end(), [fn](const Tx& tx) {
         return tx.fn_index == fn;

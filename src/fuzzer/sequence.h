@@ -35,8 +35,9 @@ class SequenceBuilder {
   void MutateSequence(Sequence* seq, const StrategyConfig& config,
                       Rng* rng) const;
 
-  /// Indices of functions the RAW rule marks as repeatable.
-  std::vector<int> RepeatableFunctions() const;
+  /// Indices of functions the RAW rule marks as repeatable, ascending.
+  /// Built once from the dataflow at construction.
+  const std::vector<int>& RepeatableFunctions() const { return repeatable_; }
 
   /// Maximum sequence length the builder will grow to.
   static constexpr size_t kMaxSequenceLength = 12;
@@ -49,8 +50,8 @@ class SequenceBuilder {
   static bool ContainsFn(const Sequence& seq, int fn);
 
   const AbiCodec* codec_;
-  const analysis::ContractDataflow* dataflow_;
   const analysis::DependencyGraph* graph_;
+  std::vector<int> repeatable_;
 };
 
 }  // namespace mufuzz::fuzzer

@@ -54,12 +54,7 @@ inline std::string Fingerprint(const SequenceOutcome& outcome) {
     }
     fp += "\n  br: ";
     for (const BranchEvent& e : t.branches()) {
-      Put(&fp, e.pc, e.dest, e.taken, e.cmp_id, e.call_id, e.cond_taint,
-          e.depth);
-    }
-    fp += "\n  jumps: ";
-    for (const TraceRecorder::JumpEdge& e : t.jumps()) {
-      Put(&fp, e.from, e.to, e.depth);
+      Put(&fp, e.pc, e.taken, e.cmp_id, e.call_id, e.cond_taint, e.depth);
     }
     fp += "\n  calls: ";
     for (const CallEvent& e : t.calls()) {
@@ -67,25 +62,13 @@ inline std::string Fingerprint(const SequenceOutcome& outcome) {
           e.to_external, e.target_taint, e.value_taint, e.depth, e.call_id,
           e.caller_guard_seen);
     }
-    fp += "\n  stores: ";
-    for (const StoreEvent& e : t.stores()) {
-      Put(&fp, e.pc, e.key, e.value, e.value_taint, e.depth);
-    }
     fp += "\n  overflows: ";
     for (const OverflowEvent& e : t.overflows()) {
-      Put(&fp, e.pc, e.op, e.operand_taint, e.result_stored, e.depth);
+      Put(&fp, e.pc, e.op, e.operand_taint, e.depth);
     }
     fp += "\n  selfdestructs: ";
     for (const SelfdestructEvent& e : t.selfdestructs()) {
       Put(&fp, e.pc, e.beneficiary, e.caller_guard_seen, e.depth);
-    }
-    fp += "\n  balance_reads: ";
-    for (const BalanceReadEvent& e : t.balance_reads()) {
-      Put(&fp, e.pc, e.depth);
-    }
-    fp += "\n  block_reads: ";
-    for (const BlockReadEvent& e : t.block_reads()) {
-      Put(&fp, e.pc, e.op, e.depth);
     }
     fp += "\n  checked_calls: ";
     for (int32_t call_id : t.checked_calls()) Put(&fp, call_id);
