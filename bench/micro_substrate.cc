@@ -7,6 +7,7 @@
 
 #include "analysis/prefix_inference.h"
 #include "bench_util.h"
+#include "byte_switch_oracle.h"
 #include "common/keccak.h"
 #include "common/rng.h"
 #include "common/u256.h"
@@ -148,10 +149,9 @@ void BM_DispatchLoop(benchmark::State& state) {
   world.SetCode(contract, code);
   evm::CodeCache cache;
   evm::EvmConfig config;
-  config.dispatch = state.range(0) == 0 ? evm::DispatchMode::kByteSwitch
-                                        : evm::DispatchMode::kDecoded;
   config.code_cache = &cache;
   evm::Interpreter interp(&world, &host, evm::BlockContext(), config);
+  if (state.range(0) == 0) evm::ByteSwitchOracle::Install(&interp);
   evm::MessageCall call;
   call.to = contract;
   call.code_address = contract;
@@ -174,11 +174,12 @@ void BM_SelectorDispatch(benchmark::State& state) {
       lang::CompileContract(evm::SelectorDispatchSource(/*functions=*/14));
   evm::CodeCache cache;
   evm::EvmConfig config;
-  config.dispatch = state.range(0) == 0 ? evm::DispatchMode::kByteSwitch
-                                        : evm::DispatchMode::kDecoded;
   config.code_cache = &cache;
   evm::AcceptingHost host;
   evm::ChainSession chain(&host, evm::BlockContext(), config);
+  if (state.range(0) == 0) {
+    evm::ByteSwitchOracle::Install(&chain.interpreter());
+  }
   Address deployer = Address::FromUint(0xd0);
   chain.FundAccount(deployer, U256::PowerOfTen(24));
   auto addr = chain.Deploy(artifact->runtime_code, artifact->ctor_code, {},

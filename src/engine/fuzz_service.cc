@@ -724,7 +724,7 @@ void FuzzService::SetupStandalone(JobRecord* r) {
   auto start = Clock::now();
   ResolveArtifact(r);
   if (r->artifact != nullptr) {
-    if (options_.reuse_sessions) r->session = session_pool_.Acquire();
+    r->session = session_pool_.Acquire();
     r->campaign = std::make_unique<fuzzer::Campaign>(
         r->artifact, r->job.config, r->session.get(), nullptr, -1);
     r->campaign->SeedCorpus();

@@ -131,16 +131,13 @@ struct JobProgress {
 
 /// FuzzService knobs. The island knobs (`exchange_interval`,
 /// `migration_top_k`) are part of each island member's reproducibility key;
-/// the scheduling knobs (`workers`, `round_quantum`, `step_slots`,
-/// `reuse_sessions`) never influence results. Every campaign knob lives on
-/// the job's own CampaignConfig.
+/// the scheduling knobs (`workers`, `round_quantum`, `step_slots`) never
+/// influence results. Every campaign knob lives on the job's own
+/// CampaignConfig.
 struct ServiceOptions {
   /// Service worker threads running job slices; <= 0 means
   /// DefaultWorkerCount().
   int workers = 0;
-  /// Lease execution sessions from the service's shared pool instead of
-  /// allocating per campaign.
-  bool reuse_sessions = true;
   /// Sequence executions each island runs between migration rounds —
   /// SubmitIslandGroup requires it > 0.
   int exchange_interval = 0;

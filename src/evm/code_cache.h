@@ -164,7 +164,7 @@ struct DecodedCode {
   std::vector<DecodedInsn> insns;
   /// pc -> instruction index of the block entry (kBlockCheck) for every
   /// valid JUMPDEST; -1 elsewhere. Sized code.size() for O(1) validation —
-  /// this replaces the per-frame FindJumpdests unordered_set.
+  /// this replaces the byte-switch loop's per-frame JUMPDEST set.
   std::vector<int32_t> pc_to_insn;
 };
 

@@ -19,17 +19,9 @@ namespace mufuzz::evm {
 class CodeCache;
 struct DecodedCode;
 
-/// Which execution loop runs the frames.
-enum class DispatchMode : uint8_t {
-  /// Pre-decoded IR with direct-threaded (computed-goto) dispatch — the
-  /// default hot path. Falls back to a switch-based loop when built with
-  /// -DMUFUZZ_PORTABLE_DISPATCH or on non-GNU compilers.
-  kDecoded,
-  /// The original byte-switch loop, kept alive as the differential oracle:
-  /// it re-derives jump targets and immediates from raw bytes, so the
-  /// decoded-dispatch tests cross-check two independent decodings.
-  kByteSwitch,
-};
+/// The test tree's byte-switch oracle (tests/evm/byte_switch_oracle.h):
+/// the only code that may put an Interpreter on another frame loop.
+struct ByteSwitchOracle;
 
 /// Interpreter limits. The step cap is a belt-and-braces guard on top of gas
 /// so a mis-priced loop cannot wedge a fuzzing campaign.
@@ -37,7 +29,6 @@ struct EvmConfig {
   uint64_t tx_gas_limit = 10000000;
   int max_call_depth = 12;
   uint64_t max_steps = 2000000;
-  DispatchMode dispatch = DispatchMode::kDecoded;
   /// Cache for pre-decoded bytecode; nullptr means CodeCache::Global() (one
   /// decode per contract per process, shared across sessions and workers).
   CodeCache* code_cache = nullptr;
@@ -143,6 +134,8 @@ class Keccak256Memo {
 /// recorder receives branch, call, overflow, selfdestruct and checked-call
 /// events — the feedback channels MuFuzz's three components consume.
 class Interpreter : public ReentryHandle {
+  friend struct ByteSwitchOracle;
+
  public:
   Interpreter(WorldState* state, Host* host, BlockContext block,
               EvmConfig config = EvmConfig());
@@ -190,18 +183,16 @@ class Interpreter : public ReentryHandle {
  private:
   /// Runs one call frame (recursively for nested calls): resolves the
   /// callee's DecodedCode (memoized on the account, shared via the cache)
-  /// and hands off to the configured dispatch loop. State snapshots for
-  /// nested frames are managed by the caller of RunFrame.
+  /// and hands off to RunFrameDecoded, or to frame_loop_ when one is
+  /// installed. Nested CALL frames and Reenter come back through here, so
+  /// they run on the same loop. State snapshots for nested frames are
+  /// managed by the caller of RunFrame.
   ExecResult RunFrame(const MessageCall& call);
 
-  /// The byte-switch loop — the original interpreter, now reading the code
-  /// bytes through the shared DecodedCode instead of a per-frame copy.
-  ExecResult RunFrameBytes(const MessageCall& call,
-                           const DecodedCode& decoded);
-
   /// The threaded-dispatch IR loop (interpreter_decoded.cc). Bit-for-bit
-  /// equivalent to RunFrameBytes in outcome, gas, state journal, and every
-  /// observer event (events carry original byte pcs, not IR indices).
+  /// equivalent to the tests' byte-switch oracle in outcome, gas, state
+  /// journal, and every observer event (events carry original byte pcs, not
+  /// IR indices).
   ExecResult RunFrameDecoded(const MessageCall& call,
                              const DecodedCode& decoded);
 
@@ -236,6 +227,12 @@ class Interpreter : public ReentryHandle {
   BlockContext block_;
   EvmConfig config_;
   CodeCache* cache_ = nullptr;
+  /// A frame loop in place of RunFrameDecoded. Null (the default) runs the
+  /// decoded loop; only ByteSwitchOracle sets it, once per interpreter.
+  using FrameLoop = ExecResult (*)(Interpreter& interp,
+                                   const MessageCall& call,
+                                   const DecodedCode& decoded);
+  FrameLoop frame_loop_ = nullptr;
   TraceRecorder* observer_ = nullptr;
   /// observer_ when it takes the step stream, else nullptr.
   TraceRecorder* step_observer_ = nullptr;
@@ -251,8 +248,8 @@ class Interpreter : public ReentryHandle {
   uint64_t instructions_ = 0;
   int reenter_depth_ = 0;
   uint64_t host_calls_ = 0;
-  /// Used by the decoded loop; the byte-switch oracle calls Keccak256
-  /// directly, so the tier differential checks the memo.
+  /// Used by the decoded loop; the tests' byte-switch oracle calls
+  /// Keccak256 directly, so the differential suites check the memo.
   Keccak256Memo keccak_memo_;
   /// Stack-disciplined pool of frame arenas (see FrameArena): arenas_[i]
   /// belongs to the i-th live frame on this interpreter's call stack.

@@ -1,14 +1,15 @@
 // The threaded-dispatch execution loop over pre-decoded IR (see
-// evm/code_cache.h). This is the hot path of the whole system; the
-// byte-switch loop in interpreter.cc survives as its differential oracle.
+// evm/code_cache.h). This is the only frame loop of the library and the hot
+// path of the whole system; the byte-switch loop survives in the test tree
+// (tests/evm/byte_switch_oracle.cc) as its differential oracle.
 //
 // Equivalence contract (pinned by tests/evm/decoded_dispatch_test.cc): for
 // any bytecode and call, this loop produces the same ExecResult (outcome,
 // output, gas_used), the same state-journal effects, the same comparison
 // records, and the same observer-event stream — events carry original byte
-// pcs — as RunFrameBytes. To that end every handler replicates the byte
-// loop's per-instruction order exactly: step-limit check, (defined check),
-// OnStep, gas charge, stack-arity check, then the operation. Fused
+// pcs — as the byte-switch loop. To that end every handler replicates the
+// byte loop's per-instruction order exactly: step-limit check, (defined
+// check), OnStep, gas charge, stack-arity check, then the operation. Fused
 // superinstructions perform that bookkeeping once per original instruction.
 //
 // Most blocks skip that per-op path. Each block's kBlockCheck carries, from
@@ -98,6 +99,51 @@ MUFUZZ_ALWAYS_INLINE int32_t RecordIszero(std::vector<CmpRecord>* records,
   return id;
 }
 
+/// MLOAD's tag for the word at byte `offset`: a load that straddles two
+/// words ORs in the second one's taint and loses the call identity.
+MUFUZZ_ALWAYS_INLINE MemTaintMap::Tag MemTagLoad(const MemTaintMap& mem_taint,
+                                                 uint64_t offset) {
+  MemTaintMap::Tag tag;
+  const MemTaintMap::Tag* found = mem_taint.Find(offset / 32);
+  if (found != nullptr) tag = *found;
+  if (offset % 32 != 0) {
+    found = mem_taint.Find(offset / 32 + 1);
+    if (found != nullptr) {
+      tag.taint |= found->taint;
+      tag.call_id = -1;  // misaligned: call identity is lost
+    }
+  }
+  return tag;
+}
+
+/// Tags every word that bytes [offset, offset + len) touch; an untainted
+/// store without a call id erases their tags instead.
+MUFUZZ_ALWAYS_INLINE void MemTaintStore(MemTaintMap* mem_taint,
+                                        uint64_t offset, uint64_t len,
+                                        uint32_t taint, int32_t call_id = -1) {
+  if (len == 0) return;
+  for (uint64_t w = offset / 32; w <= (offset + len - 1) / 32; ++w) {
+    if (taint == 0 && call_id < 0) {
+      mem_taint->Erase(w);
+    } else {
+      mem_taint->Set(w, MemTaintMap::Tag{taint, call_id});
+    }
+  }
+}
+
+/// The OR of the taints of every word that bytes [offset, offset + len)
+/// touch.
+MUFUZZ_ALWAYS_INLINE uint32_t MemTaintRange(const MemTaintMap& mem_taint,
+                                            uint64_t offset, uint64_t len) {
+  uint32_t t = 0;
+  if (len == 0) return t;
+  for (uint64_t w = offset / 32; w <= (offset + len - 1) / 32; ++w) {
+    const MemTaintMap::Tag* found = mem_taint.Find(w);
+    if (found != nullptr) t |= found->taint;
+  }
+  return t;
+}
+
 // Static gas of kDispatchJumpi's two fixed-opcode components.
 const uint16_t kEqGas = GetOpInfo(Op::kEq).gas;
 const uint16_t kJumpiGas = GetOpInfo(Op::kJumpi).gas;
@@ -177,7 +223,6 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
   Stack& stack = lease.arena.stack;
   Memory& memory = lease.arena.memory;
   // Word-granular memory instrumentation, identical to the byte loop.
-  using MemTag = MemTaintMap::Tag;
   MemTaintMap& mem_taint = lease.arena.mem_taint;
   Bytes& return_data = lease.arena.return_data;
   bool caller_guard_seen = false;
@@ -195,40 +240,6 @@ ExecResult Interpreter::RunFrameDecoded(const MessageCall& call,
     if (gas < amount) return false;
     gas -= amount;
     return true;
-  };
-
-  auto mem_tag_load = [&](uint64_t offset) -> MemTag {
-    MemTag tag;
-    const MemTag* found = mem_taint.Find(offset / 32);
-    if (found != nullptr) tag = *found;
-    if (offset % 32 != 0) {
-      found = mem_taint.Find(offset / 32 + 1);
-      if (found != nullptr) {
-        tag.taint |= found->taint;
-        tag.call_id = -1;  // misaligned: call identity is lost
-      }
-    }
-    return tag;
-  };
-  auto mem_taint_store = [&](uint64_t offset, uint64_t len, uint32_t taint,
-                             int32_t call_id = -1) {
-    if (len == 0) return;
-    for (uint64_t w = offset / 32; w <= (offset + len - 1) / 32; ++w) {
-      if (taint == 0 && call_id < 0) {
-        mem_taint.Erase(w);
-      } else {
-        mem_taint.Set(w, MemTag{taint, call_id});
-      }
-    }
-  };
-  auto mem_taint_range = [&](uint64_t offset, uint64_t len) -> uint32_t {
-    uint32_t t = 0;
-    if (len == 0) return t;
-    for (uint64_t w = offset / 32; w <= (offset + len - 1) / 32; ++w) {
-      const MemTag* found = mem_taint.Find(w);
-      if (found != nullptr) t |= found->taint;
-    }
-    return t;
   };
 
   // A JUMPI's observer events and guard tracking, given its condition word's
@@ -524,7 +535,8 @@ dispatch_top:
     if (!memory.ViewOut(offset, length, &input)) {
       HALT(Outcome::kMemoryError);
     }
-    PUSH_W(Word(keccak_memo_.Hash(input), mem_taint_range(offset, length)));
+    PUSH_W(Word(keccak_memo_.Hash(input),
+                MemTaintRange(mem_taint, offset, length)));
     NEXT();
   }
 
@@ -606,7 +618,8 @@ dispatch_top:
                        len.value.low64())) {
       HALT(Outcome::kMemoryError);
     }
-    mem_taint_store(dst.value.low64(), len.value.low64(), kTaintCalldata);
+    MemTaintStore(&mem_taint, dst.value.low64(), len.value.low64(),
+                  kTaintCalldata);
     NEXT();
   }
 
@@ -715,7 +728,7 @@ dispatch_top:
     if (!memory.Load32(off.value.low64(), &v)) {
       HALT(Outcome::kMemoryError);
     }
-    MemTag tag = mem_tag_load(off.value.low64());
+    MemTaintMap::Tag tag = MemTagLoad(mem_taint, off.value.low64());
     Word loaded(v, tag.taint);
     loaded.call_id = tag.call_id;
     PUSH_W(loaded);
@@ -730,7 +743,7 @@ dispatch_top:
         !memory.Store32(off.value.low64(), val.value)) {
       HALT(Outcome::kMemoryError);
     }
-    mem_taint_store(off.value.low64(), 32, val.taint, val.call_id);
+    MemTaintStore(&mem_taint, off.value.low64(), 32, val.taint, val.call_id);
     NEXT();
   }
 
@@ -743,7 +756,7 @@ dispatch_top:
                        static_cast<uint8_t>(val.value.low64() & 0xff))) {
       HALT(Outcome::kMemoryError);
     }
-    mem_taint_store(off.value.low64(), 1, val.taint);
+    MemTaintStore(&mem_taint, off.value.low64(), 1, val.taint);
     NEXT();
   }
 

@@ -60,13 +60,6 @@ class Stack {
     return true;
   }
 
-  /// Peeks `depth` items below the top (0 == top). Returns nullptr when the
-  /// stack is too shallow.
-  const Word* Peek(size_t depth = 0) const {
-    if (depth >= size_) return nullptr;
-    return &items_[size_ - 1 - depth];
-  }
-
   /// DUPn: duplicates the item `depth-1` below the top onto the top.
   bool Dup(int depth) {
     if (static_cast<size_t>(depth) > size_) return false;

@@ -50,10 +50,9 @@ std::vector<FuzzJob> MixedBatch(int execs = 150) {
 }
 
 std::vector<JobOutcome> RunAll(const std::vector<FuzzJob>& jobs,
-                               int workers = 0, bool reuse_sessions = true) {
+                               int workers = 0) {
   ServiceOptions options;
   options.workers = workers;
-  options.reuse_sessions = reuse_sessions;
   return SubmitAllThenWait(jobs, options);
 }
 
@@ -90,17 +89,29 @@ TEST(ParallelRunnerTest, BatchMatchesDirectRunCampaign) {
 }
 
 TEST(ParallelRunnerTest, SessionReuseDoesNotLeakStateAcrossJobs) {
-  // Same batch with and without pooled-session reuse: identical results
-  // prove Bind() fully resets a recycled session.
+  // The service leases every job's session from its pool, and this batch
+  // has more jobs than workers, so later jobs run on recycled sessions.
+  // Each result must equal a direct RunCampaign on a backend the campaign
+  // owns, which proves Bind() fully resets a recycled session.
   std::vector<FuzzJob> jobs = MixedBatch(/*execs=*/100);
-  std::vector<JobOutcome> a =
-      RunAll(jobs, /*workers=*/2, /*reuse_sessions=*/true);
-  std::vector<JobOutcome> b =
-      RunAll(jobs, /*workers=*/2, /*reuse_sessions=*/false);
+  ServiceOptions options;
+  options.workers = 2;
+  FuzzService service(options);
+  std::vector<JobTicket> tickets;
+  for (const FuzzJob& job : jobs) {
+    Result<JobTicket> ticket = service.Submit(job);
+    ASSERT_TRUE(ticket.ok()) << job.name;
+    tickets.push_back(ticket.value());
+  }
+  std::vector<JobOutcome> pooled;
+  for (JobTicket ticket : tickets) pooled.push_back(service.Wait(ticket));
+  EXPECT_LT(service.sessions_created(), jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(a[i].result.has_value());
-    ASSERT_TRUE(b[i].result.has_value());
-    EXPECT_EQ(*a[i].result, *b[i].result) << "job " << a[i].name;
+    auto artifact = lang::CompileContract(jobs[i].source);
+    ASSERT_TRUE(artifact.ok()) << jobs[i].name;
+    CampaignResult fresh = fuzzer::RunCampaign(*artifact, jobs[i].config);
+    ASSERT_TRUE(pooled[i].result.has_value());
+    EXPECT_EQ(fresh, *pooled[i].result) << "job " << jobs[i].name;
   }
 }
 

@@ -27,10 +27,6 @@
 namespace mufuzz::evm {
 namespace {
 
-std::unique_ptr<ExecutionBackend> MakeBackend() {
-  return std::make_unique<SessionBackend>();
-}
-
 std::vector<std::string> Fingerprints(
     const std::vector<SequenceOutcome>& outcomes) {
   std::vector<std::string> fps;
@@ -39,7 +35,7 @@ std::vector<std::string> Fingerprints(
   return fps;
 }
 
-class BackendConformanceTest : public ::testing::TestWithParam<BackendCase> {
+class BackendConformanceTest : public BackendTierTest {
  protected:
   void SetUp() override {
     auto compiled = lang::CompileContract(corpus::CrowdsaleExample().source);
@@ -53,17 +49,14 @@ class BackendConformanceTest : public ::testing::TestWithParam<BackendCase> {
         /*max_reentries=*/2);
   }
 
-  /// The interpreter tier under test.
-  EvmConfig TierConfig() const {
-    EvmConfig config;
-    config.dispatch = GetParam().dispatch;
-    return config;
+  /// An unbound backend of the tier under test.
+  std::unique_ptr<ExecutionBackend> MakeBackend() const {
+    return NewBackend(GetParam());
   }
 
   /// Binds, funds, deploys, and marks — the setup phase every campaign runs.
-  /// The default `config` is the reference tier (decoded dispatch).
-  void Prepare(ExecutionBackend* backend, EvmConfig config = EvmConfig()) {
-    backend->Bind(host_.get(), BlockContext(), config);
+  void Prepare(ExecutionBackend* backend) {
+    backend->Bind(host_.get());
     backend->FundAccount(deployer_, U256::PowerOfTen(24));
     auto addr = backend->DeployContract(artifact_.runtime_code,
                                         artifact_.ctor_code, {}, deployer_,
@@ -111,7 +104,7 @@ class BackendConformanceTest : public ::testing::TestWithParam<BackendCase> {
 
 TEST_P(BackendConformanceTest, BindDeployMarkRewindRoundTrip) {
   std::unique_ptr<ExecutionBackend> backend = MakeBackend();
-  Prepare(backend.get(), TierConfig());
+  Prepare(backend.get());
 
   const Account* account = backend->state().Find(contract_);
   ASSERT_NE(account, nullptr);
@@ -133,7 +126,7 @@ TEST_P(BackendConformanceTest, BindDeployMarkRewindRoundTrip) {
 
 TEST_P(BackendConformanceTest, RebindResetsAllSessionState) {
   std::unique_ptr<ExecutionBackend> backend = MakeBackend();
-  Prepare(backend.get(), TierConfig());
+  Prepare(backend.get());
   EXPECT_GT(backend->state().account_count(), 0u);
 
   backend->Bind(host_.get());
@@ -152,14 +145,14 @@ TEST_P(BackendConformanceTest, MatchesSessionBackendReference) {
   }
 
   std::unique_ptr<ExecutionBackend> backend = MakeBackend();
-  Prepare(backend.get(), TierConfig());
+  Prepare(backend.get());
   std::vector<SequenceOutcome> actual = backend->ExecuteSequenceBatch(plans);
   EXPECT_EQ(Fingerprints(actual), Fingerprints(expected));
 }
 
 TEST_P(BackendConformanceTest, BatchEqualsSerialOnSameBackend) {
   std::unique_ptr<ExecutionBackend> backend = MakeBackend();
-  Prepare(backend.get(), TierConfig());
+  Prepare(backend.get());
   std::vector<SequencePlan> plans = SamplePlans();
 
   std::vector<SequenceOutcome> serial;
@@ -177,11 +170,11 @@ TEST_P(BackendConformanceTest, OutcomesAreIsolatedBetweenSequences) {
   const SequencePlan& a = plans[1];
 
   std::unique_ptr<ExecutionBackend> alone = MakeBackend();
-  Prepare(alone.get(), TierConfig());
+  Prepare(alone.get());
   std::string alone_fp = Fingerprint(alone->ExecuteSequence(a));
 
   std::unique_ptr<ExecutionBackend> crowded = MakeBackend();
-  Prepare(crowded.get(), TierConfig());
+  Prepare(crowded.get());
   std::vector<SequenceOutcome> outcomes = crowded->ExecuteSequenceBatch(plans);
   EXPECT_EQ(Fingerprint(outcomes[1]), alone_fp);
 
@@ -194,7 +187,7 @@ TEST_P(BackendConformanceTest, SplitBatchesMatchSerialReference) {
   // Batch boundaries are invisible: the plans split across two batches,
   // executed back to back, map to their own outcomes in plan order.
   std::unique_ptr<ExecutionBackend> backend = MakeBackend();
-  Prepare(backend.get(), TierConfig());
+  Prepare(backend.get());
   std::vector<SequencePlan> plans = SamplePlans();
 
   std::span<const SequencePlan> all(plans);
@@ -224,7 +217,7 @@ TEST_P(BackendConformanceTest, RecycledOutcomeBuffersCarryNoStaleState) {
   // Every outcome must equal the serial reference — no transaction slot,
   // trace, or touched-pc list may survive from a buffer's previous batch.
   std::unique_ptr<ExecutionBackend> backend = MakeBackend();
-  Prepare(backend.get(), TierConfig());
+  Prepare(backend.get());
   std::vector<SequencePlan> plans = SamplePlans();
   SessionBackend reference;
   Prepare(&reference);
@@ -270,8 +263,8 @@ TEST_P(BackendConformanceTest, RecycledOutcomeBuffersCarryNoStaleState) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendConformanceTest,
-    ::testing::Values(BackendCase{"session", DispatchMode::kDecoded},
-                      BackendCase{"byte_switch", DispatchMode::kByteSwitch}),
+    ::testing::Values(BackendCase{"session", /*byte_switch=*/false},
+                      BackendCase{"byte_switch", /*byte_switch=*/true}),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return info.param.name;
     });

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "byte_switch_oracle.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/u256.h"
@@ -150,8 +151,28 @@ void ExpectSameCmps(const std::vector<CmpRecord>& a,
   }
 }
 
-/// One transaction under one dispatch mode, with its full observable output
-/// captured for comparison.
+/// The frame loop a differential run executes on.
+enum class Tier { kDecoded, kByteSwitch };
+
+/// Puts `interp` on `tier`'s frame loop and returns the oracle's frame count
+/// on this thread, for ExpectRanOn once the run is over.
+uint64_t UseTier(Tier tier, Interpreter* interp) {
+  if (tier == Tier::kByteSwitch) ByteSwitchOracle::Install(interp);
+  return ByteSwitchOracle::frames_run();
+}
+
+/// Checks that the run since UseTier returned `oracle_frames` executed on
+/// `tier`: the oracle ran frames for kByteSwitch and none for kDecoded.
+void ExpectRanOn(Tier tier, uint64_t oracle_frames) {
+  if (tier == Tier::kByteSwitch) {
+    EXPECT_GT(ByteSwitchOracle::frames_run(), oracle_frames);
+  } else {
+    EXPECT_EQ(ByteSwitchOracle::frames_run(), oracle_frames);
+  }
+}
+
+/// One transaction on one tier, with its full observable output captured
+/// for comparison.
 struct RawRun {
   explicit RawRun(bool step_stream) : trace(step_stream) {}
 
@@ -169,8 +190,8 @@ struct RunSetup {
   std::optional<Bytes> reentry_calldata;
 };
 
-/// Runs `call` from a copy of `pre` under `mode`.
-RawRun RunCall(DispatchMode mode, const WorldState& pre,
+/// Runs `call` from a copy of `pre` on tier `mode`.
+RawRun RunCall(Tier mode, const WorldState& pre,
                const MessageCall& call, CodeCache* cache,
                const RunSetup& setup, bool step_stream = true) {
   RawRun r(step_stream);
@@ -183,12 +204,13 @@ RawRun RunCall(DispatchMode mode, const WorldState& pre,
     host = &probe;
   }
   EvmConfig config;
-  config.dispatch = mode;
   config.code_cache = cache;
   config.max_steps = setup.max_steps;
   Interpreter interp(&r.state, host, BlockContext(), config);
+  const uint64_t oracle_frames = UseTier(mode, &interp);
   interp.set_observer(&r.trace);
   r.exec = interp.ExecuteTransaction(call);
+  ExpectRanOn(mode, oracle_frames);
   r.cmps = interp.cmp_records();
   return r;
 }
@@ -217,7 +239,7 @@ MessageCall RawCall(const Bytes& calldata, const U256& value, uint64_t gas) {
   return call;
 }
 
-RawRun RunRaw(DispatchMode mode, const Bytes& code, const Bytes& calldata,
+RawRun RunRaw(Tier mode, const Bytes& code, const Bytes& calldata,
               const U256& value, uint64_t gas, CodeCache* cache,
               uint64_t max_steps = EvmConfig().max_steps) {
   RunSetup setup;
@@ -244,16 +266,16 @@ void ExpectSameResult(const RawRun& oracle, const RawRun& subject) {
 ExecResult ExpectCallAgrees(const WorldState& pre, const MessageCall& call,
                             const RunSetup& setup = {}) {
   CodeCache cache;
-  RawRun oracle = RunCall(DispatchMode::kByteSwitch, pre, call, &cache, setup);
+  RawRun oracle = RunCall(Tier::kByteSwitch, pre, call, &cache, setup);
   {
     SCOPED_TRACE("decoded, step stream");
-    RawRun subject = RunCall(DispatchMode::kDecoded, pre, call, &cache, setup);
+    RawRun subject = RunCall(Tier::kDecoded, pre, call, &cache, setup);
     ExpectSameResult(oracle, subject);
     ExpectSameTrace(oracle.trace, subject.trace);
   }
   {
     SCOPED_TRACE("decoded, no step stream");
-    RawRun subject = RunCall(DispatchMode::kDecoded, pre, call, &cache, setup,
+    RawRun subject = RunCall(Tier::kDecoded, pre, call, &cache, setup,
                              /*step_stream=*/false);
     ExpectSameResult(oracle, subject);
     ExpectSameEvents(oracle.trace, subject.trace);
@@ -690,7 +712,7 @@ TEST(DecodedDispatchTest, CompiledDispatcherFusesEveryCase) {
   AppendU32BE(&calldata, last.selector);
   U256(7).AppendBytesBE(&calldata);
   CodeCache cache;
-  RawRun run = RunRaw(DispatchMode::kDecoded, artifact->runtime_code,
+  RawRun run = RunRaw(Tier::kDecoded, artifact->runtime_code,
                       calldata, U256(), 1000000, &cache);
   EXPECT_EQ(run.exec.outcome, Outcome::kSuccess);
   size_t dispatch_events = 0;
@@ -714,7 +736,7 @@ TEST(DecodedDispatchTest, FusedBranchOutOfGasAndStepLimitAtEveryComponent) {
       ExpectModesAgree(code, {}, U256(), gas);
     }
     CodeCache cache;
-    const uint64_t steps = RunRaw(DispatchMode::kByteSwitch, code, {}, U256(),
+    const uint64_t steps = RunRaw(Tier::kByteSwitch, code, {}, U256(),
                                   1000000, &cache)
                                .trace.instruction_count();
     for (uint64_t limit = 0; limit <= steps; ++limit) {
@@ -1130,7 +1152,7 @@ TEST(DecodedBlockChargeTest, HostReentryUnderTightStepLimit) {
   ASSERT_EQ(full.outcome, Outcome::kSuccess);
   CodeCache cache;
   const uint64_t steps =
-      RunCall(DispatchMode::kByteSwitch, pre, call, &cache, setup)
+      RunCall(Tier::kByteSwitch, pre, call, &cache, setup)
           .trace.instruction_count();
   // Outer: to the JUMPDEST 3, the call 1 + 7 + 1, after it 5; inner 3 + 6.
   EXPECT_EQ(steps, 3u + 9 + 5 + 3 + 6);
@@ -1168,7 +1190,7 @@ TEST(DecodedBlockChargeTest, FailingKeccakWordChargeMidBlock) {
                       OpByte(Op::kKeccak256), OpByte(Op::kStop)};
   CodeCache cache;
   RunSetup setup;
-  const RawRun r = RunCall(DispatchMode::kDecoded, RawPreState(code),
+  const RawRun r = RunCall(Tier::kDecoded, RawPreState(code),
                            RawCall({}, U256(), 36 + 11), &cache, setup,
                            /*step_stream=*/false);
   EXPECT_EQ(r.exec.outcome, Outcome::kOutOfGas);
@@ -1226,7 +1248,7 @@ TEST(DecodedBlockChargeTest, BuiltinTransactionsAgreeAtEveryGasAndStepLimit) {
       call.gas = 1000000;
       CodeCache cache;
       RawRun full =
-          RunCall(DispatchMode::kByteSwitch, pre, call, &cache, RunSetup());
+          RunCall(Tier::kByteSwitch, pre, call, &cache, RunSetup());
       const uint64_t gas_used = full.exec.gas_used;
       const uint64_t steps = full.trace.instruction_count();
       for (call.gas = 0; call.gas <= gas_used; ++call.gas) {
@@ -1257,12 +1279,12 @@ class CountOnlyTrace : public TraceRecorder {
   uint64_t step_calls = 0;
 };
 
-/// Runs `code` under `mode` (with value 1, against a host that calls back
+/// Runs `code` on tier `mode` (with value 1, against a host that calls back
 /// into the contract once) twice: observed by a FullTrace and by a
 /// CountOnlyTrace. Checks that instruction_count() equals the number of
 /// OnStep calls the FullTrace saw, and that the plain recorder gets the same
 /// count with no OnStep calls. Returns the count.
-uint64_t CheckInstructionCount(DispatchMode mode, const Bytes& code,
+uint64_t CheckInstructionCount(Tier mode, const Bytes& code,
                                uint64_t max_steps, Outcome want) {
   uint64_t count = 0;
   for (bool stream : {true, false}) {
@@ -1276,10 +1298,10 @@ uint64_t CheckInstructionCount(DispatchMode mode, const Bytes& code,
     host.SetReentryCalldata({0x01});
     CodeCache cache;
     EvmConfig config;
-    config.dispatch = mode;
     config.max_steps = max_steps;
     config.code_cache = &cache;
     Interpreter interp(&state, &host, BlockContext(), config);
+    const uint64_t oracle_frames = UseTier(mode, &interp);
     FullTrace full;
     CountOnlyTrace plain;
     interp.set_observer(stream ? static_cast<TraceRecorder*>(&full) : &plain);
@@ -1291,6 +1313,7 @@ uint64_t CheckInstructionCount(DispatchMode mode, const Bytes& code,
     call.value = U256(1);
     call.gas = 1000000;
     EXPECT_EQ(interp.ExecuteTransaction(call).outcome, want);
+    ExpectRanOn(mode, oracle_frames);
     if (stream) {
       EXPECT_EQ(full.instruction_count(), full.steps().size());
       count = full.steps().size();
@@ -1308,8 +1331,7 @@ TEST(InstructionCountTest, StepLimitAbortIsNotCounted) {
   const Bytes code = {static_cast<uint8_t>(Op::kJumpdest),
                       static_cast<uint8_t>(Op::kPush1), 0x00,
                       static_cast<uint8_t>(Op::kJump)};
-  for (DispatchMode mode :
-       {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
+  for (Tier mode : {Tier::kDecoded, Tier::kByteSwitch}) {
     EXPECT_EQ(CheckInstructionCount(mode, code, /*max_steps=*/50,
                                     Outcome::kStepLimit),
               50u);
@@ -1333,8 +1355,7 @@ TEST(InstructionCountTest, UndefinedOpcodeInReenteredFrameIsNotCounted) {
       0x61 /* PUSH2 */, 0xde, 0xad,                // code-less target
       0x62 /* PUSH3 */, 0x01, 0x86, 0xa0,          // gas 100000
       op(Op::kCall), op(Op::kPop), op(Op::kStop)};
-  for (DispatchMode mode :
-       {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
+  for (Tier mode : {Tier::kDecoded, Tier::kByteSwitch}) {
     // Outer frame: 3 + JUMPDEST + 7 pushes + CALL + POP + STOP = 14;
     // re-entered frame: CALLVALUE, PUSH1, JUMPI = 3.
     EXPECT_EQ(CheckInstructionCount(mode, code, /*max_steps=*/2000000,
@@ -1352,7 +1373,6 @@ TEST(DecodedDispatchTest, SetCodeInvalidatesDecodeMemo) {
   EvmConfig config;
   CodeCache cache;
   config.code_cache = &cache;
-  config.dispatch = DispatchMode::kDecoded;
   Interpreter interp(&state, &host, BlockContext(), config);
   MessageCall call;
   call.to = contract;
@@ -1509,7 +1529,7 @@ TEST(DecodedDispatchTest, RandomProgramsAgreeWithByteOracle) {
 // ------------------------------------------------------- builtin corpus --
 
 /// Everything observable from running one compiled contract through a
-/// ChainSession under one dispatch mode.
+/// ChainSession on one tier.
 struct CorpusRun {
   explicit CorpusRun(bool step_stream) : trace(step_stream) {}
 
@@ -1521,15 +1541,15 @@ struct CorpusRun {
 };
 
 CorpusRun RunCorpusEntry(const lang::ContractArtifact& artifact,
-                         DispatchMode mode, uint64_t seed,
+                         Tier mode, uint64_t seed,
                          bool step_stream = true) {
   CorpusRun run(step_stream);
   CodeCache cache;
   EvmConfig config;
-  config.dispatch = mode;
   config.code_cache = &cache;
   AcceptingHost host;
   ChainSession chain(&host, BlockContext(), config);
+  const uint64_t oracle_frames = UseTier(mode, &chain.interpreter());
   chain.interpreter().set_observer(&run.trace);
 
   Rng rng(seed);
@@ -1562,6 +1582,7 @@ CorpusRun RunCorpusEntry(const lang::ContractArtifact& artifact,
       }
     }
   }
+  ExpectRanOn(mode, oracle_frames);
   run.accounts = chain.state().accounts();
   return run;
 }
@@ -1579,11 +1600,11 @@ TEST(DecodedDispatchTest, BuiltinCorpusAgreesWithByteOracle) {
 
     const uint64_t seed = 1000 + e;
     CorpusRun oracle =
-        RunCorpusEntry(*artifact, DispatchMode::kByteSwitch, seed);
+        RunCorpusEntry(*artifact, Tier::kByteSwitch, seed);
     for (bool step_stream : {true, false}) {
       SCOPED_TRACE(step_stream ? "decoded, step stream"
                                : "decoded, no step stream");
-      CorpusRun subject = RunCorpusEntry(*artifact, DispatchMode::kDecoded,
+      CorpusRun subject = RunCorpusEntry(*artifact, Tier::kDecoded,
                                          seed, step_stream);
       ASSERT_EQ(oracle.deploy_ok, subject.deploy_ok);
       ASSERT_EQ(oracle.results.size(), subject.results.size());
@@ -1678,8 +1699,7 @@ TEST(CodeCacheConcurrencyTest, ConcurrentMixedDispatchAgrees) {
       threads.emplace_back([&, t] {
         for (int iter = 0; iter < kIters; ++iter) {
           for (const Bytes& code : programs) {
-            for (DispatchMode mode :
-                 {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
+            for (Tier mode : {Tier::kDecoded, Tier::kByteSwitch}) {
               RawRun r = RunRaw(mode, code, {}, U256(), 200000, &cache);
               logs[t].push_back(static_cast<uint64_t>(r.exec.outcome));
               logs[t].push_back(r.exec.gas_used);

@@ -107,7 +107,7 @@ TEST(StackTest, DupCopiesDeepItem) {
   s.Push(Word(U256(20)));
   s.Push(Word(U256(30)));
   ASSERT_TRUE(s.Dup(3));  // duplicates the 10
-  EXPECT_EQ(s.Peek(0)->value, U256(10));
+  EXPECT_EQ(s.TopUnsafe(0).value, U256(10));
   EXPECT_EQ(s.size(), 4u);
   EXPECT_FALSE(s.Dup(5));  // too deep
 }
@@ -118,8 +118,8 @@ TEST(StackTest, SwapExchangesItems) {
   s.Push(Word(U256(2)));
   s.Push(Word(U256(3)));
   ASSERT_TRUE(s.Swap(2));  // swap top with 2 below
-  EXPECT_EQ(s.Peek(0)->value, U256(1));
-  EXPECT_EQ(s.Peek(2)->value, U256(3));
+  EXPECT_EQ(s.TopUnsafe(0).value, U256(1));
+  EXPECT_EQ(s.TopUnsafe(2).value, U256(3));
   EXPECT_FALSE(s.Swap(3));  // too deep
 }
 

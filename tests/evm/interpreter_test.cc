@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "byte_switch_oracle.h"
 #include "common/keccak.h"
 #include "common/rng.h"
 #include "copy_boundary_programs.h"
@@ -29,7 +30,9 @@ class InterpreterTest : public ::testing::Test {
     Address contract = DeployCode(code);
     Address sender = Address::FromUint(0xabc);
     state_.SetBalance(sender, U256::PowerOfTen(20));
-    Interpreter interp(&state_, &host_, block_, config_);
+    Interpreter interp(&state_, &host_, block_);
+    const uint64_t oracle_frames = ByteSwitchOracle::frames_run();
+    if (byte_switch_) ByteSwitchOracle::Install(&interp);
     interp.set_observer(&trace_);
     last_interp_cmp_records_ = nullptr;
     MessageCall call;
@@ -41,6 +44,9 @@ class InterpreterTest : public ::testing::Test {
     call.data = calldata;
     call.gas = kGas;
     ExecResult result = interp.ExecuteTransaction(call);
+    if (byte_switch_) {
+      EXPECT_GT(ByteSwitchOracle::frames_run(), oracle_frames);
+    }
     cmp_records_ = interp.cmp_records();
     return result;
   }
@@ -48,7 +54,8 @@ class InterpreterTest : public ::testing::Test {
   WorldState state_;
   AcceptingHost host_;
   BlockContext block_;
-  EvmConfig config_;  ///< Run's interpreter config (dispatch mode)
+  /// Run executes on the byte-switch oracle instead of the decoded loop.
+  bool byte_switch_ = false;
   TraceRecorder trace_;
   std::vector<CmpRecord> cmp_records_;
   const std::vector<CmpRecord>* last_interp_cmp_records_ = nullptr;
@@ -183,17 +190,15 @@ TEST_F(InterpreterTest, CalldataAndCodeReadsAtBoundaryOffsetsMatchSpec) {
   const Bytes calldata = BoundaryCalldata();
   const size_t code_size =
       CopyBoundaryProgram(CopyRead::kCodecopy, U256()).size();
-  for (DispatchMode mode :
-       {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
-    config_.dispatch = mode;
+  for (bool byte_switch : {false, true}) {
+    byte_switch_ = byte_switch;
     for (CopyRead read : {CopyRead::kCalldataload, CopyRead::kCalldatacopy,
                           CopyRead::kCodecopy}) {
       const bool from_code = read == CopyRead::kCodecopy;
       for (const U256& offset :
            CopyBoundaryOffsets(from_code ? code_size : calldata.size())) {
         SCOPED_TRACE(CopyReadName(read) + " at " + offset.ToHex() +
-                     (mode == DispatchMode::kDecoded ? " decoded"
-                                                     : " byte-switch"));
+                     (byte_switch ? " byte-switch" : " decoded"));
         const Bytes code = CopyBoundaryProgram(read, offset);
         ExecResult r = Run(code, calldata);
         ASSERT_TRUE(r.Success());
@@ -252,13 +257,11 @@ TEST_F(InterpreterTest, ReturndatacopyOutOfBoundsHalts) {
       {"(0,2^64,0)", true, U256(0, 1, 0, 0), U256(0), true},
       {"(0,2^64-1,2)", true, U256(UINT64_MAX), U256(2), true},
   };
-  for (DispatchMode mode :
-       {DispatchMode::kDecoded, DispatchMode::kByteSwitch}) {
-    config_.dispatch = mode;
+  for (bool byte_switch : {false, true}) {
+    byte_switch_ = byte_switch;
     for (const Case& c : kCases) {
       SCOPED_TRACE(std::string(c.name) +
-                   (mode == DispatchMode::kDecoded ? " decoded"
-                                                   : " byte-switch"));
+                   (byte_switch ? " byte-switch" : " decoded"));
       ExecResult r = Run(program(c.call_first, c.src, c.len));
       EXPECT_EQ(r.outcome,
                 c.halts ? Outcome::kMemoryError : Outcome::kSuccess)

@@ -1,10 +1,15 @@
 #ifndef MUFUZZ_TESTS_EVM_OUTCOME_FINGERPRINT_H_
 #define MUFUZZ_TESTS_EVM_OUTCOME_FINGERPRINT_H_
 
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <type_traits>
 
+#include "byte_switch_oracle.h"
 #include "evm/execution_backend.h"
 
 namespace mufuzz::evm {
@@ -12,11 +17,37 @@ namespace mufuzz::evm {
 /// One interpreter tier of a parameterized backend suite.
 struct BackendCase {
   std::string name;
-  DispatchMode dispatch;
+  /// Runs on the byte-switch oracle (ByteSwitchSessionBackend) instead of
+  /// the decoded loop.
+  bool byte_switch = false;
 };
 
 /// Prints the case by name, so test names carry no object bytes.
 inline void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.name; }
+
+/// An unbound backend of the case's tier.
+inline std::unique_ptr<SessionBackend> NewBackend(const BackendCase& c) {
+  if (c.byte_switch) return std::make_unique<ByteSwitchSessionBackend>();
+  return std::make_unique<SessionBackend>();
+}
+
+/// Fixture base of the suites parameterized by BackendCase: each test must
+/// run its frames on its case's tier, so the oracle's frame count on this
+/// thread goes up during a byte_switch test and stays put during a decoded
+/// one.
+class BackendTierTest : public ::testing::TestWithParam<BackendCase> {
+ protected:
+  void TearDown() override {
+    if (GetParam().byte_switch) {
+      EXPECT_GT(ByteSwitchOracle::frames_run(), oracle_frames_before_);
+    } else {
+      EXPECT_EQ(ByteSwitchOracle::frames_run(), oracle_frames_before_);
+    }
+  }
+
+ private:
+  const uint64_t oracle_frames_before_ = ByteSwitchOracle::frames_run();
+};
 
 /// Appends `fields` to `fp`, space-separated, as one event record.
 template <typename... Fields>

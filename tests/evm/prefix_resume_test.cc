@@ -53,7 +53,7 @@ class CountingHost : public fuzzer::FuzzingHost {
 /// the retained prefix, so every reference plan runs from the mark). Plans
 /// share prefixes with their predecessor, hosts inject failures and
 /// re-enter, so both the reuse path and the host-consulted cut run.
-class PrefixReuseDiffTest : public ::testing::TestWithParam<BackendCase> {
+class PrefixReuseDiffTest : public BackendTierTest {
  protected:
   struct Fixture {
     const lang::ContractArtifact* artifact = nullptr;
@@ -62,15 +62,9 @@ class PrefixReuseDiffTest : public ::testing::TestWithParam<BackendCase> {
     Address contract;
   };
 
-  EvmConfig TierConfig() const {
-    EvmConfig config;
-    config.dispatch = GetParam().dispatch;
-    return config;
-  }
-
   /// Binds, funds, deploys and marks, as a campaign does.
   void Prepare(SessionBackend* backend, Host* host, Fixture* fx) {
-    backend->Bind(host, BlockContext(), TierConfig());
+    backend->Bind(host);
     for (const Address& sender : fx->senders) {
       backend->FundAccount(sender, U256::PowerOfTen(24));
     }
@@ -141,8 +135,11 @@ TEST_P(PrefixReuseDiffTest, CorpusPlanStreamsMatchNonResumingReference) {
     CountingHost subject_host(/*seed=*/e, /*failure_probability=*/0.3,
                               /*max_reentries=*/2);
     CountingHost reference_host(e, 0.3, 2);
-    SessionBackend subject;
-    SessionBackend reference;
+    std::unique_ptr<SessionBackend> subject_backend = NewBackend(GetParam());
+    std::unique_ptr<SessionBackend> reference_backend =
+        NewBackend(GetParam());
+    SessionBackend& subject = *subject_backend;
+    SessionBackend& reference = *reference_backend;
     Prepare(&subject, &subject_host, &fx);
     Prepare(&reference, &reference_host, &fx);
 
@@ -213,7 +210,8 @@ TEST_P(PrefixReuseDiffTest, HostConsultingTransactionEndsTheSharedPrefix) {
   fx.senders = {Address::FromUint(0xd0)};
   fx.codec = std::make_unique<fuzzer::AbiCodec>(&compiled->abi, fx.senders);
   CountingHost host(1, 0.5, 2);
-  SessionBackend backend;
+  std::unique_ptr<SessionBackend> owned_backend = NewBackend(GetParam());
+  SessionBackend& backend = *owned_backend;
   Prepare(&backend, &host, &fx);
 
   auto call = [&](const std::string& name, uint64_t value) {
@@ -270,15 +268,15 @@ TEST_P(PrefixReuseDiffTest, HostConsultingTransactionEndsTheSharedPrefix) {
   }
   // Bind starts a new session; nothing carries over into it.
   const uint64_t before = backend.reused_txs();
-  backend.Bind(&host, BlockContext(), TierConfig());
+  backend.Bind(&host);
   backend.ExecuteSequence(plan);
   EXPECT_EQ(backend.reused_txs(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllTiers, PrefixReuseDiffTest,
-    ::testing::Values(BackendCase{"decoded", DispatchMode::kDecoded},
-                      BackendCase{"byte_switch", DispatchMode::kByteSwitch}),
+    ::testing::Values(BackendCase{"decoded", /*byte_switch=*/false},
+                      BackendCase{"byte_switch", /*byte_switch=*/true}),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return info.param.name;
     });
