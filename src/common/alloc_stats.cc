@@ -19,7 +19,7 @@ struct alignas(64) CounterShard {
 };
 
 /// More shards than cores buys nothing; each one dealt costs every
-/// snapshot a cache line, and campaigns take two snapshots per wave.
+/// snapshot a cache line, and campaigns snapshot once per progress report.
 constexpr uint64_t kShards = 16;
 constexpr uint32_t kNoShard = ~uint32_t{0};
 

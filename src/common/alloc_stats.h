@@ -11,7 +11,7 @@ namespace mufuzz {
 /// off so ASan/TSan keep their own allocator interposition intact).
 ///
 /// This is the observability hook behind the "allocation-free hot path"
-/// invariant: the allocation-regression test and the per-wave counters in
+/// invariant: the allocation-regression test and the steady-state counters in
 /// Campaign::Progress / JobProgress both read these. Counters are relaxed
 /// atomics — cheap enough to leave on in Release, monotone, and summed
 /// across all threads (service workers included: a campaign's allocations

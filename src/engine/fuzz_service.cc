@@ -468,7 +468,7 @@ bool FuzzService::PickSliceLocked(Slice* slice) {
       } else {
         consider(r, nullptr, Slice::Kind::kSetup);
       }
-    } else if (r->cancel_requested || r->campaign->StreamDone()) {
+    } else if (r->cancel_requested || r->campaign->Done()) {
       consider(r, nullptr, Slice::Kind::kFinalize);
     } else if (steps_open) {
       consider(r, nullptr, Slice::Kind::kStep);
@@ -513,7 +513,7 @@ bool FuzzService::PickSliceLocked(Slice* slice) {
     best->running = true;
     if (best_kind == Slice::Kind::kFinalize) {
       best->finalize_cancelled =
-          best->cancel_requested && !best->campaign->StreamDone();
+          best->cancel_requested && !best->campaign->Done();
     } else if (best_kind == Slice::Kind::kStep) {
       best->tenant_record->stepped_quanta +=
           static_cast<uint64_t>(options_.round_quantum);

@@ -259,7 +259,7 @@ int DefaultWorkerCount();
 /// count, which worker ran which slice and when, `round_quantum`,
 /// `step_slots`, and other jobs being cancelled around it. A streamed job
 /// parks its whole speculative parent set (all K parents and their
-/// unapplied waves) across slice boundaries, and Cancel drains that set —
+/// unapplied children) across slice boundaries, and Cancel drains that set —
 /// applying every executed child in (parent rank, child index) order —
 /// before finalizing the partial result.
 /// An island member's result is a pure function of its *group's* jobs and

@@ -6,44 +6,6 @@
 
 namespace mufuzz::evm {
 
-std::vector<SequenceOutcome> ExecutionBackend::ExecuteSequenceBatch(
-    std::span<const SequencePlan> plans) {
-  std::vector<SequenceOutcome> outcomes = AcquireOutcomeBuffer(plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    ExecuteSequenceInto(plans[i], &outcomes[i]);
-  }
-  return outcomes;
-}
-
-std::vector<SequenceOutcome> ExecutionBackend::AcquireOutcomeBuffer(size_t n) {
-  std::vector<SequenceOutcome> buf;
-  if (!outcome_pool_.empty()) {
-    buf = std::move(outcome_pool_.back());
-    outcome_pool_.pop_back();
-  }
-  while (buf.size() > n) {
-    if (spare_outcomes_.size() < kMaxPooledBuffers * 4) {
-      spare_outcomes_.push_back(std::move(buf.back()));
-    }
-    buf.pop_back();
-  }
-  if (buf.capacity() < n) buf.reserve(n);
-  while (buf.size() < n) {
-    if (!spare_outcomes_.empty()) {
-      buf.push_back(std::move(spare_outcomes_.back()));
-      spare_outcomes_.pop_back();
-    } else {
-      buf.emplace_back();
-    }
-  }
-  return buf;
-}
-
-void ExecutionBackend::RecycleOutcomes(std::vector<SequenceOutcome> outcomes) {
-  if (outcome_pool_.size() >= kMaxPooledBuffers) return;
-  outcome_pool_.push_back(std::move(outcomes));
-}
-
 SessionBackend::SessionBackend(Host* host, BlockContext block,
                                EvmConfig config) {
   Bind(host, block, config);

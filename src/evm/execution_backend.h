@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -47,8 +46,8 @@ struct TxOutcome {
   TraceRecorder trace;
   std::vector<CmpRecord> cmps;
 
-  /// One oversized sequence must not pin its peak buffers in the recycle
-  /// pools forever; anything past this per-vector capacity is released.
+  /// One oversized sequence must not pin its peak buffers in a reused
+  /// slot forever; anything past this per-vector capacity is released.
   static constexpr size_t kMaxRetainedEvents = 1 << 14;
 
   /// Clears payload but keeps (bounded) heap capacity so a recycled outcome
@@ -65,8 +64,8 @@ struct TxOutcome {
   }
 };
 
-// Outcome slots are relocated by move through the recycle pools; a copying
-// relocation would deep-copy every trace.
+// Transaction slots are relocated by move when an outcome is re-shaped; a
+// copying relocation would deep-copy every trace.
 static_assert(std::is_nothrow_move_constructible_v<TxOutcome>);
 static_assert(std::is_nothrow_move_assignable_v<TxOutcome>);
 
@@ -100,111 +99,24 @@ struct SequenceOutcome {
   }
 };
 
-/// The execution substrate a fuzzing campaign drives: deploy once, mark the
-/// deployed state, then execute arbitrarily many sequence plans, each as if
-/// from a fresh rewind of the mark. Pulling this behind an interface keeps
-/// the fuzzer layer ignorant of how state is hosted and lets worker pools
-/// recycle sessions between jobs.
+/// The execution substrate a fuzzing campaign drives: a ChainSession plus a
+/// TraceRecorder wired as its observer (both internal — outcomes are copied
+/// out per transaction). Deploy once, mark the deployed state, then execute
+/// arbitrarily many sequence plans, each as if from a fresh rewind of the
+/// mark. Bind() reconstructs the session in place, so one SessionBackend can
+/// serve many campaigns back to back (the SessionPool path).
 ///
-/// Execution is plan-in / outcome-out and synchronous: callers hand over
-/// self-contained SequencePlans and receive self-contained SequenceOutcomes.
-/// Every plan's outcome equals the outcome of running it alone from the
-/// MarkDeployed point with the host re-armed via OnSequenceStart, so it is
-/// independent of the other plans in its batch and of batch boundaries.
-/// Parallelism lives one layer up: whole campaigns run concurrently on the
-/// FuzzService workers, each over its own backend.
-class ExecutionBackend {
- public:
-  virtual ~ExecutionBackend() = default;
-
-  /// Rebinds the backend to `host` and discards all session state. A backend
-  /// must be bound before any other call; rebinding starts a fresh
-  /// deploy-once/rewind-many cycle (the pool-reuse path).
-  virtual void Bind(Host* host, BlockContext block = BlockContext(),
-                    EvmConfig config = EvmConfig()) = 0;
-
-  /// Drops the session and every reference to the host it was bound to.
-  /// Campaigns unbind non-owned backends on destruction (their host dies
-  /// with them), and the pool unbinds on Release, so a recycled backend can
-  /// never reach a dead host.
-  virtual void Unbind() = 0;
-
-  /// Deploys a contract (see ChainSession::Deploy).
-  virtual Result<Address> DeployContract(const Bytes& runtime_code,
-                                         const Bytes& ctor_code,
-                                         const Bytes& ctor_args,
-                                         const Address& deployer,
-                                         const U256& value) = 0;
-
-  virtual void FundAccount(const Address& addr, const U256& balance) = 0;
-
-  /// Marks the current session state (world state + block context) as the
-  /// point every sequence plan starts from. Typically called right after
-  /// deployment. O(1) in the in-process backend (a journal mark).
-  virtual void MarkDeployed() = 0;
-
-  /// Rewinds to the MarkDeployed() point. Sequence execution rewinds
-  /// implicitly per plan; this exists for setup code and tests. Cost is
-  /// proportional to the state touched since the mark (journal unwind).
-  virtual void Rewind() = 0;
-
-  /// Executes one plan as if from a fresh rewind: arms the host
-  /// (OnSequenceStart(plan.host_seed), then OnTransactionStart per tx) and
-  /// applies each transaction, collecting a self-contained outcome.
-  virtual SequenceOutcome ExecuteSequence(const SequencePlan& plan) = 0;
-
-  /// Executes one plan into a caller-provided outcome slot, reusing its heap
-  /// capacity. Semantically identical to `*out = ExecuteSequence(plan)`; the
-  /// in-process backend overrides it with a swap-based implementation that
-  /// makes the steady-state hot path allocation-free.
-  virtual void ExecuteSequenceInto(const SequencePlan& plan,
-                                   SequenceOutcome* out) {
-    *out = ExecuteSequence(plan);
-  }
-
-  /// Executes `plans` in order, each through ExecuteSequenceInto, and
-  /// returns their outcomes index-aligned with `plans`. The outcome vector
-  /// (and every outcome's trace/cmp capacity) comes from a recycle pool;
-  /// hand it back with RecycleOutcomes once consumed and the steady state
-  /// stops allocating.
-  std::vector<SequenceOutcome> ExecuteSequenceBatch(
-      std::span<const SequencePlan> plans);
-
-  /// Returns a consumed batch's outcome buffers to the reuse pool. Pools
-  /// are bounded; excess buffers are simply freed.
-  void RecycleOutcomes(std::vector<SequenceOutcome> outcomes);
-
-  /// Frees buffers the backend keeps only to run faster (SessionBackend's
-  /// retained prefix); outcomes are unaffected. A campaign calls it when it
-  /// pauses, so a service holding hundreds of suspended jobs does not pin
-  /// one set per job.
-  virtual void Trim() {}
-
-  /// Counters of the code cache this backend decodes through (zeros when
-  /// unbound). Observability only: the cache is typically the process-wide
-  /// one, so hits/misses aggregate across every session sharing it.
-  virtual CodeCacheStats code_cache_stats() const { return {}; }
-
-  virtual const WorldState& state() const = 0;
-
- private:
-  /// Draws a warm outcome buffer of exactly `n` elements from the recycle
-  /// pool (allocating only what the pool can't supply).
-  std::vector<SequenceOutcome> AcquireOutcomeBuffer(size_t n);
-
-  /// Caps every recycle pool; beyond this, buffers are dropped on the floor
-  /// (correctness never depends on recycling).
-  static constexpr size_t kMaxPooledBuffers = 16;
-
-  std::vector<std::vector<SequenceOutcome>> outcome_pool_;
-  std::vector<SequenceOutcome> spare_outcomes_;
-};
-
-/// In-process backend: a ChainSession plus a TraceRecorder wired as its
-/// observer (both internal — outcomes are copied out per transaction).
-/// Bind() reconstructs the session in place, so one SessionBackend can serve
-/// many campaigns back to back without reallocation churn at the call sites
-/// that hold it.
+/// Execution is plan-in / outcome-out and synchronous: callers hand over a
+/// self-contained SequencePlan and an outcome slot they own. Every plan's
+/// outcome equals the outcome of running it alone from the MarkDeployed
+/// point with the host re-armed via OnSequenceStart, so it is independent of
+/// what ran before it. Parallelism lives one layer up: whole campaigns run
+/// concurrently on the FuzzService workers, each over its own backend.
+///
+/// The class is concrete. Four members stay virtual for the two subclasses
+/// that wrap it: Bind (the test oracle's ByteSwitchSessionBackend installs
+/// its interpreter loop on every fresh session) and DeployContract,
+/// ExecuteSequence and ExecuteSequenceInto (perfbench's timing wrapper).
 ///
 /// Prefix resume: consecutive plans of a campaign mostly share a leading run
 /// of transactions (the mutators change one transaction or the tail of a
@@ -220,7 +132,7 @@ class ExecutionBackend {
 /// mark. Bind, Unbind, DeployContract, FundAccount, MarkDeployed and Rewind
 /// drop the retained prefix; Unbind and Trim free it. Nothing is retained
 /// before MarkDeployed.
-class SessionBackend : public ExecutionBackend {
+class SessionBackend {
  public:
   /// Constructs an unbound backend (the pool path); call Bind() before use.
   SessionBackend() = default;
@@ -229,30 +141,64 @@ class SessionBackend : public ExecutionBackend {
   explicit SessionBackend(Host* host, BlockContext block = BlockContext(),
                           EvmConfig config = EvmConfig());
 
-  void Bind(Host* host, BlockContext block = BlockContext(),
-            EvmConfig config = EvmConfig()) override;
-  void Unbind() override;
+  virtual ~SessionBackend() = default;
 
-  Result<Address> DeployContract(const Bytes& runtime_code,
-                                 const Bytes& ctor_code,
-                                 const Bytes& ctor_args,
-                                 const Address& deployer,
-                                 const U256& value) override;
+  /// Rebinds the backend to `host` and discards all session state. A backend
+  /// must be bound before any other call; rebinding starts a fresh
+  /// deploy-once/rewind-many cycle (the pool-reuse path).
+  virtual void Bind(Host* host, BlockContext block = BlockContext(),
+                    EvmConfig config = EvmConfig());
 
-  void FundAccount(const Address& addr, const U256& balance) override;
-  void MarkDeployed() override;
-  void Rewind() override;
-  SequenceOutcome ExecuteSequence(const SequencePlan& plan) override;
-  /// The allocation-free primitive: trace buffers ping-pong between the
-  /// internal recorder and the outcome slot via swap, and comparison records
-  /// are stolen from the interpreter instead of copied.
-  void ExecuteSequenceInto(const SequencePlan& plan,
-                           SequenceOutcome* out) override;
-  void Trim() override;
+  /// Drops the session and every reference to the host it was bound to.
+  /// Campaigns unbind non-owned backends on destruction (their host dies
+  /// with them), and the pool unbinds on Release, so a recycled backend can
+  /// never reach a dead host.
+  void Unbind();
 
-  CodeCacheStats code_cache_stats() const override;
+  /// Deploys a contract (see ChainSession::Deploy).
+  virtual Result<Address> DeployContract(const Bytes& runtime_code,
+                                         const Bytes& ctor_code,
+                                         const Bytes& ctor_args,
+                                         const Address& deployer,
+                                         const U256& value);
 
-  const WorldState& state() const override;
+  void FundAccount(const Address& addr, const U256& balance);
+
+  /// Marks the current session state (world state + block context) as the
+  /// point every sequence plan starts from. Typically called right after
+  /// deployment. O(1): a journal mark.
+  void MarkDeployed();
+
+  /// Rewinds to the MarkDeployed() point. Sequence execution rewinds
+  /// implicitly per plan; this exists for setup code and tests. Cost is
+  /// proportional to the state touched since the mark (journal unwind).
+  void Rewind();
+
+  /// Executes one plan into a fresh outcome. Routes through
+  /// ExecuteSequenceInto.
+  virtual SequenceOutcome ExecuteSequence(const SequencePlan& plan);
+
+  /// Executes one plan as if from a fresh rewind into a caller-owned outcome
+  /// slot: arms the host (OnSequenceStart(plan.host_seed), then
+  /// OnTransactionStart per tx) and applies each transaction. The slot's
+  /// heap capacity is reused — trace buffers ping-pong between the internal
+  /// recorder and the slot via swap, and comparison records are stolen from
+  /// the interpreter instead of copied — so a campaign that keeps its slots
+  /// executes allocation-free in the steady state.
+  virtual void ExecuteSequenceInto(const SequencePlan& plan,
+                                   SequenceOutcome* out);
+
+  /// Frees the retained prefix, a buffer kept only to run faster; outcomes
+  /// are unaffected. A campaign calls it when it pauses, so a service
+  /// holding hundreds of suspended jobs does not pin one set per job.
+  void Trim();
+
+  /// Counters of the code cache this backend decodes through (zeros when
+  /// unbound). Observability only: the cache is typically the process-wide
+  /// one, so hits/misses aggregate across every session sharing it.
+  CodeCacheStats code_cache_stats() const;
+
+  const WorldState& state() const;
 
   bool bound() const { return session_.has_value(); }
   /// Transactions whose outcome was copied from the retained prefix instead

@@ -58,7 +58,7 @@ class ReentryHandle {
 /// after OnSequenceStart(seed) is a pure function of (construction
 /// parameters, seed, the call stream) is *sequence-pure*: a sequence's
 /// outcome never depends on which sequences ran before it, which is what
-/// makes the campaign's plan-ahead wave schedule reproducible.
+/// makes the campaign's plan-ahead child schedule reproducible.
 ///
 /// Sequence-purity also licenses prefix resume (SessionBackend): a
 /// transaction that never reached OnExternalCall is a pure function of the

@@ -147,7 +147,7 @@ class TraceRecorder {
 
   /// Shrink-to-reuse hygiene: frees any event buffer whose capacity grew
   /// past `max_events` (a pathological sequence shouldn't pin its peak
-  /// footprint in the recycle pools forever). Call after Clear().
+  /// footprint in a reused outcome slot forever). Call after Clear().
   void ShrinkIfOversized(size_t max_events) {
     if (branches_.capacity() > max_events) branches_.shrink_to_fit();
     if (calls_.capacity() > max_events) calls_.shrink_to_fit();

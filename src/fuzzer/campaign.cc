@@ -1,6 +1,7 @@
 #include "fuzzer/campaign.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/alloc_stats.h"
@@ -23,7 +24,7 @@ std::vector<Address> MakeSenderPool() {
 }  // namespace
 
 Campaign::Campaign(const lang::ContractArtifact* artifact,
-                   CampaignConfig config, evm::ExecutionBackend* backend,
+                   CampaignConfig config, evm::SessionBackend* backend,
                    SeedScheduler* scheduler, int island_id)
     : artifact_(artifact),
       config_(config),
@@ -129,16 +130,10 @@ void Campaign::ApplyOutcome(const evm::SequenceOutcome& outcome,
 
 ExecSignals Campaign::ExecuteSequenceNow(const Sequence& seq) {
   if (contract_.IsZero() || artifact_->abi.functions.empty()) return {};
-  // Route through the batch entry point so the probe's plan and outcome
-  // flow through the same recycle pools as wave executions.
-  std::vector<evm::SequencePlan> plans = planner_->AcquirePlanVec();
-  plans.push_back(planner_->BuildPlan(seq));
+  planner_->BuildPlan(seq, &probe_plan_);
   ++planned_executions_;
-  std::vector<evm::SequenceOutcome> outcomes =
-      backend_->ExecuteSequenceBatch(plans);
-  ApplyOutcome(outcomes.front(), &signals_scratch_);
-  backend_->RecycleOutcomes(std::move(outcomes));
-  planner_->RecyclePlans(std::move(plans));
+  backend_->ExecuteSequenceInto(probe_plan_, &probe_outcome_);
+  ApplyOutcome(probe_outcome_, &signals_scratch_);
   return signals_scratch_;
 }
 
@@ -158,46 +153,25 @@ void Campaign::MaybeComputeMask(FuzzSeed* seed) {
 void Campaign::SeedCorpus() {
   result_ = CampaignResult();
   planned_executions_ = 0;
+  parent_count_ = 0;
   steady_base_set_ = false;
   result_.total_jumpis = artifact_->total_jumpis;
   result_.island_id = island_id_;
   if (contract_.IsZero()) return;
 
-  // The initial seeds are mutually independent, so they ride the batch API
-  // as one wave: planned in order, executed together, applied in order.
-  const bool executable = !artifact_->abi.functions.empty();
-  std::vector<Sequence> seqs;
-  std::vector<evm::SequencePlan> plans;
-  seqs.reserve(config_.initial_seeds);
-  plans.reserve(config_.initial_seeds);
+  // Each initial seed is drawn, executed through the probe slot and applied
+  // before the next is drawn. Drawing reads only the static ABI and
+  // dependency graph, never feedback, so the interleaving changes no result.
   for (int k = 0; k < config_.initial_seeds; ++k) {
-    seqs.push_back(mutation_->InitialSequence(&rng_));
-    if (executable) {
-      plans.push_back(planner_->BuildPlan(seqs.back()));
-      ++planned_executions_;
-    }
-  }
-  std::vector<evm::SequenceOutcome> outcomes;
-  if (executable) outcomes = backend_->ExecuteSequenceBatch(plans);
-
-  for (int k = 0; k < config_.initial_seeds; ++k) {
-    ExecSignals stats;
-    if (executable) {
-      ApplyOutcome(outcomes[static_cast<size_t>(k)], &signals_scratch_);
-      stats = signals_scratch_;
-    }
     FuzzSeed seed;
-    seed.seq = std::move(seqs[static_cast<size_t>(k)]);
+    seed.seq = mutation_->InitialSequence(&rng_);
+    ExecSignals stats = ExecuteSequenceNow(seed.seq);
     seed.hits_nested = stats.hits_nested;
     seed.improved_distance = stats.improved_distance;
-    seed.touched_pcs = stats.touched_pcs;
     seed.focus_tx = stats.best_tx;
     seed.priority = feedback_->InitialSeedPriority(stats);
+    seed.touched_pcs = std::move(stats.touched_pcs);
     scheduler_->Add(std::move(seed));
-  }
-  if (executable) {
-    backend_->RecycleOutcomes(std::move(outcomes));
-    planner_->RecyclePlans(std::move(plans));
   }
   // A service seeds every job before stepping any of them.
   backend_->Trim();
@@ -210,194 +184,128 @@ void Campaign::SeedCorpus() {
 }
 
 bool Campaign::Done() const {
-  return contract_.IsZero() ||
+  return contract_.IsZero() || artifact_->abi.functions.empty() ||
          result_.executions >= static_cast<uint64_t>(config_.max_executions) ||
          scheduler_->empty();
 }
 
-void Campaign::ApplyWave(MutationPlanner::ParentPlan* parent,
-                         InFlightWave* inflight) {
-  std::vector<Sequence>& children = inflight->wave.children;
-  for (size_t i = 0; i < children.size(); ++i) {
-    ExecSignals& stats = signals_scratch_;
-    ApplyOutcome(inflight->outcomes[i], &stats);
-    // UPDATE_ENERGY (Algorithm 1 line 29): productive children extend the
-    // parent's budget. An extension earned by a child is visible when the
-    // parent's next child after the one already in flight is planned,
-    // never retroactively — the schedule depends only on (seed, K), not on
-    // execution timing.
-    planner_->ExtendEnergy(parent, stats.new_branches);
-    ChildVerdict verdict = feedback_->JudgeChild(stats, &rng_);
-    if (!verdict.keep) continue;
-    FuzzSeed child = planner_->AcquireSeed();
-    // Swap, not move: the shell's recycled sequence buffer lands in
-    // children[i] and flows back to the planner's spare pool warm.
-    std::swap(child.seq, children[i]);
-    child.hits_nested = stats.hits_nested;
-    child.improved_distance = stats.improved_distance;
-    child.touched_pcs = stats.touched_pcs;  // copy: scratch stays warm
-    child.focus_tx = stats.best_tx;
-    child.priority = verdict.priority;
-    scheduler_->Add(std::move(child));
-  }
-  // Spent wave: outcomes back to the backend pool, plans and child
-  // sequences back to the planner pools.
-  backend_->RecycleOutcomes(std::move(inflight->outcomes));
-  planner_->RecyclePlans(std::move(inflight->wave.plans));
-  planner_->RecycleChildren(std::move(children));
+void Campaign::ApplyChild(MutationPlanner::ParentPlan* parent,
+                          ChildSlot* child) {
+  ExecSignals& stats = signals_scratch_;
+  ApplyOutcome(child->outcome, &stats);
+  // UPDATE_ENERGY (Algorithm 1 line 29): productive children extend the
+  // parent's budget. An extension earned by a child is visible when the
+  // parent's next child after the one already in flight is planned,
+  // never retroactively — the schedule depends only on (seed, K), not on
+  // execution timing.
+  planner_->ExtendEnergy(parent, stats.new_branches);
+  ChildVerdict verdict = feedback_->JudgeChild(stats, &rng_);
+  if (!verdict.keep) return;
+  FuzzSeed seed = planner_->AcquireSeed();
+  // Swap, not move: the shell's recycled sequence buffer lands in the
+  // child slot, which the parent's next child overwrites warm.
+  std::swap(seed.seq, child->seq);
+  seed.hits_nested = stats.hits_nested;
+  seed.improved_distance = stats.improved_distance;
+  seed.touched_pcs = stats.touched_pcs;  // copy: scratch stays warm
+  seed.focus_tx = stats.best_tx;
+  seed.priority = verdict.priority;
+  scheduler_->Add(std::move(seed));
 }
 
-std::vector<Campaign::ParentSlot> Campaign::BeginParentSet(
-    const MutationPlanner::MaskHook& mask_hook) {
+bool Campaign::BeginParentSet(const MutationPlanner::MaskHook& mask_hook) {
   std::vector<MutationPlanner::ParentPlan> plans =
       planner_->BeginParents(&rng_, mask_hook, config_.fanout);
-  std::vector<ParentSlot> parents;
-  parents.reserve(plans.size());
-  for (MutationPlanner::ParentPlan& plan : plans) {
-    ParentSlot slot;
-    slot.plan = std::move(plan);
-    parents.push_back(std::move(slot));
+  if (parents_.size() < plans.size()) parents_.resize(plans.size());
+  for (size_t r = 0; r < plans.size(); ++r) {
+    ParentSlot& slot = parents_[r];
+    slot.plan = std::move(plans[r]);
+    slot.planned = false;
+    slot.waiting = false;
   }
-  return parents;
+  parent_count_ = plans.size();
+  return parent_count_ > 0;
 }
 
-bool Campaign::SweepParentSet(std::vector<ParentSlot>* parents,
-                              uint64_t bound) {
+bool Campaign::SweepParentSet(uint64_t bound) {
   // Plan phase (rank order): every parent with budget gets its next child
-  // planned and executed *before* anyone's outcomes are applied, and sweep
-  // k's waves are applied only after sweep k+1 is planned. The plan/apply
-  // interleaving is fixed by this loop: results are a pure function of
-  // (seed, K). (The fan-out interleaves rng draws differently than K serial
-  // chains would — K, like the seed, is part of the reproducibility key;
-  // see ARCHITECTURE.md.)
-  std::vector<std::optional<InFlightWave>> next(parents->size());
-  for (size_t r = 0; r < parents->size(); ++r) {
-    ParentSlot& slot = (*parents)[r];
-    if (slot.plan.planned >= slot.plan.allowed ||
-        planned_executions_ >= bound) {
-      continue;
-    }
-    MutationPlanner::Wave planned =
-        planner_->PlanWave(&slot.plan, bound - planned_executions_, &rng_);
-    if (planned.children.empty()) {
-      planner_->RecycleChildren(std::move(planned.children));
-      planner_->RecyclePlans(std::move(planned.plans));
-      continue;
-    }
-    planned_executions_ += planned.children.size();
-    InFlightWave wave;
-    wave.outcomes = backend_->ExecuteSequenceBatch(planned.plans);
-    wave.wave = std::move(planned);
-    next[r].emplace(std::move(wave));
+  // planned and executed *before* anyone's outcome is applied, and sweep
+  // k's children are applied only after sweep k+1 is planned. The
+  // plan/apply interleaving is fixed by this loop: results are a pure
+  // function of (seed, K). (The fan-out interleaves rng draws differently
+  // than K serial chains would — K, like the seed, is part of the
+  // reproducibility key; see ARCHITECTURE.md.)
+  for (size_t r = 0; r < parent_count_; ++r) {
+    ParentSlot& slot = parents_[r];
+    ChildSlot& child = slot.children[slot.next];
+    slot.planned = planned_executions_ < bound &&
+                   planner_->PlanChild(&slot.plan,
+                                       bound - planned_executions_, &rng_,
+                                       &child.seq, &child.plan);
+    if (!slot.planned) continue;
+    ++planned_executions_;
+    backend_->ExecuteSequenceInto(child.plan, &child.outcome);
   }
 
-  // Apply phase, strictly (parent rank, child index) order — energy
-  // extensions and keep/Add decisions land in this fixed order.
-  for (size_t r = 0; r < parents->size(); ++r) {
-    ParentSlot& slot = (*parents)[r];
-    if (slot.inflight.has_value()) ApplyWave(&slot.plan, &*slot.inflight);
-    slot.inflight = std::move(next[r]);
+  // Apply phase, strictly rank order — energy extensions and keep/Add
+  // decisions land in this fixed order.
+  bool more = false;
+  for (size_t r = 0; r < parent_count_; ++r) {
+    ParentSlot& slot = parents_[r];
+    if (slot.waiting) ApplyChild(&slot.plan, &slot.children[slot.next ^ 1]);
+    slot.waiting = slot.planned;
+    if (slot.planned) slot.next ^= 1;
+    more = more || slot.waiting ||
+           (slot.plan.planned < slot.plan.allowed &&
+            planned_executions_ < bound);
   }
-
-  for (const ParentSlot& slot : *parents) {
-    if (slot.inflight.has_value()) return true;
-    if (slot.plan.planned < slot.plan.allowed &&
-        planned_executions_ < bound) {
-      return true;
-    }
-  }
-  return false;
+  return more;
 }
 
-void Campaign::StepRound(uint64_t round_executions) {
-  if (contract_.IsZero() || artifact_->abi.functions.empty()) return;
-  const uint64_t budget = static_cast<uint64_t>(config_.max_executions);
-  const uint64_t target =
-      std::min(budget, planned_executions_ + round_executions);
-
+void Campaign::Advance(uint64_t bound, uint64_t pause_at) {
+  if (Done()) return;
   MutationPlanner::MaskHook mask_hook = [this](FuzzSeed* seed) {
     MaybeComputeMask(seed);
   };
-
-  while (planned_executions_ < target) {
-    // Set boundary: the pipeline is drained here, so selection sees every
-    // keep/Add decision of earlier waves — and the round's K picks land
-    // back to back on a queue no wave can mutate mid-selection.
-    std::vector<ParentSlot> parents = BeginParentSet(mask_hook);
-    if (parents.empty()) break;
-    while (SweepParentSet(&parents, target)) {
+  for (;;) {
+    // Set boundary: the set is drained here, so selection sees every
+    // keep/Add decision so far — and the round's K picks land back to back
+    // on a queue no child can change mid-selection.
+    if (parent_count_ == 0 &&
+        (planned_executions_ >= bound || !BeginParentSet(mask_hook))) {
+      break;
     }
+    // Pause between sweeps — never instead of one, so the schedule does not
+    // depend on where pauses fall. A set with work left stays parked.
+    bool more = SweepParentSet(bound);
+    while (more && result_.executions < pause_at) more = SweepParentSet(bound);
+    if (!more) parent_count_ = 0;
+    if (result_.executions >= pause_at) break;
   }
+  // Every return is a pause; a service may run hundreds of other jobs
+  // before this one resumes.
   backend_->Trim();
 }
 
-void Campaign::StepStream(uint64_t quantum) {
-  if (contract_.IsZero() || artifact_->abi.functions.empty()) return;
-  if (!stream_.has_value()) stream_.emplace();
-  StreamState& s = *stream_;
-  if (s.exhausted) return;
-
-  // This loop is the StepRound sweep loop with two differences: every
-  // planning decision is bounded by the *campaign budget* (never a round
-  // target — so the operation sequence matches the monolithic run exactly),
-  // and instead of draining at the end it returns with the whole parent
-  // set — and its in-flight waves — parked in `stream_`, to be resumed by
-  // the next call.
+void Campaign::StepRound(uint64_t round_executions) {
   const uint64_t budget = static_cast<uint64_t>(config_.max_executions);
-  const uint64_t pause_at = result_.executions + quantum;
-  // Every return is a pause; the service may run hundreds of other jobs
-  // before this one resumes.
-  struct TrimOnPause {
-    evm::ExecutionBackend* backend;
-    ~TrimOnPause() { backend->Trim(); }
-  } trim_on_pause{backend_};
-
-  MutationPlanner::MaskHook mask_hook = [this](FuzzSeed* seed) {
-    MaybeComputeMask(seed);
-  };
-
-  for (;;) {
-    if (s.parents.empty()) {
-      if (planned_executions_ >= budget) {
-        s.exhausted = true;
-        return;
-      }
-      s.parents = BeginParentSet(mask_hook);
-      if (s.parents.empty()) {
-        s.exhausted = true;
-        return;
-      }
-    }
-    while (SweepParentSet(&s.parents, budget)) {
-      // Pause between pipeline sweeps — never instead of one, so the
-      // schedule is unchanged. The set's unapplied waves (if any) stay
-      // parked with it.
-      if (result_.executions >= pause_at) return;
-    }
-    s.parents.clear();
-    if (result_.executions >= pause_at) return;  // set-boundary pause
-  }
+  Advance(std::min(budget, planned_executions_ + round_executions),
+          std::numeric_limits<uint64_t>::max());
 }
 
-bool Campaign::StreamDone() const {
-  return contract_.IsZero() || artifact_->abi.functions.empty() ||
-         (stream_.has_value() && stream_->exhausted) || Done();
+void Campaign::StepStream(uint64_t quantum) {
+  Advance(static_cast<uint64_t>(config_.max_executions),
+          result_.executions + quantum);
 }
 
 void Campaign::DrainStream() {
-  if (!stream_.has_value()) return;
-  StreamState& s = *stream_;
-  // Apply whatever the speculative set has executed — in (parent rank,
-  // child index) order, exactly as a continued run would — then abandon
-  // the set: the partial result accounts for every executed child of all
-  // K parents.
-  for (ParentSlot& slot : s.parents) {
-    if (!slot.inflight.has_value()) continue;
-    ApplyWave(&slot.plan, &*slot.inflight);
-    slot.inflight.reset();
+  for (size_t r = 0; r < parent_count_; ++r) {
+    ParentSlot& slot = parents_[r];
+    if (!slot.waiting) continue;
+    ApplyChild(&slot.plan, &slot.children[slot.next ^ 1]);
+    slot.waiting = false;
   }
-  s.parents.clear();
-  s.exhausted = true;
+  parent_count_ = 0;
 }
 
 Campaign::Progress Campaign::SnapshotProgress() const {
@@ -408,9 +316,7 @@ Campaign::Progress Campaign::SnapshotProgress() const {
   progress.bugs_found = result_.bugs.size();
   progress.planned_executions = planned_executions_;
   progress.inflight_executions = planned_executions_ - result_.executions;
-  if (stream_.has_value()) {
-    progress.parents_in_flight = static_cast<int>(stream_->parents.size());
-  }
+  progress.parents_in_flight = static_cast<int>(parent_count_);
   progress.code_cache = backend_->code_cache_stats();
   if (steady_base_set_ && AllocStatsEnabled()) {
     progress.heap_allocs = CurrentAllocStats().allocs - steady_alloc_base_;
@@ -446,7 +352,7 @@ CampaignResult Campaign::Run() {
 
 CampaignResult RunCampaign(const lang::ContractArtifact& artifact,
                            const CampaignConfig& config,
-                           evm::ExecutionBackend* backend) {
+                           evm::SessionBackend* backend) {
   Campaign campaign(&artifact, config, backend);
   return campaign.Run();
 }

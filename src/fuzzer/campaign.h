@@ -1,8 +1,8 @@
 #ifndef MUFUZZ_FUZZER_CAMPAIGN_H_
 #define MUFUZZ_FUZZER_CAMPAIGN_H_
 
+#include <array>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "analysis/dependency_graph.h"
@@ -37,35 +37,43 @@ struct CampaignConfig {
 
   // --------------------------------------------------- Speculative fan-out --
   /// Parents speculatively expanded per selection round (K). Each round
-  /// selects K distinct parents and keeps one wave per parent in flight,
+  /// selects K distinct parents and keeps one child per parent in flight,
   /// planning and applying strictly in (parent rank, child index) order —
   /// so results are a pure function of (seed, fanout), never of where the
   /// campaign runs. 0/1 = the serial parent chain. K is part of the
-  /// reproducibility key: K parents' waves interleave rng draws differently
-  /// than K serial chains would.
+  /// reproducibility key: K parents' children interleave rng draws
+  /// differently than K serial chains would.
   int fanout = 1;
 };
 
 /// One fuzzing campaign over one contract: deploy once, then iterate
 /// seed-selection → (sequence | masked-input) mutation → execution →
-/// feedback, per the architecture of Fig. 2.
+/// feedback, per the architecture of Fig. 2 and Algorithm 1.
 ///
-/// The campaign is a thin composer over five modules, each swappable:
-///  - SeedScheduler  — queue, selection, eviction (fuzzer layer)
-///  - MutationPipeline — sequence ops + mask-guided byte ops (fuzzer layer)
-///  - MutationPlanner — wave planning over parent snapshots (fuzzer layer)
-///  - FeedbackEngine — coverage / distance / energy / oracles (fuzzer layer)
-///  - ExecutionBackend — plan-in/outcome-out substrate (evm layer)
+/// The campaign composes four fuzzer-layer modules and the one concrete
+/// evm backend:
+///  - SeedScheduler  — queue, selection, eviction (owned, or an island queue)
+///  - MutationPipeline — sequence ops + mask-guided byte ops
+///  - MutationPlanner — parent snapshots, energy, and child planning
+///  - FeedbackEngine — coverage / distance / energy / oracles
+///  - evm::SessionBackend — plan-in/outcome-out execution (owned or pooled)
 ///
-/// Execution is wave-pipelined over a speculative parent set: each
-/// selection round picks K = `fanout` distinct parents, and every pipeline
-/// sweep plans and executes one child (a one-child wave) per parent with
-/// budget (all K before anyone's outcome is applied), then applies the
-/// previous sweep's waves strictly in parent rank order. All randomness
-/// flows from Rngs seeded by the config and is drawn in planning/apply
-/// order, so results are identical wherever the campaign runs — serially
-/// or on any FuzzService worker. K=1 degenerates to the classic
-/// single-parent pipeline.
+/// Execution runs over a speculative parent set: each selection round
+/// picks K = `fanout` distinct parents, and every sweep plans and executes
+/// one child per parent with budget (all K before anyone's outcome is
+/// applied), then applies the previous sweep's child of each parent
+/// strictly in rank order. Each parent therefore owns two child slots — one
+/// being planned and executed, one waiting to be applied — and the campaign
+/// owns one more for mask probes and the seed corpus. All randomness flows
+/// from Rngs seeded by the config and is drawn in planning/apply order, so
+/// results are identical wherever the campaign runs — serially or on any
+/// FuzzService worker. K=1 is the paper's one-child-at-a-time loop.
+///
+/// One sweep loop serves both drivers. StepRound bounds planning by a round
+/// target and drains the set before it returns (rounds are barriers, which
+/// island migration needs). StepStream bounds planning by the campaign
+/// budget and may pause between sweeps with the set parked, so a streamed
+/// run follows the schedule of one monolithic run however it is chopped.
 class Campaign {
  public:
   /// When `backend` is null the campaign owns a private SessionBackend;
@@ -78,7 +86,7 @@ class Campaign {
   /// ownership; the scheduler must outlive the campaign. `island_id` is
   /// recorded in the result (-1 = standalone).
   Campaign(const lang::ContractArtifact* artifact, CampaignConfig config,
-           evm::ExecutionBackend* backend = nullptr,
+           evm::SessionBackend* backend = nullptr,
            SeedScheduler* scheduler = nullptr, int island_id = -1);
   ~Campaign();
 
@@ -86,61 +94,37 @@ class Campaign {
   /// SeedCorpus() + StepRound(max_executions) + Finalize().
   CampaignResult Run();
 
-  // ------------------------------------------------------------------------
-  // Stepped interface — the island coordinator's view. Call SeedCorpus()
-  // once, StepRound() until Done() (migrating seeds between rounds), then
-  // Finalize() once.
-  // ------------------------------------------------------------------------
-
-  /// Resets the result and executes the initial seed corpus (as one batch —
-  /// initial seeds are independent, so they ride the same wave machinery).
+  /// Resets the result and executes the initial seed corpus, one seed at a
+  /// time through the probe slot, in order. Call once, before stepping.
   void SeedCorpus();
 
-  /// True when the execution budget is exhausted (or the contract failed to
-  /// deploy, or the queue drained).
+  /// True when stepping can do no more work: the execution budget is spent,
+  /// the queue is empty, the contract failed to deploy, or it has no
+  /// function to call. Finalize() may run. Both drivers stop on it.
   bool Done() const;
 
-  /// Plans (and applies) up to `round_executions` more sequence executions
-  /// (never past the campaign budget; energy waves and mask probes may
-  /// overshoot a round boundary by a bounded amount, exactly as they
-  /// overshoot the budget). All in-flight waves are applied before this
-  /// returns — rounds are barriers, which is what island migration needs.
+  /// The island coordinator's step: plans (and applies) up to
+  /// `round_executions` more sequence executions (never past the campaign
+  /// budget; energy and mask probes may overshoot a round boundary by a
+  /// bounded amount, exactly as they overshoot the budget). Every planned
+  /// child is applied before this returns.
   void StepRound(uint64_t round_executions);
+
+  /// The FuzzService's step: advances the monolithic schedule until at
+  /// least `quantum` more executions have been applied (or Done()),
+  /// possibly parking the K-parent set — with up to one executed-but-
+  /// unapplied child per parent — across the pause. The pause quantum never
+  /// leaks into results. A campaign uses StepRound or StepStream, not both.
+  void StepStream(uint64_t quantum);
 
   /// Contract-lifetime wrap-up; returns the final result.
   CampaignResult Finalize();
 
-  // ------------------------------------------------------------------------
-  // Streaming interface — the FuzzService's view. Unlike StepRound, which
-  // drains the wave pipeline at every round boundary (rounds are barriers —
-  // what island migration needs), the streaming step *suspends* the
-  // pipeline: the current parent and any in-flight wave survive across
-  // calls, so the plan/apply schedule is exactly the schedule of one
-  // monolithic StepRound(max_executions) no matter how the run is chopped.
-  // That makes results a pure function of (config.seed, fanout) — the
-  // pause quantum, unlike StepRound's round size, can never leak into them.
-  // A campaign uses either the stepped interface or the streaming one;
-  // mixing the two mid-run is unsupported.
-  // ------------------------------------------------------------------------
-
-  /// Advances the monolithic schedule until at least `quantum` more
-  /// executions have been applied (or the campaign ran out of budget /
-  /// seeds), possibly parking the whole K-parent set — with up to one
-  /// executed-but-unapplied wave per parent — across the pause. Call
-  /// SeedCorpus() first, then StepStream() until StreamDone().
-  void StepStream(uint64_t quantum);
-
-  /// True when the streamed schedule is exhausted (budget spent, queue
-  /// drained, deploy failed, or nothing executable) and the pipeline is
-  /// drained — Finalize() may run.
-  bool StreamDone() const;
-
-  /// Applies every parked parent's in-flight wave — strictly in (parent
-  /// rank, child index) order, exactly as a continued run would — and then
-  /// abandons the set, leaving the pipeline drained mid-schedule: the
-  /// early-stop path Cancel needs before Finalize(), with all K parents'
-  /// executed children accounted for in the partial result. After
-  /// draining, StreamDone() is true.
+  /// Applies every parked parent's waiting child — strictly in rank order,
+  /// exactly as a continued run would — and then abandons the set: the
+  /// early-stop path Cancel needs before Finalize(), with every executed
+  /// child accounted for in the partial result. A no-op when nothing is
+  /// parked (always so after StepRound).
   void DrainStream();
 
   /// Marks the campaign cancelled: Finalize() flags the (partial but valid)
@@ -159,7 +143,7 @@ class Campaign {
     /// Executions planned so far: applied plus in flight. Never regresses
     /// across snapshots.
     uint64_t planned_executions = 0;
-    /// Executions run but not yet applied — the speculative waves a
+    /// Executions run but not yet applied — the speculative children a
     /// streamed campaign keeps across pauses (at most one per parent).
     uint64_t inflight_executions = 0;
     /// Parents in the currently parked speculative set (streaming only;
@@ -177,8 +161,9 @@ class Campaign {
   Progress SnapshotProgress() const;
 
  private:
-  /// Builds the plan for `seq`, executes it synchronously, and applies its
-  /// feedback — the serial path used by the seed corpus and mask probes.
+  /// Builds the plan for `seq` into the probe slot, executes it
+  /// synchronously, and applies its feedback — the serial path used by the
+  /// seed corpus and mask probes.
   ExecSignals ExecuteSequenceNow(const Sequence& seq);
 
   /// Applies one executed sequence's outcome to coverage, distances,
@@ -188,45 +173,48 @@ class Campaign {
   /// of allocating a touched_pcs vector per execution.
   void ApplyOutcome(const evm::SequenceOutcome& outcome, ExecSignals* stats);
 
-  /// One planned wave, executed at plan time, whose outcomes are not
-  /// applied yet.
-  struct InFlightWave {
-    MutationPlanner::Wave wave;
-    std::vector<evm::SequenceOutcome> outcomes;
+  /// One child's slot: the mutated sequence (kept for the keep/Add
+  /// decision), its encoded plan, and the outcome the backend filled.
+  /// Slots persist and keep their heap capacity from child to child.
+  struct ChildSlot {
+    Sequence seq;
+    evm::SequencePlan plan;
+    evm::SequenceOutcome outcome;
   };
 
-  /// The apply stage for one wave: per child (in plan order) feedback,
-  /// UPDATE_ENERGY against the parent, and the keep/Add decision. Recycles
-  /// the spent outcomes, plans, and child sequences when done.
-  void ApplyWave(MutationPlanner::ParentPlan* parent, InFlightWave* inflight);
-
-  /// One parent of the current speculative set: its plan snapshot plus the
-  /// wave (at most one) awaiting its apply stage.
+  /// One parent of the current speculative set: its plan snapshot plus two
+  /// child slots that alternate — children[next] takes the child planned
+  /// in the current sweep, children[next ^ 1] the one awaiting its apply
+  /// stage.
   struct ParentSlot {
     MutationPlanner::ParentPlan plan;
-    std::optional<InFlightWave> inflight;
+    std::array<ChildSlot, 2> children;
+    int next = 0;
+    bool planned = false;  ///< children[next] was planned this sweep
+    bool waiting = false;  ///< children[next ^ 1] awaits its apply stage
   };
+
+  /// The apply stage for one child: feedback, UPDATE_ENERGY against the
+  /// parent, and the keep/Add decision.
+  void ApplyChild(MutationPlanner::ParentPlan* parent, ChildSlot* child);
 
   /// Begins a new speculative expansion round: up to `fanout` parents
-  /// selected, masked, energized, and snapshotted in rank order. Requires
-  /// the pipeline drained (selection reads the queue). Empty when the
-  /// queue is empty.
-  std::vector<ParentSlot> BeginParentSet(
-      const MutationPlanner::MaskHook& mask_hook);
+  /// selected, masked, energized, and snapshotted in rank order into
+  /// parents_. Requires the set drained (selection reads the queue).
+  /// Returns false when the queue is empty.
+  bool BeginParentSet(const MutationPlanner::MaskHook& mask_hook);
 
-  /// One pipeline sweep over the set: plans and executes the next wave for
-  /// every parent with budget (rank order, bounded by `bound` total
-  /// planned executions), then applies each parent's previous wave in
-  /// (parent rank, child index) order. Returns true while the set still
-  /// has in-flight or plannable work — false once drained and exhausted.
-  bool SweepParentSet(std::vector<ParentSlot>* parents, uint64_t bound);
+  /// One sweep over the set: plans and executes the next child of every
+  /// parent with budget (rank order, bounded by `bound` total planned
+  /// executions), then applies each parent's previous child in rank order.
+  /// Returns true while the set still has waiting or plannable work.
+  bool SweepParentSet(uint64_t bound);
 
-  /// Suspended parent-set pipeline position for the streaming interface.
-  struct StreamState {
-    /// The parked speculative set (empty = between rounds).
-    std::vector<ParentSlot> parents;
-    bool exhausted = false;  ///< budget spent or queue drained, drained
-  };
+  /// The one sweep loop behind both drivers: begins parent sets and sweeps
+  /// them while planning stays under `bound`, and returns — with the set
+  /// parked if it has work left — at the first sweep or set boundary where
+  /// at least `pause_at` executions have been applied.
+  void Advance(uint64_t bound, uint64_t pause_at);
 
   void MaybeComputeMask(FuzzSeed* seed);
 
@@ -237,8 +225,8 @@ class Campaign {
 
   // Substrate (evm layer).
   std::unique_ptr<FuzzingHost> host_;
-  std::unique_ptr<evm::ExecutionBackend> owned_backend_;
-  evm::ExecutionBackend* backend_ = nullptr;
+  std::unique_ptr<evm::SessionBackend> owned_backend_;
+  evm::SessionBackend* backend_ = nullptr;
   Address contract_;
 
   // Analyses.
@@ -255,12 +243,18 @@ class Campaign {
   std::unique_ptr<MutationPlanner> planner_;
 
   /// Executions planned (executed or applied). Runs ahead of
-  /// result_.executions by the in-flight count; equal whenever the pipeline
-  /// is drained (round and parent boundaries).
+  /// result_.executions by the waiting count; equal whenever the set is
+  /// drained (round and set boundaries).
   uint64_t planned_executions_ = 0;
 
-  /// Present once StepStream has run; absent on the stepped/monolithic path.
-  std::optional<StreamState> stream_;
+  /// The speculative parent set: parents_[0, parent_count_) is live (0 =
+  /// between sets); later slots are idle but keep their child slots' heap
+  /// capacity for the next, larger set.
+  std::vector<ParentSlot> parents_;
+  size_t parent_count_ = 0;
+  /// The slot mask probes and the seed corpus execute through.
+  evm::SequencePlan probe_plan_;
+  evm::SequenceOutcome probe_outcome_;
   bool cancelled_ = false;
 
   /// Scratch for ApplyOutcome — reused across every execution so the
@@ -280,7 +274,7 @@ class Campaign {
 /// Pass `backend` to run over a pooled session (see SessionPool).
 CampaignResult RunCampaign(const lang::ContractArtifact& artifact,
                            const CampaignConfig& config,
-                           evm::ExecutionBackend* backend = nullptr);
+                           evm::SessionBackend* backend = nullptr);
 
 }  // namespace mufuzz::fuzzer
 

@@ -55,7 +55,7 @@ class EnergyScheduler {
 
   /// Flat pc-indexed weight table (branch pcs are bounded by the runtime
   /// code size; foreign pcs grow it lazily). Lookups are an array load —
-  /// AssignEnergy / VulnerabilityBonus run per wave. The per-branch-event
+  /// AssignEnergy / VulnerabilityBonus run per parent or child. The per-branch-event
   /// path does not read it: FeedbackEngine keeps its own per-slot "scored"
   /// bit and calls ObserveBranch once per branch.
   const BranchInfo* InfoAt(uint32_t pc) const {

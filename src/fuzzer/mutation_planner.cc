@@ -45,8 +45,8 @@ std::vector<MutationPlanner::ParentPlan> MutationPlanner::BeginParents(
                                                         base_energy_)
                      : base_energy_;
 
-    // Snapshot the parent's fields — stable-handle discipline: in-flight
-    // waves outlive any FuzzSeed* (the apply stage's Add() reallocates the
+    // Snapshot the parent's fields — stable-handle discipline: children in
+    // flight outlive any FuzzSeed* (the apply stage's Add() reallocates the
     // queue), so planning works from this copy, never the resident seed.
     ParentPlan parent;
     parent.valid = true;
@@ -68,72 +68,19 @@ std::vector<MutationPlanner::ParentPlan> MutationPlanner::BeginParents(
   return parents;
 }
 
-MutationPlanner::Wave MutationPlanner::PlanWave(ParentPlan* parent,
-                                                uint64_t room, Rng* rng) {
-  Wave wave;
-  if (!child_vec_pool_.empty()) {
-    wave.children = std::move(child_vec_pool_.back());
-    child_vec_pool_.pop_back();
-  }
-  if (!plan_vec_pool_.empty()) {
-    wave.plans = std::move(plan_vec_pool_.back());
-    plan_vec_pool_.pop_back();
-  }
+bool MutationPlanner::PlanChild(ParentPlan* parent, uint64_t room, Rng* rng,
+                                Sequence* child, evm::SequencePlan* plan) {
   if (!parent->valid || parent->planned >= parent->allowed || room == 0) {
-    return wave;
+    return false;
   }
-  // Copy-assign into a warm slot: the recycled Sequence's Tx/args vectors
-  // keep their capacity, so the parent copy doesn't allocate.
-  Sequence* seq = NextChildSlot(&wave.children);
-  *seq = parent->seq;
-  mutation_->MutateChild(seq, parent->mask, parent->mask_valid, parent->focus,
-                         rng);
-  BuildPlanInto(*seq, NextPlanSlot(&wave.plans));
+  // Copy-assign into the warm slot: its Tx/args vectors keep their
+  // capacity, so the parent copy doesn't allocate.
+  *child = parent->seq;
+  mutation_->MutateChild(child, parent->mask, parent->mask_valid,
+                         parent->focus, rng);
+  BuildPlan(*child, plan);
   ++parent->planned;
-  return wave;
-}
-
-Sequence* MutationPlanner::NextChildSlot(std::vector<Sequence>* children) {
-  if (!spare_children_.empty()) {
-    children->push_back(std::move(spare_children_.back()));
-    spare_children_.pop_back();
-  } else {
-    children->emplace_back();
-  }
-  return &children->back();
-}
-
-evm::SequencePlan* MutationPlanner::NextPlanSlot(
-    std::vector<evm::SequencePlan>* plans) {
-  if (!spare_plans_.empty()) {
-    plans->push_back(std::move(spare_plans_.back()));
-    spare_plans_.pop_back();
-  } else {
-    plans->emplace_back();
-  }
-  return &plans->back();
-}
-
-void MutationPlanner::RecycleChildren(std::vector<Sequence> children) {
-  for (Sequence& seq : children) {
-    if (spare_children_.size() >= kMaxSpareObjects) break;
-    spare_children_.push_back(std::move(seq));
-  }
-  children.clear();
-  if (child_vec_pool_.size() < kMaxPooledVectors) {
-    child_vec_pool_.push_back(std::move(children));
-  }
-}
-
-void MutationPlanner::RecyclePlans(std::vector<evm::SequencePlan> plans) {
-  for (evm::SequencePlan& plan : plans) {
-    if (spare_plans_.size() >= kMaxSpareObjects) break;
-    spare_plans_.push_back(std::move(plan));
-  }
-  plans.clear();
-  if (plan_vec_pool_.size() < kMaxPooledVectors) {
-    plan_vec_pool_.push_back(std::move(plans));
-  }
+  return true;
 }
 
 FuzzSeed MutationPlanner::AcquireSeed() {
@@ -159,32 +106,13 @@ void MutationPlanner::RecycleSeed(FuzzSeed seed) {
   spare_seeds_.push_back(std::move(seed));
 }
 
-std::vector<evm::SequencePlan> MutationPlanner::AcquirePlanVec() {
-  std::vector<evm::SequencePlan> plans;
-  if (!plan_vec_pool_.empty()) {
-    plans = std::move(plan_vec_pool_.back());
-    plan_vec_pool_.pop_back();
-  }
-  return plans;
-}
-
 void MutationPlanner::ExtendEnergy(ParentPlan* parent, int new_branches) {
   if (new_branches <= 0) return;
   parent->allowed = std::min(parent->allowed + 2, parent->cap);
 }
 
-evm::SequencePlan MutationPlanner::BuildPlan(const Sequence& seq) {
-  evm::SequencePlan plan;
-  if (!spare_plans_.empty()) {
-    plan = std::move(spare_plans_.back());
-    spare_plans_.pop_back();
-  }
-  BuildPlanInto(seq, &plan);
-  return plan;
-}
-
-void MutationPlanner::BuildPlanInto(const Sequence& seq,
-                                    evm::SequencePlan* plan) {
+void MutationPlanner::BuildPlan(const Sequence& seq,
+                                evm::SequencePlan* plan) {
   plan->host_seed = host_stream_.NextU64();
   const std::vector<Address>& senders = codec_->senders();
   const size_t fn_count = codec_->abi().functions.size();

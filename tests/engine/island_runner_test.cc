@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "corpus/builtin.h"
@@ -175,6 +177,46 @@ TEST(IslandRunnerTest, SingleIslandGroupStillCompletes) {
   // Nobody to exchange with.
   EXPECT_EQ(outcomes[0].result->queue_stats.imported, 0u);
   EXPECT_EQ(outcomes[0].result->queue_stats.exported, 0u);
+}
+
+// A member whose contract has no function to call has nothing to step, so
+// it must count as done; otherwise the group never starts finishing and
+// every Wait on it blocks forever.
+TEST(IslandRunnerTest, NoFunctionMemberDoesNotStallItsGroup) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.exchange_interval = 50;
+  FuzzService service(options);
+  Result<GroupTicket> group = service.SubmitIslandGroup(
+      {MakeJob("crowdsale", corpus::CrowdsaleExample().source, 1, 200),
+       MakeJob("empty", "contract Empty { uint256 x; }", 2, 200)});
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  const std::vector<JobTicket> members = group.value().members;
+  ASSERT_EQ(members.size(), 2u);
+
+  // Poll rather than Wait, so a stalled group fails at the deadline instead
+  // of hanging the suite.
+  auto all_done = [&] {
+    for (JobTicket ticket : members) {
+      if (service.Poll(ticket).state != JobState::kDone) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!all_done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(all_done())
+      << "group stalled: crowdsale at " << service.Poll(members[0]).executions
+      << " executions, empty at " << service.Poll(members[1]).executions;
+
+  JobOutcome crowdsale = service.Wait(members[0]);
+  JobOutcome empty = service.Wait(members[1]);
+  ASSERT_TRUE(crowdsale.result.has_value()) << crowdsale.error;
+  ASSERT_TRUE(empty.result.has_value()) << empty.error;
+  EXPECT_GE(crowdsale.result->executions, 200u);
+  EXPECT_EQ(empty.result->executions, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Parameterized conformance suite for the ExecutionBackend contract: the
-// in-process SessionBackend under both interpreter tiers (decoded and the
-// byte-switch oracle) must satisfy the same plan-in/outcome-out semantics:
+// Parameterized conformance suite for the SessionBackend contract under both
+// interpreter tiers (decoded and the byte-switch oracle): the same
+// plan-in/outcome-out semantics must hold:
 //  - Bind/Deploy/MarkDeployed/Rewind round-trips leave the slate clean;
-//  - outcomes are self-contained values, isolated between sequences (batch
-//    neighbors and re-executions never bleed into each other);
-//  - batch results equal serial results, in plan order, and recycled
-//    outcome buffers carry nothing over into the next batch;
+//  - outcomes are self-contained values, isolated between sequences (earlier
+//    plans and re-executions never bleed into each other);
+//  - a reused outcome slot carries nothing over from the plan it held
+//    before;
 //  - results are bit-for-bit identical across tiers, which is the
 //    foundation of the campaign-level determinism tests.
 // Outcomes are compared through the event-complete Fingerprint of
@@ -27,14 +27,6 @@
 namespace mufuzz::evm {
 namespace {
 
-std::vector<std::string> Fingerprints(
-    const std::vector<SequenceOutcome>& outcomes) {
-  std::vector<std::string> fps;
-  fps.reserve(outcomes.size());
-  for (const SequenceOutcome& o : outcomes) fps.push_back(Fingerprint(o));
-  return fps;
-}
-
 class BackendConformanceTest : public BackendTierTest {
  protected:
   void SetUp() override {
@@ -50,12 +42,12 @@ class BackendConformanceTest : public BackendTierTest {
   }
 
   /// An unbound backend of the tier under test.
-  std::unique_ptr<ExecutionBackend> MakeBackend() const {
+  std::unique_ptr<SessionBackend> MakeBackend() const {
     return NewBackend(GetParam());
   }
 
   /// Binds, funds, deploys, and marks — the setup phase every campaign runs.
-  void Prepare(ExecutionBackend* backend) {
+  void Prepare(SessionBackend* backend) {
     backend->Bind(host_.get());
     backend->FundAccount(deployer_, U256::PowerOfTen(24));
     auto addr = backend->DeployContract(artifact_.runtime_code,
@@ -82,8 +74,7 @@ class BackendConformanceTest : public BackendTierTest {
     return prepared;
   }
 
-  /// A batch of distinct single-tx and multi-tx plans with distinct
-  /// environment seeds.
+  /// Distinct single-tx and multi-tx plans with distinct environment seeds.
   std::vector<SequencePlan> SamplePlans() {
     std::vector<SequencePlan> plans;
     for (uint64_t k = 0; k < 6; ++k) {
@@ -103,7 +94,7 @@ class BackendConformanceTest : public BackendTierTest {
 };
 
 TEST_P(BackendConformanceTest, BindDeployMarkRewindRoundTrip) {
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  std::unique_ptr<SessionBackend> backend = MakeBackend();
   Prepare(backend.get());
 
   const Account* account = backend->state().Find(contract_);
@@ -125,7 +116,7 @@ TEST_P(BackendConformanceTest, BindDeployMarkRewindRoundTrip) {
 }
 
 TEST_P(BackendConformanceTest, RebindResetsAllSessionState) {
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  std::unique_ptr<SessionBackend> backend = MakeBackend();
   Prepare(backend.get());
   EXPECT_GT(backend->state().account_count(), 0u);
 
@@ -138,125 +129,64 @@ TEST_P(BackendConformanceTest, MatchesSessionBackendReference) {
   // reference produces, outcome for outcome.
   SessionBackend reference;
   Prepare(&reference);
-  std::vector<SequencePlan> plans = SamplePlans();
-  std::vector<SequenceOutcome> expected;
-  for (const SequencePlan& plan : plans) {
-    expected.push_back(reference.ExecuteSequence(plan));
-  }
-
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  std::unique_ptr<SessionBackend> backend = MakeBackend();
   Prepare(backend.get());
-  std::vector<SequenceOutcome> actual = backend->ExecuteSequenceBatch(plans);
-  EXPECT_EQ(Fingerprints(actual), Fingerprints(expected));
-}
-
-TEST_P(BackendConformanceTest, BatchEqualsSerialOnSameBackend) {
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
-  Prepare(backend.get());
-  std::vector<SequencePlan> plans = SamplePlans();
-
-  std::vector<SequenceOutcome> serial;
-  for (const SequencePlan& plan : plans) {
-    serial.push_back(backend->ExecuteSequence(plan));
+  for (const SequencePlan& plan : SamplePlans()) {
+    SequenceOutcome actual;
+    backend->ExecuteSequenceInto(plan, &actual);
+    EXPECT_EQ(Fingerprint(actual), Fingerprint(reference.ExecuteSequence(plan)))
+        << "host_seed " << plan.host_seed;
   }
-  std::vector<SequenceOutcome> batch = backend->ExecuteSequenceBatch(plans);
-  EXPECT_EQ(Fingerprints(batch), Fingerprints(serial));
 }
 
 TEST_P(BackendConformanceTest, OutcomesAreIsolatedBetweenSequences) {
-  // Plan A's outcome must not depend on what else is in the batch or on
-  // anything executed before it.
+  // Plan A's outcome must not depend on anything executed before it.
   std::vector<SequencePlan> plans = SamplePlans();
   const SequencePlan& a = plans[1];
 
-  std::unique_ptr<ExecutionBackend> alone = MakeBackend();
+  std::unique_ptr<SessionBackend> alone = MakeBackend();
   Prepare(alone.get());
-  std::string alone_fp = Fingerprint(alone->ExecuteSequence(a));
+  SequenceOutcome alone_outcome;
+  alone->ExecuteSequenceInto(a, &alone_outcome);
+  const std::string alone_fp = Fingerprint(alone_outcome);
 
-  std::unique_ptr<ExecutionBackend> crowded = MakeBackend();
+  std::unique_ptr<SessionBackend> crowded = MakeBackend();
   Prepare(crowded.get());
-  std::vector<SequenceOutcome> outcomes = crowded->ExecuteSequenceBatch(plans);
+  std::vector<SequenceOutcome> outcomes(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    crowded->ExecuteSequenceInto(plans[i], &outcomes[i]);
+  }
   EXPECT_EQ(Fingerprint(outcomes[1]), alone_fp);
 
   // Re-execution of the identical plan reproduces the identical outcome,
   // even under the stochastic host — sequence-purity in action.
-  EXPECT_EQ(Fingerprint(crowded->ExecuteSequence(a)), alone_fp);
-}
-
-TEST_P(BackendConformanceTest, SplitBatchesMatchSerialReference) {
-  // Batch boundaries are invisible: the plans split across two batches,
-  // executed back to back, map to their own outcomes in plan order.
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
-  Prepare(backend.get());
-  std::vector<SequencePlan> plans = SamplePlans();
-
-  std::span<const SequencePlan> all(plans);
-  std::vector<SequenceOutcome> out1 =
-      backend->ExecuteSequenceBatch(all.first(3));
-  std::vector<SequenceOutcome> out2 =
-      backend->ExecuteSequenceBatch(all.subspan(3));
-
-  SessionBackend reference;
-  Prepare(&reference);
-  ASSERT_EQ(out1.size(), 3u);
-  ASSERT_EQ(out2.size(), plans.size() - 3);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(Fingerprint(out1[i]),
-              Fingerprint(reference.ExecuteSequence(plans[i])));
-  }
-  for (size_t i = 0; i < out2.size(); ++i) {
-    EXPECT_EQ(Fingerprint(out2[i]),
-              Fingerprint(reference.ExecuteSequence(plans[3 + i])));
-  }
+  SequenceOutcome again;
+  crowded->ExecuteSequenceInto(a, &again);
+  EXPECT_EQ(Fingerprint(again), alone_fp);
 }
 
 TEST_P(BackendConformanceTest, RecycledOutcomeBuffersCarryNoStaleState) {
-  // The shape the K-parent campaign loop drives: one differently sized
-  // wave per parent, all held at once, recycled in an order that is not
-  // the execution order, then the buffers reused by waves of other sizes.
-  // Every outcome must equal the serial reference — no transaction slot,
-  // trace, or touched-pc list may survive from a buffer's previous batch.
-  std::unique_ptr<ExecutionBackend> backend = MakeBackend();
+  // The shape the campaign loop drives: one outcome slot filled again and
+  // again by plans of 1 and 2 transactions, growing and shrinking in both
+  // orders. Every fill must equal the reference — no transaction slot,
+  // trace, or touched-pc list may survive from the slot's previous plan.
+  std::unique_ptr<SessionBackend> backend = MakeBackend();
   Prepare(backend.get());
-  std::vector<SequencePlan> plans = SamplePlans();
   SessionBackend reference;
   Prepare(&reference);
+  std::vector<SequencePlan> plans = SamplePlans();
+  ASSERT_EQ(plans[0].txs.size(), 2u);
+  ASSERT_EQ(plans[1].txs.size(), 1u);
 
-  constexpr size_t kParents = 4;
-  std::vector<std::vector<SequencePlan>> waves;
-  for (size_t parent = 0; parent < kParents; ++parent) {
-    // Parent `p` gets a wave of p+1 plans with per-parent host seeds, so
-    // every wave is distinguishable and differently sized.
-    std::vector<SequencePlan> wave;
-    for (size_t j = 0; j <= parent; ++j) {
-      SequencePlan plan = plans[(parent + j) % plans.size()];
-      plan.host_seed += 0x100 * (parent + 1);
-      wave.push_back(std::move(plan));
-    }
-    waves.push_back(std::move(wave));
-  }
-
-  auto check = [&](const std::vector<SequenceOutcome>& outcomes,
-                   size_t parent) {
-    ASSERT_EQ(outcomes.size(), waves[parent].size()) << parent;
-    for (size_t j = 0; j < waves[parent].size(); ++j) {
-      EXPECT_EQ(Fingerprint(outcomes[j]),
-                Fingerprint(reference.ExecuteSequence(waves[parent][j])))
-          << "parent " << parent << " plan " << j;
-    }
-  };
-
-  // Smallest wave first, recycled 2, 0, 3, 1; then largest first, so every
-  // buffer is reused at a different size than it was filled at.
-  for (const std::vector<size_t>& order :
-       {std::vector<size_t>{0, 1, 2, 3}, std::vector<size_t>{3, 2, 1, 0}}) {
-    std::vector<std::vector<SequenceOutcome>> outcomes(kParents);
-    for (size_t parent : order) {
-      outcomes[parent] = backend->ExecuteSequenceBatch(waves[parent]);
-    }
-    for (size_t parent : {2u, 0u, 3u, 1u}) {
-      check(outcomes[parent], parent);
-      backend->RecycleOutcomes(std::move(outcomes[parent]));
+  SequenceOutcome slot;
+  for (size_t first : {0u, 1u}) {
+    for (size_t i = 0; i < plans.size(); ++i) {
+      // first == 0 runs 2, 1, 2, ... transactions; first == 1 runs
+      // 1, 2, 1, ...
+      const SequencePlan& plan = plans[(first + i) % plans.size()];
+      backend->ExecuteSequenceInto(plan, &slot);
+      EXPECT_EQ(Fingerprint(slot), Fingerprint(reference.ExecuteSequence(plan)))
+          << "order " << first << " step " << i;
     }
   }
 }

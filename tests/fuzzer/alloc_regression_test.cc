@@ -1,8 +1,8 @@
 // Allocation-regression test: pins the steady-state heap-allocation budget
-// of the fuzzing hot loop. After the corpus is seeded and the recycling
-// pools are warm, a wave execution should be effectively allocation-free —
-// plans, outcomes, traces, and cmp-record buffers all ping-pong through
-// pooled capacity. A regression here (someone re-introducing a per-exec
+// of the fuzzing hot loop. After the corpus is seeded and the campaign's
+// child slots are warm, an execution should be effectively allocation-free
+// — plans, outcomes, traces, and cmp-record buffers all reuse the slots'
+// capacity. A regression here (someone re-introducing a per-exec
 // vector build) shows up as allocs/exec blowing past the budget. The same
 // counters pin what a long-lived FuzzService keeps per finished job.
 
@@ -35,7 +35,7 @@ double SteadyAllocsPerExec(const CampaignConfig& config, uint64_t warm_execs,
       CompileOk(corpus::CrowdsaleExample().source);
   Campaign campaign(&artifact, config);
   campaign.SeedCorpus();
-  campaign.StepRound(warm_execs);  // fills every recycling pool
+  campaign.StepRound(warm_execs);  // warms every child slot
 
   AllocCounters before = CurrentAllocStats();
   uint64_t execs_before = campaign.SnapshotProgress().executions;

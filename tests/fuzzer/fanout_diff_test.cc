@@ -5,7 +5,7 @@
 //  1. fanout=0 reproduces fanout=1, the serial parent chain, bit-for-bit
 //     — K only changes results when it actually changes.
 //  2. For any fixed K, results are independent of the FuzzService worker
-//     count (1/2/4): all K in-flight waves apply in (parent rank, child
+//     count (1/2/4): all K in-flight children apply in (parent rank, child
 //     index) order.
 //  3. The same holds through the engine layer: fanned-out job sets, island
 //     archipelagos, streamed jobs at any round quantum, and

@@ -1,4 +1,4 @@
-// Differential tests for the wave-pipelined campaign (each sweep plans and
+// Differential tests for the pipelined campaign loop (each sweep plans and
 // executes a parent's next child before the previous one is applied): the
 // determinism story the ROADMAP demands, pinned end to end.
 //
