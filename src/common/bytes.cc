@@ -82,8 +82,4 @@ uint64_t Fnv1a64(BytesView data) {
   return h;
 }
 
-uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
-}
-
 }  // namespace mufuzz

@@ -41,8 +41,11 @@ uint64_t ReadU64BEPadded(BytesView data, size_t offset);
 /// FNV-1a 64-bit hash, used for coverage-map keys and dedup sets.
 uint64_t Fnv1a64(BytesView data);
 
-/// Combines two 64-bit hashes (boost::hash_combine flavor).
-uint64_t HashCombine(uint64_t a, uint64_t b);
+/// Combines two 64-bit hashes (boost::hash_combine flavor). Inline: it is
+/// the inner step of every U256::Hasher call.
+inline uint64_t HashCombine(uint64_t a, uint64_t b) {
+  return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
+}
 
 }  // namespace mufuzz
 

@@ -17,7 +17,7 @@ void SessionBackend::Bind(Host* host, BlockContext block, EvmConfig config) {
   session_->interpreter().set_observer(&trace_);
   trace_.Clear();
   deployed_.reset();
-  DropPrefix();
+  DropRecords();
 }
 
 void SessionBackend::Unbind() {
@@ -29,8 +29,8 @@ void SessionBackend::Unbind() {
 }
 
 void SessionBackend::Trim() {
-  prefix_ = {};
-  prefix_len_ = 0;
+  records_ = {};
+  records_len_ = 0;
 }
 
 void SessionBackend::CheckBound() const {
@@ -47,26 +47,26 @@ Result<Address> SessionBackend::DeployContract(const Bytes& runtime_code,
                                                const Address& deployer,
                                                const U256& value) {
   CheckBound();
-  DropPrefix();
+  DropRecords();
   return session_->Deploy(runtime_code, ctor_code, ctor_args, deployer,
                           value);
 }
 
 void SessionBackend::FundAccount(const Address& addr, const U256& balance) {
   CheckBound();
-  DropPrefix();
+  DropRecords();
   session_->FundAccount(addr, balance);
 }
 
 void SessionBackend::MarkDeployed() {
   CheckBound();
-  DropPrefix();
+  DropRecords();
   deployed_ = session_->Snapshot();
 }
 
 void SessionBackend::Rewind() {
   CheckBound();
-  DropPrefix();
+  DropRecords();
   session_->Restore(deployed_.value_or(ChainSession::SessionSnapshot{}));
 }
 
@@ -81,19 +81,28 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
   CheckBound();
   const size_t n = plan.txs.size();
   size_t shared = 0;
-  while (shared < prefix_len_ && shared < n &&
-         prefix_[shared].request == plan.txs[shared].request) {
+  while (shared < records_len_ && shared < n && records_[shared].host_free &&
+         records_[shared].request == plan.txs[shared].request) {
     ++shared;
   }
-  // Restoring a mark discards every later one, so the retained prefix
-  // shrinks to what this plan shares.
-  if (shared == 0) {
-    Rewind();
-  } else {
-    session_->Restore(prefix_[shared - 1].mark);
-    prefix_len_ = shared;
-  }
+  // Restoring a mark discards every later one; records past `shared` keep
+  // describing the last plan until this one overwrites them.
+  session_->Restore(shared == 0
+                        ? deployed_.value_or(ChainSession::SessionSnapshot{})
+                        : records_[shared - 1].mark);
   reused_txs_ += shared;
+  const size_t last_len = records_len_;
+  // The session state equals the last plan's state before position i.
+  bool aligned = true;
+  // Whether this plan is still being recorded: false from the first
+  // transaction that reached the host and changed state, which no later
+  // plan can realign past.
+  bool recording = deployed_.has_value();
+  records_len_ = 0;
+  // Whether a record before position i is neutral. A later plan can only be
+  // aligned past the first position it executes, so without a neutral
+  // record before it a write set would never be replayed.
+  bool neutral_before = false;
 
   host_->OnSequenceStart(plan.host_seed);
   out->ResetForReuse(n);
@@ -103,9 +112,19 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
     host_->OnTransactionStart(ptx.request.data);
     TxOutcome& txo = out->txs[i];
     if (i < shared) {
-      txo = prefix_[i].outcome;
+      txo = records_[i].outcome;
       txo.tag = ptx.tag;
+    } else if (aligned && i < last_len && records_[i].replayable &&
+               records_[i].request == ptx.request) {
+      TxRecord& rec = records_[i];
+      session_->Replay(rec.writes);
+      rec.mark = session_->Snapshot();
+      txo = rec.outcome;
+      txo.tag = ptx.tag;
+      ++reused_txs_;
     } else {
+      WorldState& state = session_->state();
+      const size_t journal_before = state.journal_size();
       const uint64_t host_calls = session_->interpreter().host_calls();
       ExecResult result = session_->Apply(ptx.request);
       txo.tag = ptx.tag;
@@ -117,16 +136,28 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
       // (cleared) buffers come back to record the next transaction. O(1),
       // no copies.
       trace_.Swap(&txo.trace);
-      // Retain the transaction while the plan is still host-free.
-      if (deployed_.has_value() && prefix_len_ == i &&
-          session_->interpreter().host_calls() == host_calls) {
-        if (prefix_.size() == i) prefix_.emplace_back();
-        PrefixTx& kept = prefix_[i];
-        kept.request = ptx.request;
-        kept.outcome = txo;
-        kept.mark = session_->Snapshot();
-        ++prefix_len_;
+      const bool neutral = state.journal_size() == journal_before;
+      const bool host_free =
+          session_->interpreter().host_calls() == host_calls;
+      aligned = aligned && neutral && i < last_len && records_[i].neutral;
+      recording = recording && (host_free || neutral);
+      if (recording) {
+        if (records_.size() == i) records_.emplace_back();
+        TxRecord& rec = records_[i];
+        rec.request = ptx.request;
+        rec.neutral = neutral;
+        rec.host_free = host_free;
+        rec.replayable = host_free && neutral_before &&
+                         state.CollectWrites(journal_before, &rec.writes);
+        if (host_free) {
+          rec.outcome = txo;
+          rec.mark = session_->Snapshot();
+        }
       }
+    }
+    if (recording) {
+      records_len_ = i + 1;
+      neutral_before = neutral_before || records_[i].neutral;
     }
     out->instructions += txo.trace.instruction_count();
   }

@@ -118,20 +118,31 @@ struct SequenceOutcome {
 /// its interpreter loop on every fresh session) and DeployContract,
 /// ExecuteSequence and ExecuteSequenceInto (perfbench's timing wrapper).
 ///
-/// Prefix resume: consecutive plans of a campaign mostly share a leading run
-/// of transactions (the mutators change one transaction or the tail of a
-/// parent sequence). The backend keeps a session mark after each
-/// transaction of the last executed plan, together with its request and
-/// outcome, for as long as no transaction of that plan has reached
-/// Host::OnExternalCall. The next plan restores the mark at the end of the
-/// longest such prefix it repeats request for request, copies those
-/// outcomes (with its own tags), replays the host's OnSequenceStart and
-/// OnTransactionStart calls for them, and executes only the rest. A
+/// Prefix resume and suffix replay: consecutive plans of a campaign mostly
+/// differ in one transaction (the mutators change one transaction or the
+/// tail of a parent sequence), and most changed transactions revert. The
+/// backend keeps one record per position of the last executed plan: the
+/// request, whether the transaction left the world state unchanged
+/// (`neutral`: its journal length did not move), and, if it never reached
+/// Host::OnExternalCall, its outcome and the session mark right after it,
+/// plus, if it also installed no code and an earlier record is neutral,
+/// its write set (WorldState::CollectWrites).
+///  - Prefix: the next plan restores the mark at the end of the longest
+///    leading run of host-free records it repeats request for request.
+///  - Suffix: from there on the session is *aligned* (its state equals the
+///    last plan's state before the same position) until a transaction runs
+///    that is not neutral or whose counterpart in the last plan was not.
+///    While aligned, a transaction that repeats a record with a write set
+///    is not executed: the writes are applied and the block step taken
+///    (ChainSession::Replay).
+/// Reused outcomes are copied under the new plan's tags, and the host gets
+/// every OnSequenceStart and OnTransactionStart call a full run makes. A
 /// host-free transaction is a pure function of the pre-state and the
 /// request, so this is exactly the outcome of a run from the deployed
-/// mark. Bind, Unbind, DeployContract, FundAccount, MarkDeployed and Rewind
-/// drop the retained prefix; Unbind and Trim free it. Nothing is retained
-/// before MarkDeployed.
+/// mark. Recording stops at the first transaction that both reached the
+/// host and changed state: no later plan can realign past it. Bind, Unbind,
+/// DeployContract, FundAccount, MarkDeployed and Rewind drop the records;
+/// Unbind and Trim free them. Nothing is recorded before MarkDeployed.
 class SessionBackend {
  public:
   /// Constructs an unbound backend (the pool path); call Bind() before use.
@@ -188,7 +199,7 @@ class SessionBackend {
   virtual void ExecuteSequenceInto(const SequencePlan& plan,
                                    SequenceOutcome* out);
 
-  /// Frees the retained prefix, a buffer kept only to run faster; outcomes
+  /// Frees the plan records, a buffer kept only to run faster; outcomes
   /// are unaffected. A campaign calls it when it pauses, so a service
   /// holding hundreds of suspended jobs does not pin one set per job.
   void Trim();
@@ -201,9 +212,9 @@ class SessionBackend {
   const WorldState& state() const;
 
   bool bound() const { return session_.has_value(); }
-  /// Transactions whose outcome was copied from the retained prefix instead
-  /// of executed, since construction. Observability only: outcomes are the
-  /// same either way.
+  /// Transactions whose outcome was copied from a plan record instead of
+  /// executed (restored prefix and replayed suffix), since construction.
+  /// Observability only: outcomes are the same either way.
   uint64_t reused_txs() const { return reused_txs_; }
   /// Escape hatch for callers that need the raw session (tests, tooling).
   ChainSession& session() { return *session_; }
@@ -213,15 +224,22 @@ class SessionBackend {
   /// violation that must not degrade to silent UB in release builds.
   void CheckBound() const;
 
-  /// Forgets the retained prefix (its marks may no longer describe the
-  /// session). Entries keep their buffers for reuse.
-  void DropPrefix() { prefix_len_ = 0; }
+  /// Forgets the plan records (they may no longer describe the session).
+  /// Records keep their buffers for reuse.
+  void DropRecords() { records_len_ = 0; }
 
-  /// One transaction of the retained prefix: the request it answered, its
-  /// outcome, and the session mark right after it.
-  struct PrefixTx {
+  /// One position of the last executed plan.
+  struct TxRecord {
     TransactionRequest request;
+    /// The transaction left the journal length unchanged.
+    bool neutral = false;
+    /// It never reached the host; `outcome` and `mark` are set.
+    bool host_free = false;
+    /// `writes` is set: host-free, no code installed, and a neutral record
+    /// precedes it (no later plan can be aligned here otherwise).
+    bool replayable = false;
     TxOutcome outcome;
+    std::vector<StateWrite> writes;
     ChainSession::SessionSnapshot mark{};
   };
 
@@ -229,12 +247,12 @@ class SessionBackend {
   Host* host_ = nullptr;
   std::optional<ChainSession> session_;
   /// Unset until MarkDeployed(); until then Rewind() restores a zero mark
-  /// (a no-op on the world state) and no prefix is retained.
+  /// (a no-op on the world state) and nothing is recorded.
   std::optional<ChainSession::SessionSnapshot> deployed_;
-  /// prefix_[0, prefix_len_) is the retained prefix; later entries are
-  /// stale but keep their capacity.
-  std::vector<PrefixTx> prefix_;
-  size_t prefix_len_ = 0;
+  /// records_[0, records_len_) describe the last executed plan; later
+  /// entries are stale but keep their capacity.
+  std::vector<TxRecord> records_;
+  size_t records_len_ = 0;
   uint64_t reused_txs_ = 0;
 };
 

@@ -53,10 +53,13 @@ ExecResult ChainSession::Apply(const TransactionRequest& tx) {
 
   interpreter_.set_block(block_);
   ExecResult result = interpreter_.ExecuteTransaction(call);
-
-  block_.number += 1;
-  block_.timestamp += 13;
+  AdvanceBlock();
   return result;
+}
+
+void ChainSession::Replay(const std::vector<StateWrite>& writes) {
+  state_.ApplyWrites(writes);
+  AdvanceBlock();
 }
 
 void ChainSession::FundAccount(const Address& addr, const U256& balance) {

@@ -47,6 +47,10 @@ class ChainSession {
   /// +13s), so block-state reads vary across a sequence.
   ExecResult Apply(const TransactionRequest& tx);
 
+  /// Stands in for an Apply whose effect on the world state is known:
+  /// applies `writes` (journaled) and advances the block as Apply does.
+  void Replay(const std::vector<StateWrite>& writes);
+
   /// Gives `addr` a balance (fuzzer senders get deep pockets).
   void FundAccount(const Address& addr, const U256& balance);
 
@@ -71,6 +75,12 @@ class ChainSession {
   void Restore(const SessionSnapshot& snap);
 
  private:
+  /// The block step between two transactions of a sequence.
+  void AdvanceBlock() {
+    block_.number += 1;
+    block_.timestamp += 13;
+  }
+
   WorldState state_;
   Interpreter interpreter_;
   BlockContext block_;

@@ -60,10 +60,10 @@ class ReentryHandle {
 /// outcome never depends on which sequences ran before it, which is what
 /// makes the campaign's plan-ahead child schedule reproducible.
 ///
-/// Sequence-purity also licenses prefix resume (SessionBackend): a
-/// transaction that never reached OnExternalCall is a pure function of the
-/// pre-state and its request, so a backend may copy its cached outcome
-/// instead of executing it. The backend still makes every lifecycle call a
+/// Sequence-purity also licenses prefix resume and suffix replay
+/// (SessionBackend): a transaction that never reached OnExternalCall is a
+/// pure function of the pre-state and its request, so a backend may copy
+/// its cached outcome instead of executing it. The backend still makes every lifecycle call a
 /// full run makes — OnSequenceStart(seed), then OnTransactionStart(data)
 /// for each skipped transaction — so the host's state when the first
 /// executed transaction starts is the same. A host must therefore keep all

@@ -231,6 +231,58 @@ void WorldState::MarkSelfDestructed(const Address& addr) {
   a.self_destructed = true;
 }
 
+bool WorldState::CollectWrites(size_t journal_from,
+                               std::vector<StateWrite>* writes) const {
+  writes->clear();
+  for (size_t i = journal_from; i < journal_.size(); ++i) {
+    const JournalEntry& e = journal_[i];
+    // Only an unwind erases an account, so every journaled one is live.
+    const Account& a = accounts_.at(e.addr);
+    StateWrite& w = writes->emplace_back();
+    w.addr = e.addr;
+    switch (e.kind) {
+      case JournalEntry::Kind::kCreateAccount:
+        w.kind = StateWrite::Kind::kCreateAccount;
+        break;
+      case JournalEntry::Kind::kBalance:
+        w.kind = StateWrite::Kind::kBalance;
+        w.word = a.balance;
+        break;
+      case JournalEntry::Kind::kStorage:
+        w.kind = StateWrite::Kind::kStorage;
+        w.key = e.key;
+        w.word = a.storage.Load(e.key);
+        w.taint = a.storage.LoadTaint(e.key);
+        break;
+      case JournalEntry::Kind::kCode:
+        return false;
+      case JournalEntry::Kind::kSelfDestructed:
+        w.kind = StateWrite::Kind::kSelfDestructed;
+        break;
+    }
+  }
+  return true;
+}
+
+void WorldState::ApplyWrites(const std::vector<StateWrite>& writes) {
+  for (const StateWrite& w : writes) {
+    switch (w.kind) {
+      case StateWrite::Kind::kCreateAccount:
+        Touch(w.addr);
+        break;
+      case StateWrite::Kind::kBalance:
+        SetBalance(w.addr, w.word);
+        break;
+      case StateWrite::Kind::kStorage:
+        SetStorage(w.addr, w.key, w.word, w.taint);
+        break;
+      case StateWrite::Kind::kSelfDestructed:
+        MarkSelfDestructed(w.addr);
+        break;
+    }
+  }
+}
+
 size_t WorldState::Snapshot() {
   marks_.push_back(journal_.size());
   return marks_.size() - 1;

@@ -141,6 +141,23 @@ struct Account {
   }
 };
 
+/// The final value of one field that a stretch of journaled mutations
+/// changed (WorldState::CollectWrites). Applying a transaction's writes to
+/// the state it started from reproduces the state it left behind.
+struct StateWrite {
+  enum class Kind : uint8_t {
+    kCreateAccount,   ///< the account exists
+    kBalance,         ///< balance = word
+    kStorage,         ///< storage[key] = (word, taint)
+    kSelfDestructed,  ///< the account is flagged self-destructed
+  };
+  Kind kind = Kind::kCreateAccount;
+  Address addr;
+  U256 key;
+  U256 word;
+  uint32_t taint = 0;
+};
+
 /// The mutable world the fuzzer executes against: a map of accounts with
 /// journaled copy-on-write snapshot/restore.
 ///
@@ -211,6 +228,16 @@ class WorldState {
   /// alive, so it can be restored again — the fuzzer rewinds to the
   /// post-deployment state before every sequence execution.
   void RestoreKeep(size_t id);
+
+  /// Replaces `writes` with the current value of every field journaled
+  /// since journal length `journal_from`, in journal order. Returns false
+  /// (leaving `writes` unspecified) when the stretch installed code: code is
+  /// not carried as a write.
+  bool CollectWrites(size_t journal_from,
+                     std::vector<StateWrite>* writes) const;
+  /// Applies `writes` in order through the journaled setters, so a later
+  /// restore unwinds them like any other mutation.
+  void ApplyWrites(const std::vector<StateWrite>& writes);
 
   size_t account_count() const { return accounts_.size(); }
   /// Undo entries currently recorded (tests/benches observe journal growth).

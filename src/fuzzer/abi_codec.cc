@@ -93,15 +93,15 @@ Tx AbiCodec::RandomTx(int fn_index, Rng* rng) const {
   return tx;
 }
 
-Bytes AbiCodec::ToByteStream(const Tx& tx) const {
-  Bytes stream;
-  tx.value.AppendBytesBE(&stream);
+void AbiCodec::ToByteStreamInto(const Tx& tx, Bytes* out) const {
   const lang::AbiFunction& fn = abi_->functions[tx.fn_index];
+  out->clear();
+  out->reserve(32 * (1 + fn.inputs.size()));
+  tx.value.AppendBytesBE(out);
   for (size_t i = 0; i < fn.inputs.size(); ++i) {
     U256 word = i < tx.args.size() ? tx.args[i] : U256(0);
-    word.AppendBytesBE(&stream);
+    word.AppendBytesBE(out);
   }
-  return stream;
 }
 
 void AbiCodec::FromByteStream(BytesView stream, Tx* tx) const {

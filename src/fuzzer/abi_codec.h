@@ -37,11 +37,12 @@ class AbiCodec {
   /// A fresh random transaction for function `fn_index`.
   Tx RandomTx(int fn_index, Rng* rng) const;
 
-  /// Flattens the mutable payload of `tx` into a byte stream:
-  /// [value(32)] [arg0(32)] [arg1(32)] ... — what Algorithm 2 masks.
-  Bytes ToByteStream(const Tx& tx) const;
+  /// Flattens the mutable payload of `tx` into `out` (cleared first, its
+  /// capacity reused): [value(32)] [arg0(32)] [arg1(32)] ... — what
+  /// Algorithm 2 masks.
+  void ToByteStreamInto(const Tx& tx, Bytes* out) const;
 
-  /// Inverse of ToByteStream: re-materializes value/args from the stream.
+  /// Inverse of ToByteStreamInto: re-materializes value/args from the stream.
   /// Address-typed arguments are truncated to 160 bits. The value word is
   /// kept even for non-payable functions (such calls revert — which is
   /// itself a branch direction worth covering).

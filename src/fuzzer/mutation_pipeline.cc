@@ -31,13 +31,13 @@ void MutationPipeline::MutateChild(Sequence* seq,
   // mask is available for that tx).
   size_t tx_index = rng->Chance(0.7) ? static_cast<size_t>(parent_focus)
                                      : rng->NextBelow(seq->size());
-  Bytes stream = codec_->ToByteStream((*seq)[tx_index]);
+  codec_->ToByteStreamInto((*seq)[tx_index], &stream_);
   const MutationMask* mask =
       (parent_mask_valid && tx_index == static_cast<size_t>(parent_focus))
           ? &parent_mask
           : nullptr;
-  byte_mutator_.MutateRandom(&stream, mask, rng);
-  codec_->FromByteStream(stream, &(*seq)[tx_index]);
+  byte_mutator_.MutateRandom(&stream_, mask, rng);
+  codec_->FromByteStream(stream_, &(*seq)[tx_index]);
 }
 
 bool MutationPipeline::WantsMask(const FuzzSeed& seed) const {
@@ -52,10 +52,10 @@ bool MutationPipeline::WantsMask(const FuzzSeed& seed) const {
 bool MutationPipeline::ComputeSeedMask(FuzzSeed* seed, Rng* rng,
                                        const SequenceExecutor& execute) {
   size_t focus = std::min<size_t>(seed->focus_tx, seed->seq.size() - 1);
-  Bytes stream = codec_->ToByteStream(seed->seq[focus]);
-  if (stream.empty()) return false;
+  codec_->ToByteStreamInto(seed->seq[focus], &stream_);
+  if (stream_.empty()) return false;
   size_t stride = std::max<size_t>(
-      1, stream.size() / std::max(1, mask_stride_divisor_));
+      1, stream_.size() / std::max(1, mask_stride_divisor_));
 
   // One probe sequence for the whole mask scan: copy-assign re-fills the
   // warm Tx slots in place instead of allocating a fresh copy per probe.
@@ -66,7 +66,7 @@ bool MutationPipeline::ComputeSeedMask(FuzzSeed* seed, Rng* rng,
     ExecSignals stats = execute(probe_seq);
     return stats.hits_nested || stats.improved_distance;
   };
-  seed->mask = ComputeMask(stream, stride, byte_mutator_, rng, probe);
+  seed->mask = ComputeMask(stream_, stride, byte_mutator_, rng, probe);
   seed->mask_valid = true;
   return true;
 }

@@ -63,6 +63,9 @@ class MutationPipeline {
   SequenceBuilder builder_;
   ByteMutator byte_mutator_;
   int mask_stride_divisor_;
+  /// The focus transaction's byte stream, encoded in place so its capacity
+  /// carries over from child to child.
+  Bytes stream_;
 };
 
 }  // namespace mufuzz::fuzzer

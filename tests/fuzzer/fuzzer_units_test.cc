@@ -66,7 +66,8 @@ TEST_F(AbiCodecTest, ByteStreamRoundTrip) {
   tx.fn_index = 0;  // invest is payable: value survives
   tx.args = {U256(777)};
   tx.value = U256(123456);
-  Bytes stream = codec_->ToByteStream(tx);
+  Bytes stream;
+  codec_->ToByteStreamInto(tx, &stream);
   EXPECT_EQ(stream.size(), codec_->StreamLength(0));
 
   Tx back;
@@ -84,7 +85,8 @@ TEST_F(AbiCodecTest, NonPayableValueSurvivesByteStream) {
   Tx tx;
   tx.fn_index = 1;
   tx.value = U256(999);
-  Bytes stream = codec_->ToByteStream(tx);
+  Bytes stream;
+  codec_->ToByteStreamInto(tx, &stream);
   Tx back;
   back.fn_index = 1;
   codec_->FromByteStream(stream, &back);
