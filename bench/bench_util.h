@@ -2,10 +2,12 @@
 #define MUFUZZ_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -65,32 +67,6 @@ inline std::vector<engine::FuzzJob> MakeDatasetJobs(
   return jobs;
 }
 
-/// One archipelago per dataset entry: `islands` consecutive jobs fuzz the
-/// same contract under distinct seeds, and RunJobs with `group_size` =
-/// `islands` submits them as one island group that exchanges top seeds
-/// every round. Seeds are `base_seed + entry_index * islands + island` so
-/// any (entry, island) pair is reproducible in isolation.
-inline std::vector<engine::FuzzJob> MakeIslandJobs(
-    const std::vector<corpus::CorpusEntry>& dataset,
-    const fuzzer::StrategyConfig& strategy, int execs, uint64_t base_seed,
-    int islands) {
-  std::vector<engine::FuzzJob> jobs;
-  jobs.reserve(dataset.size() * static_cast<size_t>(islands));
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    for (int k = 0; k < islands; ++k) {
-      engine::FuzzJob job;
-      job.name = dataset[i].name + "#" + std::to_string(k);
-      job.source = dataset[i].source;
-      job.config.strategy = strategy;
-      job.config.seed = base_seed + i * static_cast<uint64_t>(islands) +
-                        static_cast<uint64_t>(k);
-      job.config.max_executions = execs;
-      jobs.push_back(std::move(job));
-    }
-  }
-  return jobs;
-}
-
 /// Mean final coverage of `strategy` across a dataset.
 struct AggregateCoverage {
   double mean_final = 0;
@@ -100,44 +76,22 @@ struct AggregateCoverage {
 };
 
 /// Runs `jobs` on one FuzzService: submits every job, then waits for each,
-/// and returns the outcomes in job order. With `group_size` > 1, each run of
-/// `group_size` consecutive jobs is one island group (SubmitIslandGroup;
-/// `options.exchange_interval` must be > 0). A rejected submission becomes
-/// an error outcome in its jobs' slots. Outcomes are identical for any
-/// worker count — the service determinism contract the CI diffs check.
+/// and returns the outcomes in job order. A rejected submission becomes an
+/// error outcome in its job's slot. Outcomes are identical for any worker
+/// count — the service determinism contract the CI diffs check.
 inline std::vector<engine::JobOutcome> RunJobs(
     const std::vector<engine::FuzzJob>& jobs,
-    const engine::ServiceOptions& options = engine::ServiceOptions(),
-    size_t group_size = 1) {
+    const engine::ServiceOptions& options = engine::ServiceOptions()) {
   engine::FuzzService service(options);
   std::vector<engine::JobOutcome> outcomes(jobs.size());
   std::vector<std::pair<size_t, engine::JobTicket>> waits;
-  auto reject = [&](size_t first, size_t count, const Status& status) {
-    for (size_t i = first; i < first + count; ++i) {
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    auto ticket = service.Submit(jobs[i]);
+    if (ticket.ok()) {
+      waits.emplace_back(i, ticket.value());
+    } else {
       outcomes[i].name = jobs[i].name;
-      outcomes[i].error = status.ToString();
-    }
-  };
-  group_size = std::max<size_t>(1, group_size);
-  for (size_t first = 0; first < jobs.size(); first += group_size) {
-    if (group_size == 1) {
-      auto ticket = service.Submit(jobs[first]);
-      if (ticket.ok()) {
-        waits.emplace_back(first, ticket.value());
-      } else {
-        reject(first, 1, ticket.status());
-      }
-      continue;
-    }
-    const size_t count = std::min(group_size, jobs.size() - first);
-    auto group = service.SubmitIslandGroup(
-        {jobs.begin() + first, jobs.begin() + first + count});
-    if (!group.ok()) {
-      reject(first, count, group.status());
-      continue;
-    }
-    for (size_t k = 0; k < count; ++k) {
-      waits.emplace_back(first + k, group.value().members[k]);
+      outcomes[i].error = ticket.status().ToString();
     }
   }
   for (const auto& [index, ticket] : waits) {
@@ -146,33 +100,86 @@ inline std::vector<engine::JobOutcome> RunJobs(
   return outcomes;
 }
 
+/// One island group per dataset entry: `islands` campaigns fuzz the entry's
+/// contract (compiled once) under seeds `base_seed + entry_index * islands
+/// + island`, so any (entry, island) pair is reproducible in isolation, and
+/// exchange top seeds every `exchange_interval` executions (RunIslandGroup).
+/// The groups run on `workers` threads (<= 0 uses DefaultWorkerCount), each
+/// taking the next group by an atomic index and writing its own result
+/// slots. Outcomes come back in (entry, island) order, so they are
+/// identical for any worker count.
+inline std::vector<engine::JobOutcome> RunIslandGroups(
+    const std::vector<corpus::CorpusEntry>& dataset,
+    const fuzzer::CampaignConfig& base, uint64_t base_seed, int islands,
+    int exchange_interval, int workers) {
+  const size_t width = static_cast<size_t>(islands);
+  std::vector<engine::JobOutcome> outcomes(dataset.size() * width);
+  std::atomic<size_t> next{0};
+  auto run_groups = [&] {
+    for (size_t g = next++; g < dataset.size(); g = next++) {
+      engine::JobOutcome* slots = &outcomes[g * width];
+      std::vector<fuzzer::CampaignConfig> members(width, base);
+      for (size_t k = 0; k < width; ++k) {
+        slots[k].name = dataset[g].name + "#" + std::to_string(k);
+        members[k].seed = base_seed + g * width + k;
+      }
+      auto artifact = lang::CompileContract(dataset[g].source);
+      if (!artifact.ok()) {
+        for (size_t k = 0; k < width; ++k) {
+          slots[k].error = artifact.status().ToString();
+        }
+        continue;
+      }
+      std::vector<fuzzer::CampaignResult> results = fuzzer::RunIslandGroup(
+          artifact.value(), members, exchange_interval);
+      for (size_t k = 0; k < width; ++k) {
+        slots[k].result = std::move(results[k]);
+      }
+    }
+  };
+  if (workers <= 0) workers = engine::DefaultWorkerCount();
+  const size_t threads = std::min(static_cast<size_t>(workers),
+                                  dataset.size());
+  std::vector<std::thread> pool;
+  for (size_t t = 1; t < threads; ++t) pool.emplace_back(run_groups);
+  run_groups();
+  for (std::thread& thread : pool) thread.join();
+  return outcomes;
+}
+
 /// Fans the dataset across a FuzzService (`workers` <= 0 uses
 /// DefaultWorkerCount / $MUFUZZ_WORKERS) and merges in job order, so the
 /// aggregate is identical for any worker count. With `islands` > 1 (and
-/// `exchange_interval` > 0) each entry becomes an island group, and every
-/// island is one aggregate row — still worker-count independent, which is
-/// what the CI bench-smoke migration diff checks. `fanout` sets every
-/// job's speculative expansion width K — part of the reproducibility key,
-/// and the aggregate stays identical across worker counts at any K (the
+/// `exchange_interval` > 0) each entry becomes an island group run by
+/// RunIslandGroups on `workers` threads instead, and every island is one
+/// aggregate row — still worker-count independent, which is what the CI
+/// bench-smoke migration diff checks. `fanout` sets every campaign's
+/// speculative expansion width K — part of the reproducibility key, and
+/// the aggregate stays identical across worker counts at any K (the
 /// reproduce harness's fan-out leg diffs that).
 inline AggregateCoverage AggregateOverDataset(
     const std::vector<corpus::CorpusEntry>& dataset,
     const fuzzer::StrategyConfig& strategy, int execs, uint64_t seed,
     int points = 20, int workers = 0, int islands = 1,
-    int exchange_interval = 0, int migration_top_k = 2, int fanout = 1) {
+    int exchange_interval = 0, int fanout = 1) {
   AggregateCoverage agg;
   agg.curve.assign(points, 0);
-  std::vector<engine::FuzzJob> jobs =
-      islands > 1
-          ? MakeIslandJobs(dataset, strategy, execs, seed, islands)
-          : MakeDatasetJobs(dataset, strategy, execs, seed);
-  for (engine::FuzzJob& job : jobs) job.config.fanout = fanout;
-  engine::ServiceOptions options;
-  options.workers = workers;
-  options.exchange_interval = exchange_interval;
-  options.migration_top_k = migration_top_k;
-  std::vector<engine::JobOutcome> outcomes =
-      RunJobs(jobs, options, static_cast<size_t>(std::max(1, islands)));
+  std::vector<engine::JobOutcome> outcomes;
+  if (islands > 1) {
+    fuzzer::CampaignConfig base;
+    base.strategy = strategy;
+    base.max_executions = execs;
+    base.fanout = fanout;
+    outcomes = RunIslandGroups(dataset, base, seed, islands,
+                               exchange_interval, workers);
+  } else {
+    std::vector<engine::FuzzJob> jobs =
+        MakeDatasetJobs(dataset, strategy, execs, seed);
+    for (engine::FuzzJob& job : jobs) job.config.fanout = fanout;
+    engine::ServiceOptions options;
+    options.workers = workers;
+    outcomes = RunJobs(jobs, options);
+  }
   int counted = 0;
   for (const engine::JobOutcome& outcome : outcomes) {
     if (!outcome.result.has_value()) {

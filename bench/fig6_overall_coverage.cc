@@ -61,13 +61,12 @@ int main(int argc, char** argv) {
   for (const auto& tool : tools) {
     double s = AggregateOverDataset(small, tool, 400, seed, /*points=*/20,
                                     workers, islands, exchange_interval,
-                                    /*migration_top_k=*/2, fanout)
+                                    fanout)
                    .mean_final *
                100.0;
     double l = AggregateOverDataset(large, tool, 500, seed + 777,
                                     /*points=*/20, workers, islands,
-                                    exchange_interval, /*migration_top_k=*/2,
-                                    fanout)
+                                    exchange_interval, fanout)
                    .mean_final *
                100.0;
     std::printf("%-12s %15.1f%% %15.1f%% %9.1f%%\n", tool.name.c_str(), s, l,

@@ -195,11 +195,47 @@ void BM_SelectorDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectorDispatch)->Arg(0)->Arg(1);
 
-/// The execution layer's hot path: 16 sequence plans through
-/// ExecuteSequenceInto on the in-process SessionBackend, each into its own
-/// outcome slot that is reused across iterations, as the campaign's child
-/// slots are.
-void BM_ExecuteSequenceInto(benchmark::State& state) {
+/// Builds the plans of the ExecuteSequenceInto benches against the deployed
+/// Crowdsale example.
+struct CrowdsalePlans {
+  const fuzzer::AbiCodec* codec;
+  Address contract;
+  Address sender;
+
+  /// `invest(amount)` carrying `amount` wei: host-free, and it writes state.
+  evm::PreparedTx Invest(uint64_t amount, int tag) const {
+    fuzzer::Tx tx;
+    tx.fn_index = 0;  // invest(uint256)
+    tx.args = {U256(amount)};
+    evm::PreparedTx prepared;
+    prepared.tag = tag;
+    prepared.request.to = contract;
+    prepared.request.sender = sender;
+    prepared.request.value = U256(amount);
+    prepared.request.data = codec->EncodeCalldata(tx);
+    return prepared;
+  }
+
+  /// A call with an unknown selector: the dispatcher reverts, so it leaves
+  /// the state unchanged.
+  evm::PreparedTx Reverting(uint32_t selector, int tag) const {
+    evm::PreparedTx prepared;
+    prepared.tag = tag;
+    prepared.request.to = contract;
+    prepared.request.sender = sender;
+    AppendU32BE(&prepared.request.data, selector);
+    return prepared;
+  }
+};
+
+/// The execution layer's hot path: 16 sequence plans (`make_plan(plans, k)`
+/// builds plan k) through ExecuteSequenceInto on the in-process
+/// SessionBackend, each into its own outcome slot that is reused across
+/// iterations, as the campaign's child slots are. With `expect_reuse` the
+/// run fails unless the backend restored or replayed some transaction.
+template <typename MakePlan>
+void TimeSequencePlans(benchmark::State& state, MakePlan make_plan,
+                       bool expect_reuse) {
   auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
   fuzzer::FuzzingHost host(/*seed=*/1, /*failure_probability=*/0.25,
                            /*max_reentries=*/2);
@@ -212,24 +248,9 @@ void BM_ExecuteSequenceInto(benchmark::State& state) {
   backend.MarkDeployed();
 
   fuzzer::AbiCodec codec(&artifact->abi, {deployer});
+  const CrowdsalePlans builder{&codec, addr.value(), deployer};
   std::vector<evm::SequencePlan> plans;
-  for (uint64_t k = 0; k < 16; ++k) {
-    evm::SequencePlan plan;
-    plan.host_seed = 0x9000 + k;
-    for (uint64_t t = 0; t < 3; ++t) {
-      fuzzer::Tx tx;
-      tx.fn_index = 0;  // invest(uint256)
-      tx.args = {U256(5 + k + t)};
-      evm::PreparedTx prepared;
-      prepared.tag = static_cast<int>(t);
-      prepared.request.to = addr.value();
-      prepared.request.sender = deployer;
-      prepared.request.value = U256(5 + k + t);
-      prepared.request.data = codec.EncodeCalldata(tx);
-      plan.txs.push_back(std::move(prepared));
-    }
-    plans.push_back(std::move(plan));
-  }
+  for (uint64_t k = 0; k < 16; ++k) plans.push_back(make_plan(builder, k));
   std::vector<evm::SequenceOutcome> outcomes(plans.size());
   for (auto _ : state) {
     for (size_t i = 0; i < plans.size(); ++i) {
@@ -237,11 +258,60 @@ void BM_ExecuteSequenceInto(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(outcomes.data());
     benchmark::ClobberMemory();
+    if (expect_reuse && backend.reused_txs() == 0) {
+      state.SkipWithError("no transaction was restored or replayed");
+      break;
+    }
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(plans.size()));
+  const int64_t executed =
+      state.iterations() * static_cast<int64_t>(plans.size());
+  state.SetItemsProcessed(executed);
+  // Restored plus replayed transactions per plan.
+  state.counters["reused_per_plan"] =
+      executed > 0 ? static_cast<double>(backend.reused_txs()) /
+                         static_cast<double>(executed)
+                   : 0.0;
+}
+
+/// Plans that differ at their first transaction, three state-writing
+/// `invest` calls each: neither prefix resume nor suffix replay applies, so
+/// this leg measures execution plus record keeping.
+void BM_ExecuteSequenceInto(benchmark::State& state) {
+  TimeSequencePlans(
+      state,
+      [](const CrowdsalePlans& builder, uint64_t k) {
+        evm::SequencePlan plan;
+        plan.host_seed = 0x9000 + k;
+        for (uint64_t t = 0; t < 3; ++t) {
+          plan.txs.push_back(builder.Invest(5 + k + t, static_cast<int>(t)));
+        }
+        return plan;
+      },
+      /*expect_reuse=*/false);
 }
 BENCHMARK(BM_ExecuteSequenceInto)->Unit(benchmark::kMicrosecond);
+
+/// Plans shaped like a campaign's input mutations: a shared host-free
+/// `invest` prefix, then a per-plan reverting call (the mutated focus
+/// transaction), then the same two `invest` calls. Each plan restores the
+/// prefix and replays the tail from the previous plan's recorded writes, so
+/// this leg times the reuse paths.
+void BM_ExecuteSequenceIntoReuse(benchmark::State& state) {
+  TimeSequencePlans(
+      state,
+      [](const CrowdsalePlans& builder, uint64_t k) {
+        evm::SequencePlan plan;
+        plan.host_seed = 0x9000 + k;
+        plan.txs.push_back(builder.Invest(5, 0));
+        plan.txs.push_back(
+            builder.Reverting(0xdead0000u + static_cast<uint32_t>(k), 1));
+        plan.txs.push_back(builder.Invest(7, 2));
+        plan.txs.push_back(builder.Invest(9, 3));
+        return plan;
+      },
+      /*expect_reuse=*/true);
+}
+BENCHMARK(BM_ExecuteSequenceIntoReuse)->Unit(benchmark::kMicrosecond);
 
 /// A complete fuzzing campaign (the unit of every table/figure run).
 void BM_CampaignHundredExecs(benchmark::State& state) {

@@ -70,11 +70,6 @@ FuzzService::~FuzzService() {
 // ------------------------------------------------------------- Validation --
 
 Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
-  if (options_.migration_top_k < 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions::migration_top_k must be >= 0 (0 = migrate "
-        "nothing)");
-  }
   if (options_.step_slots < 0) {
     return Status::InvalidArgument(
         "ServiceOptions::step_slots must be >= 0 (0 = no fair-share gate)");
@@ -119,32 +114,32 @@ std::string ResolveTenant(const std::string& tenant) {
 
 }  // namespace
 
-Status FuzzService::AdmitLocked(const std::string& tenant, size_t incoming) {
+Status FuzzService::AdmitLocked(const std::string& tenant) {
   TenantRecord& record = tenants_[tenant];
-  submitted_total_ += incoming;
-  record.submitted += incoming;
+  ++submitted_total_;
+  ++record.submitted;
   if (options_.max_live_jobs > 0 &&
-      live_jobs_.size() + incoming > options_.max_live_jobs) {
-    rejected_global_ += incoming;
-    record.rejected += incoming;
+      live_jobs_.size() >= options_.max_live_jobs) {
+    ++rejected_global_;
+    ++record.rejected;
     return Status::ResourceExhausted(
         "global admission queue full (" + std::to_string(live_jobs_.size()) +
         " live jobs, bound " + std::to_string(options_.max_live_jobs) +
         "); retry after jobs drain");
   }
   if (options_.max_live_jobs_per_tenant > 0 &&
-      record.live + incoming > options_.max_live_jobs_per_tenant) {
-    rejected_tenant_ += incoming;
-    record.rejected += incoming;
+      record.live >= options_.max_live_jobs_per_tenant) {
+    ++rejected_tenant_;
+    ++record.rejected;
     return Status::ResourceExhausted(
         "tenant \"" + tenant + "\" admission queue full (" +
         std::to_string(record.live) + " live jobs, bound " +
         std::to_string(options_.max_live_jobs_per_tenant) +
         "); retry after this tenant's jobs drain");
   }
-  admitted_total_ += incoming;
-  record.admitted += incoming;
-  record.live += incoming;
+  ++admitted_total_;
+  ++record.admitted;
+  ++record.live;
   return Status::OK();
 }
 
@@ -154,21 +149,11 @@ Result<JobTicket> FuzzService::Submit(FuzzJob job) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) return Status::Internal("FuzzService is shutting down");
   std::string tenant = ResolveTenant(job.tenant);
-  Status admitted = AdmitLocked(tenant, 1);
+  Status admitted = AdmitLocked(tenant);
   if (!admitted.ok()) return admitted;
-  std::unique_ptr<JobRecord> record =
-      NewRecordLocked(std::move(job), std::move(tenant));
-  const JobTicket ticket = record->ticket;
-  live_jobs_.emplace(ticket, record.get());
-  jobs_.emplace(ticket, std::move(record));
-  if (idle_workers_ > 0) work_cv_.notify_one();
-  return ticket;
-}
-
-std::unique_ptr<FuzzService::JobRecord> FuzzService::NewRecordLocked(
-    FuzzJob job, std::string tenant) {
   auto record = std::make_unique<JobRecord>();
-  record->ticket = next_ticket_++;
+  const JobTicket ticket = next_ticket_++;
+  record->ticket = ticket;
   record->job = std::move(job);
   record->outcome.name = record->job.name;
   record->progress.state = JobState::kQueued;
@@ -176,85 +161,10 @@ std::unique_ptr<FuzzService::JobRecord> FuzzService::NewRecordLocked(
   record->tenant_record = &tenants_[tenant];
   record->tenant = std::move(tenant);
   record->admitted_at = Clock::now();
-  return record;
-}
-
-Result<GroupTicket> FuzzService::SubmitIslandGroup(std::vector<FuzzJob> jobs) {
-  if (jobs.empty()) {
-    return Status::InvalidArgument(
-        "island group must have at least one member");
-  }
-  if (options_.exchange_interval <= 0) {
-    return Status::InvalidArgument(
-        "island groups require ServiceOptions::exchange_interval > 0 "
-        "(submit the jobs individually to run them standalone)");
-  }
-  for (const FuzzJob& job : jobs) {
-    Status status = ValidateSubmission(job);
-    if (!status.ok()) return status;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stop_) return Status::Internal("FuzzService is shutting down");
-
-  // All-or-nothing admission: every member counts as one attempt, and a
-  // bound violation rejects (and counts) the whole group.
-  std::map<std::string, size_t> per_tenant;
-  for (const FuzzJob& job : jobs) ++per_tenant[ResolveTenant(job.tenant)];
-  const size_t total = jobs.size();
-  submitted_total_ += total;
-  for (const auto& [tenant, count] : per_tenant) {
-    tenants_[tenant].submitted += count;
-  }
-  auto reject_all = [&](bool global) {
-    (global ? rejected_global_ : rejected_tenant_) += total;
-    for (const auto& [tenant, count] : per_tenant) {
-      tenants_[tenant].rejected += count;
-    }
-  };
-  if (options_.max_live_jobs > 0 &&
-      live_jobs_.size() + total > options_.max_live_jobs) {
-    reject_all(/*global=*/true);
-    return Status::ResourceExhausted(
-        "global admission queue cannot take an island group of " +
-        std::to_string(total) + " (" + std::to_string(live_jobs_.size()) +
-        " live jobs, bound " + std::to_string(options_.max_live_jobs) + ")");
-  }
-  if (options_.max_live_jobs_per_tenant > 0) {
-    for (const auto& [tenant, count] : per_tenant) {
-      if (tenants_[tenant].live + count > options_.max_live_jobs_per_tenant) {
-        reject_all(/*global=*/false);
-        return Status::ResourceExhausted(
-            "tenant \"" + tenant + "\" admission queue cannot take " +
-            std::to_string(count) + " island members (" +
-            std::to_string(tenants_[tenant].live) + " live jobs, bound " +
-            std::to_string(options_.max_live_jobs_per_tenant) + ")");
-      }
-    }
-  }
-  admitted_total_ += total;
-  for (const auto& [tenant, count] : per_tenant) {
-    tenants_[tenant].admitted += count;
-    tenants_[tenant].live += count;
-  }
-
-  auto group = std::make_unique<GroupRecord>();
-  GroupTicket group_ticket;
-  for (FuzzJob& job : jobs) {
-    std::string tenant = ResolveTenant(job.tenant);
-    std::unique_ptr<JobRecord> record =
-        NewRecordLocked(std::move(job), std::move(tenant));
-    const JobTicket ticket = record->ticket;
-    record->group = group.get();
-    group->members.push_back(record.get());
-    group_ticket.members.push_back(ticket);
-    live_jobs_.emplace(ticket, record.get());
-    jobs_.emplace(ticket, std::move(record));
-  }
-  group->open_members = static_cast<int>(group->members.size());
-  live_groups_.push_back(group.get());
-  groups_.push_back(std::move(group));
+  live_jobs_.emplace(ticket, record.get());
+  jobs_.emplace(ticket, std::move(record));
   if (idle_workers_ > 0) work_cv_.notify_one();
-  return group_ticket;
+  return ticket;
 }
 
 // ----------------------------------------------------------- Client calls --
@@ -313,10 +223,6 @@ void FuzzService::Cancel(JobTicket ticket) {
   it->second->cancel_requested = true;
   // A step the step_slots cap held back becomes an uncapped finalize.
   if (idle_workers_ > 0) work_cv_.notify_one();
-}
-
-void FuzzService::CancelGroup(const GroupTicket& group) {
-  for (JobTicket ticket : group.members) Cancel(ticket);
 }
 
 void FuzzService::CancelAll() {
@@ -430,13 +336,11 @@ bool FuzzService::PickSliceLocked(Slice* slice) {
   const auto now = Clock::now();
   const bool steps_open =
       options_.step_slots == 0 || steps_running_ < options_.step_slots;
-  JobRecord* best = nullptr;  // the chosen slice's key record
-  GroupRecord* best_group = nullptr;
+  JobRecord* best = nullptr;
   Slice::Kind best_kind = Slice::Kind::kSetup;
   size_t runnable = 0;
-  // The fair-share order over slices, keyed by the job a slice belongs to
-  // (an island group by its first member): least-charged tenant first, then
-  // higher priority, then lower ticket.
+  // The fair-share order over slices, keyed by the job a slice belongs to:
+  // least-charged tenant first, then higher priority, then lower ticket.
   auto runs_before = [](const JobRecord* a, const JobRecord* b) {
     const uint64_t wa = a->tenant_record->stepped_quanta;
     const uint64_t wb = b->tenant_record->stepped_quanta;
@@ -446,11 +350,10 @@ bool FuzzService::PickSliceLocked(Slice* slice) {
     }
     return a->ticket < b->ticket;
   };
-  auto consider = [&](JobRecord* key, GroupRecord* group, Slice::Kind kind) {
+  auto consider = [&](JobRecord* r, Slice::Kind kind) {
     ++runnable;
-    if (best == nullptr || runs_before(key, best)) {
-      best = key;
-      best_group = group;
+    if (best == nullptr || runs_before(r, best)) {
+      best = r;
       best_kind = kind;
     }
   };
@@ -460,86 +363,34 @@ bool FuzzService::PickSliceLocked(Slice* slice) {
   for (auto it = live_jobs_.begin(); it != live_jobs_.end();) {
     JobRecord* r = it->second;
     ++it;
-    if (r->group != nullptr || r->running) continue;
+    if (r->running) continue;
     CheckDeadlineLocked(r, now);
     if (r->stage == Stage::kAdmitted) {
       if (r->cancel_requested) {
         CancelBeforeStartLocked(r);
       } else {
-        consider(r, nullptr, Slice::Kind::kSetup);
+        consider(r, Slice::Kind::kSetup);
       }
     } else if (r->cancel_requested || r->campaign->Done()) {
-      consider(r, nullptr, Slice::Kind::kFinalize);
+      consider(r, Slice::Kind::kFinalize);
     } else if (steps_open) {
-      consider(r, nullptr, Slice::Kind::kStep);
-    }
-  }
-  for (size_t g = 0; g < live_groups_.size();) {
-    GroupRecord* group = live_groups_[g];
-    if (group->running) {
-      ++g;
-      continue;
-    }
-    for (JobRecord* m : group->members) {
-      if (m->stage == Stage::kDone) continue;
-      CheckDeadlineLocked(m, now);
-      // A member cancelled before the setup slice drops out of the group
-      // like a compile failure: it gets no island id.
-      if (m->stage == Stage::kAdmitted && m->cancel_requested) {
-        CancelBeforeStartLocked(m);
-      }
-    }
-    if (group->open_members == 0) {
-      UpdateGroupLocked(group);  // retires it from live_groups_[g]
-      continue;
-    }
-    ++g;
-    if (group->stage == Stage::kAdmitted) {
-      consider(group->members[0], group, Slice::Kind::kSetup);
-    } else if (group->finishing) {
-      consider(group->members[0], group, Slice::Kind::kFinalize);
-    } else if (steps_open) {
-      consider(group->members[0], group, Slice::Kind::kStep);
+      consider(r, Slice::Kind::kStep);
     }
   }
   if (best == nullptr) return false;
 
   slice->kind = best_kind;
-  slice->job = best_group == nullptr ? best : nullptr;
-  slice->group = best_group;
-  slice->members.clear();
-  if (best_kind == Slice::Kind::kStep) ++steps_running_;
-  if (best_group == nullptr) {
-    best->running = true;
-    if (best_kind == Slice::Kind::kFinalize) {
-      best->finalize_cancelled =
-          best->cancel_requested && !best->campaign->Done();
-    } else if (best_kind == Slice::Kind::kStep) {
-      best->tenant_record->stepped_quanta +=
-          static_cast<uint64_t>(options_.round_quantum);
-      if (best->progress.first_step_round < 0) {
-        best->progress.first_step_round = static_cast<int64_t>(rounds_done_);
-      }
-    }
-  } else {
-    best_group->running = true;
-    const uint64_t interval =
-        static_cast<uint64_t>(std::max(1, options_.exchange_interval));
-    for (JobRecord* m : best_group->members) {
-      if (m->stage == Stage::kDone) continue;
-      if (best_kind == Slice::Kind::kStep) {
-        // A member that exhausted its budget keeps exporting/importing in
-        // migration rounds and finalizes when the whole group is done.
-        if (m->campaign->Done()) continue;
-        m->finalize_cancelled = m->cancel_requested;
-        if (!m->finalize_cancelled) {
-          m->tenant_record->stepped_quanta += interval;
-          if (m->progress.first_step_round < 0) {
-            m->progress.first_step_round = static_cast<int64_t>(rounds_done_);
-          }
-        }
-      }
-      slice->members.push_back(m);
+  slice->job = best;
+  best->running = true;
+  if (best_kind == Slice::Kind::kFinalize) {
+    best->finalize_cancelled =
+        best->cancel_requested && !best->campaign->Done();
+  } else if (best_kind == Slice::Kind::kStep) {
+    ++steps_running_;
+    best->tenant_record->stepped_quanta +=
+        static_cast<uint64_t>(options_.round_quantum);
+    if (best->progress.first_step_round < 0) {
+      best->progress.first_step_round = static_cast<int64_t>(rounds_done_);
     }
   }
   // Other runnable slices are left: hand one to an idle worker.
@@ -548,24 +399,10 @@ bool FuzzService::PickSliceLocked(Slice* slice) {
 }
 
 void FuzzService::RunSlice(const Slice& slice) {
-  if (slice.group != nullptr) {
-    switch (slice.kind) {
-      case Slice::Kind::kSetup:
-        SetupGroup(slice.group, slice.members);
-        break;
-      case Slice::Kind::kStep:
-        StepGroup(slice.group, slice.members);
-        break;
-      case Slice::Kind::kFinalize:
-        for (JobRecord* m : slice.members) FinalizeJob(m);
-        break;
-    }
-    return;
-  }
   JobRecord* r = slice.job;
   switch (slice.kind) {
     case Slice::Kind::kSetup:
-      SetupStandalone(r);
+      SetupJob(r);
       break;
     case Slice::Kind::kStep: {
       auto start = Clock::now();
@@ -580,80 +417,28 @@ void FuzzService::RunSlice(const Slice& slice) {
 }
 
 void FuzzService::SettleSliceLocked(const Slice& slice) {
-  if (slice.kind == Slice::Kind::kStep) --steps_running_;
-  if (GroupRecord* group = slice.group) {
-    group->running = false;
-    switch (slice.kind) {
-      case Slice::Kind::kSetup:
-        group->stage = Stage::kActive;
-        for (JobRecord* m : slice.members) {
-          if (m->campaign == nullptr) {
-            MarkDoneLocked(m);  // compile failed
-            continue;
-          }
-          m->stage = Stage::kActive;
-          SnapshotProgressLocked(m);
-        }
-        break;
-      case Slice::Kind::kStep: {
-        bool stepped = false;
-        for (JobRecord* m : slice.members) {
-          if (m->finalize_cancelled) {
-            MarkDoneLocked(m);
-          } else {
-            stepped = true;
-          }
-        }
-        if (stepped) ++group->migration_rounds;
-        for (JobRecord* m : group->members) {
-          if (m->stage == Stage::kActive) SnapshotProgressLocked(m);
-        }
+  JobRecord* r = slice.job;
+  r->running = false;
+  switch (slice.kind) {
+    case Slice::Kind::kSetup:
+      if (r->campaign == nullptr) {
+        MarkDoneLocked(r);  // compile failed
         break;
       }
-      case Slice::Kind::kFinalize:
-        for (JobRecord* m : slice.members) MarkDoneLocked(m);
-        break;
-    }
-    UpdateGroupLocked(group);
-  } else {
-    JobRecord* r = slice.job;
-    r->running = false;
-    switch (slice.kind) {
-      case Slice::Kind::kSetup:
-        if (r->campaign == nullptr) {
-          MarkDoneLocked(r);  // compile failed
-          break;
-        }
-        r->stage = Stage::kActive;
-        SnapshotProgressLocked(r);
-        break;
-      case Slice::Kind::kStep:
-        ++r->rounds;
-        SnapshotProgressLocked(r);
-        break;
-      case Slice::Kind::kFinalize:
-        MarkDoneLocked(r);
-        break;
-    }
+      r->stage = Stage::kActive;
+      SnapshotProgressLocked(r);
+      break;
+    case Slice::Kind::kStep:
+      --steps_running_;
+      ++r->rounds;
+      SnapshotProgressLocked(r);
+      break;
+    case Slice::Kind::kFinalize:
+      MarkDoneLocked(r);
+      break;
   }
   ++rounds_done_;
   SampleSliceLocked(Clock::now());
-}
-
-void FuzzService::UpdateGroupLocked(GroupRecord* group) {
-  if (group->open_members == 0) {
-    // Retire: the campaigns are gone, so the seed queues can go too.
-    for (JobRecord* m : group->members) m->queue = nullptr;
-    group->sharder.reset();
-    live_groups_.erase(
-        std::find(live_groups_.begin(), live_groups_.end(), group));
-    return;
-  }
-  if (group->stage != Stage::kActive || group->finishing) return;
-  for (JobRecord* m : group->members) {
-    if (m->stage == Stage::kActive && !m->campaign->Done()) return;
-  }
-  group->finishing = true;
 }
 
 void FuzzService::CheckDeadlineLocked(JobRecord* r,
@@ -706,23 +491,19 @@ void FuzzService::SampleSliceLocked(
 
 // -------------------------------------------------- Slice bodies (no lock) --
 
-void FuzzService::ResolveArtifact(JobRecord* r) {
+void FuzzService::SetupJob(JobRecord* r) {
+  auto start = Clock::now();
   if (r->job.artifact != nullptr) {
     r->artifact = r->job.artifact;
-    return;
-  }
-  auto result = lang::CompileContract(r->job.source);
-  if (result.ok()) {
-    r->compiled = std::move(result).value();
-    r->artifact = &*r->compiled;
   } else {
-    r->outcome.error = result.status().ToString();
+    auto result = lang::CompileContract(r->job.source);
+    if (result.ok()) {
+      r->compiled = std::move(result).value();
+      r->artifact = &*r->compiled;
+    } else {
+      r->outcome.error = result.status().ToString();
+    }
   }
-}
-
-void FuzzService::SetupStandalone(JobRecord* r) {
-  auto start = Clock::now();
-  ResolveArtifact(r);
   if (r->artifact != nullptr) {
     r->session = session_pool_.Acquire();
     r->campaign = std::make_unique<fuzzer::Campaign>(
@@ -732,66 +513,15 @@ void FuzzService::SetupStandalone(JobRecord* r) {
   r->active_ms += MsBetween(start, Clock::now());
 }
 
-void FuzzService::SetupGroup(GroupRecord* group,
-                             const std::vector<JobRecord*>& members) {
-  for (JobRecord* m : members) {
-    auto start = Clock::now();
-    ResolveArtifact(m);
-    m->active_ms += MsBetween(start, Clock::now());
-  }
-  // Island ids are dense over the members that compiled, in submission
-  // order.
-  std::vector<std::unique_ptr<fuzzer::SeedScheduler>> queues;
-  for (JobRecord* m : members) {
-    if (m->artifact == nullptr) continue;
-    m->island_id = static_cast<int>(queues.size());
-    queues.push_back(std::make_unique<fuzzer::SeedScheduler>(
-        m->job.config.strategy.distance_feedback));
-    m->queue = queues.back().get();
-  }
-  group->sharder =
-      std::make_unique<fuzzer::ShardedSeedScheduler>(std::move(queues));
-  for (JobRecord* m : members) {
-    if (m->artifact == nullptr) continue;
-    auto start = Clock::now();
-    // The campaign owns its SessionBackend: an island campaign's session must
-    // survive across rounds, so pooled leasing would pin it anyway.
-    m->campaign = std::make_unique<fuzzer::Campaign>(
-        m->artifact, m->job.config, nullptr, m->queue, m->island_id);
-    m->campaign->SeedCorpus();
-    m->active_ms += MsBetween(start, Clock::now());
-  }
-}
-
-void FuzzService::StepGroup(GroupRecord* group,
-                            const std::vector<JobRecord*>& members) {
-  const uint64_t interval =
-      static_cast<uint64_t>(std::max(1, options_.exchange_interval));
-  bool stepped = false;
-  for (JobRecord* m : members) {
-    if (m->finalize_cancelled) {
-      // A cancelled member stops stepping, but its queue stays in the
-      // archipelago's migration rounds.
-      FinalizeJob(m);
-      continue;
-    }
-    auto start = Clock::now();
-    m->campaign->StepRound(interval);
-    m->active_ms += MsBetween(start, Clock::now());
-    stepped = true;
-  }
-  if (stepped) group->sharder->RunMigrationRound(options_.migration_top_k);
-}
-
 void FuzzService::FinalizeJob(JobRecord* r) {
   auto start = Clock::now();
   if (r->finalize_cancelled) {
     r->campaign->MarkCancelled();
-    r->campaign->DrainStream();  // no-op on the stepped (island) path
+    r->campaign->DrainStream();
   }
   r->outcome.result = r->campaign->Finalize();
-  // Drop the campaign before its externally owned island queue (and before
-  // the backend it unbinds on destruction) goes away.
+  // Drop the campaign before the backend it unbinds on destruction goes
+  // back to the pool.
   r->campaign.reset();
   if (r->session != nullptr) session_pool_.Release(std::move(r->session));
   // Nothing reads the compile products of a finished job; free them here,
@@ -813,8 +543,7 @@ void FuzzService::SnapshotProgressLocked(JobRecord* r) {
   r->progress.inflight_executions = p.inflight_executions;
   r->progress.code_cache = p.code_cache;
   r->progress.heap_allocs = p.heap_allocs;
-  r->progress.round_index =
-      r->group != nullptr ? r->group->migration_rounds : r->rounds;
+  r->progress.round_index = r->rounds;
 }
 
 void FuzzService::MarkDoneLocked(JobRecord* r) {
@@ -823,7 +552,6 @@ void FuzzService::MarkDoneLocked(JobRecord* r) {
   // Every path to kDone passes here; swap so the capacity goes too.
   std::string().swap(r->job.source);
   live_jobs_.erase(r->ticket);
-  if (r->group != nullptr) --r->group->open_members;
 
   TenantRecord& tenant = *r->tenant_record;
   --tenant.live;
@@ -854,8 +582,7 @@ void FuzzService::MarkDoneLocked(JobRecord* r) {
     p.bugs_found = result.bugs.size();
     p.cancelled = result.cancelled;
     p.code_cache = result.code_cache;
-    p.round_index =
-        r->group != nullptr ? r->group->migration_rounds : r->rounds;
+    p.round_index = r->rounds;
   }
   done_cv_.notify_all();
 }

@@ -17,7 +17,6 @@
 #include "common/status.h"
 #include "evm/execution_backend.h"
 #include "fuzzer/campaign.h"
-#include "fuzzer/sharded_seed_scheduler.h"
 #include "lang/codegen.h"
 
 namespace mufuzz::engine {
@@ -71,12 +70,6 @@ struct JobOutcome {
 /// service and are never reused.
 using JobTicket = uint64_t;
 
-/// Handle for one island archipelago: the member jobs' tickets, in
-/// submission order (which is also island-id order).
-struct GroupTicket {
-  std::vector<JobTicket> members;
-};
-
 /// Where a job is in its service lifecycle.
 enum class JobState {
   kUnknown,     ///< ticket was never issued by this service
@@ -97,15 +90,14 @@ struct JobProgress {
   double coverage = 0;
   /// Distinct (bug, pc) oracle findings so far.
   size_t bugs_found = 0;
-  /// Completed step slices for a standalone job, migration rounds for an
-  /// island member.
+  /// Completed step slices.
   int round_index = 0;
   /// Speculative fan-out (K) the job's campaign runs with — parents
   /// expanded per selection round.
   int fanout = 1;
   /// Parents in the campaign's parked speculative set at snapshot time
-  /// (streamed standalone jobs park the whole set across slices; 0 for
-  /// island members, whose rounds drain, and once the job is done).
+  /// (a streamed job parks the whole set across slices; 0 once the job is
+  /// done).
   int parents_in_flight = 0;
   /// Executions run but not yet applied at snapshot time — one per parent
   /// with a child in flight. 0 once done.
@@ -129,25 +121,16 @@ struct JobProgress {
   uint64_t heap_allocs = 0;
 };
 
-/// FuzzService knobs. The island knobs (`exchange_interval`,
-/// `migration_top_k`) are part of each island member's reproducibility key;
-/// the scheduling knobs (`workers`, `round_quantum`, `step_slots`) never
-/// influence results. Every campaign knob lives on the job's own
-/// CampaignConfig.
+/// FuzzService knobs. All of them are scheduling knobs and never influence
+/// results: every campaign knob lives on the job's own CampaignConfig.
 struct ServiceOptions {
   /// Service worker threads running job slices; <= 0 means
   /// DefaultWorkerCount().
   int workers = 0;
-  /// Sequence executions each island runs between migration rounds —
-  /// SubmitIslandGroup requires it > 0.
-  int exchange_interval = 0;
-  /// Seeds each island exports per migration round.
-  int migration_top_k = 2;
-  /// Executions a standalone job advances per step slice — the
+  /// Executions a job advances per step slice — the
   /// progress/cancel/fair-share granularity. Scheduling-only: the streamed
   /// campaign suspends (never drains) at slice boundaries, so results are
-  /// identical for any quantum (unlike islands' exchange_interval, which is
-  /// a real round barrier and part of the semantics). Clamped to >= 1.
+  /// identical for any quantum. Clamped to >= 1.
   int round_quantum = 128;
 
   // -------------------------------------------- Admission & multi-tenancy --
@@ -157,8 +140,7 @@ struct ServiceOptions {
   size_t max_live_jobs = 0;
   /// Same bound per tenant. 0 = unbounded.
   size_t max_live_jobs_per_tenant = 0;
-  /// Cap on step slices (standalone quanta and island group rounds) running
-  /// at the same time; setup and finalize slices are never capped. Which
+  /// Cap on step slices running at the same time; setup and finalize slices are never capped. Which
   /// job a free worker steps is decided by the fair-share rule (see
   /// "Scheduling model" on FuzzService), so the cap bounds how many workers
   /// fuzz at once while tenants share them by deficit. Scheduling-only —
@@ -185,7 +167,7 @@ struct TenantStats {
   uint64_t deadline_hits = 0;  ///< cancellations initiated by a deadline
   uint64_t executions = 0;     ///< finished + live snapshot executions
   /// Fair-share deficit counter: executions' worth of step slices charged
-  /// to the tenant so far (standalone quanta + island intervals).
+  /// to the tenant so far.
   uint64_t stepped_quanta = 0;
   size_t live_jobs = 0;    ///< admitted, not yet done (queue depth now)
   size_t queued_jobs = 0;  ///< live jobs whose campaign is not stepping yet
@@ -221,19 +203,16 @@ int DefaultWorkerCount();
 
 /// A long-lived streaming fuzzing engine: submit jobs at any time, watch
 /// their progress, cancel them, and collect outcomes. `workers` service
-/// threads run whatever job slice is ready next, interleaving standalone
-/// jobs and island archipelagos. These threads are the only parallelism:
-/// each slice runs, execution included, on the one worker that picked it.
+/// threads run whatever job slice is ready next, interleaving the jobs.
+/// These threads are the only parallelism: each slice runs, execution
+/// included, on the one worker that picked it. (Island groups are not a
+/// service mode: fuzzer::RunIslandGroup runs one on its caller's thread.)
 ///
 /// ## Scheduling model
 ///
-/// Work is cut into *slices*. A standalone job has a setup slice (compile,
-/// construct, seed corpus), step slices of `round_quantum` executions (the
-/// campaign's suspended-pipeline streaming interface), and a finalize
-/// slice. An island archipelago is one runnable unit: its setup slice
-/// compiles and constructs every member, each step slice runs one
-/// `exchange_interval` round on every active member in island-id order and
-/// then the migration, and its finalize slice finalizes every member.
+/// Work is cut into *slices*. A job has a setup slice (compile, construct,
+/// seed corpus), step slices of `round_quantum` executions (the campaign's
+/// suspended-pipeline streaming interface), and a finalize slice.
 ///
 /// Each worker loops: under the service lock pick the next runnable slice,
 /// run it with the lock released, settle that one job (stage change,
@@ -241,8 +220,7 @@ int DefaultWorkerCount();
 /// at once, and nothing waits for any other job — there is no cross-job
 /// barrier. One rule orders all three kinds of slice: the job whose tenant
 /// has the least stepped work (`stepped_quanta`) first, then higher
-/// priority, then lower ticket (an archipelago is ordered by its first
-/// member). Picking a step slice charges its tenant the slice's executions,
+/// priority, then lower ticket. Picking a step slice charges its tenant the slice's executions,
 /// so tenants share the workers by deficit, while within one tenant the
 /// oldest job runs to completion first and only about `workers` campaigns
 /// are live at a time. `step_slots` caps the step slices running at once.
@@ -262,11 +240,8 @@ int DefaultWorkerCount();
 /// unapplied children) across slice boundaries, and Cancel drains that set —
 /// applying every executed child in (parent rank, child index) order —
 /// before finalizing the partial result.
-/// An island member's result is a pure function of its *group's* jobs and
-/// the (exchange_interval, migration_top_k) pair — members are coupled by
-/// seed migration, by design, but never coupled to jobs outside the group.
-/// A standalone job reproduces a plain RunCampaign call bit for bit, however
-/// it was submitted. CI checks all of this differentially.
+/// A job reproduces a plain RunCampaign call bit for bit, however it was
+/// submitted. CI checks all of this differentially.
 /// Only *when* work runs depends on scheduling: `first_step_round`,
 /// `ServiceStats::rounds` and the other counters are diagnostics.
 ///
@@ -283,20 +258,11 @@ class FuzzService {
   FuzzService(const FuzzService&) = delete;
   FuzzService& operator=(const FuzzService&) = delete;
 
-  /// Admits one standalone job. Fails — without admitting anything — on
-  /// out-of-range config knobs: negative `fanout`, `initial_seeds`, or
-  /// `max_executions` or `base_energy` below 1 on the job, or negative
-  /// `migration_top_k` / `step_slots` / `metrics_log_interval_ms` on the
-  /// service options.
+  /// Admits one job. Fails — without admitting anything — on out-of-range
+  /// config knobs: negative `fanout`, `initial_seeds`, or `max_executions`
+  /// or `base_energy` below 1 on the job, or negative `step_slots` /
+  /// `metrics_log_interval_ms` on the service options.
   Result<JobTicket> Submit(FuzzJob job);
-
-  /// Admits `jobs` as one island archipelago: members run in lockstep
-  /// rounds of `exchange_interval` executions and exchange their top
-  /// `migration_top_k` seeds between rounds, with island ids assigned in
-  /// submission order. All-or-nothing: validation failure (everything
-  /// Submit checks, plus `exchange_interval` must be > 0 and the group
-  /// non-empty) admits no member.
-  Result<GroupTicket> SubmitIslandGroup(std::vector<FuzzJob> jobs);
 
   /// The job's latest between-slices snapshot (final one once done;
   /// `state == kUnknown` for a ticket this service never issued).
@@ -318,14 +284,8 @@ class FuzzService {
   /// cancelled before its campaign ever started completes with an *empty*
   /// result and an explanatory error instead (the JobOutcome contract:
   /// never-ran jobs can't be mistaken for zero-coverage rows). No-op on a
-  /// finished (or unknown) ticket. Cancelling an island member removes it
-  /// from stepping but keeps its seed queue in the group's migration
-  /// rounds (exactly like a member that exhausted its budget), so the
-  /// survivors' schedule stays well-formed.
+  /// finished (or unknown) ticket.
   void Cancel(JobTicket ticket);
-
-  /// Cancels every member of a group.
-  void CancelGroup(const GroupTicket& group);
 
   /// Requests cancellation of every live job (the server-shutdown path:
   /// unblocks Wait()ers bounded by one slice per job).
@@ -352,20 +312,19 @@ class FuzzService {
     kDone,
   };
 
-  struct GroupRecord;
   struct TenantRecord;
 
   struct JobRecord {
     JobTicket ticket = 0;
     FuzzJob job;  ///< `source` is freed once the job is kDone
     Stage stage = Stage::kAdmitted;
-    bool running = false;  ///< a slice of this standalone job is on a worker
+    bool running = false;  ///< a slice of this job is on a worker
     bool cancel_requested = false;
     bool finalize_cancelled = false;  ///< finalize via the cancel path
     JobProgress progress;
     JobOutcome outcome;
     double active_ms = 0;
-    int rounds = 0;  ///< completed standalone step slices
+    int rounds = 0;  ///< completed step slices
     std::string tenant;  ///< resolved ("" mapped to "default")
     TenantRecord* tenant_record = nullptr;  ///< tenants_ entry (stable)
     std::chrono::steady_clock::time_point admitted_at;
@@ -376,21 +335,6 @@ class FuzzService {
     const lang::ContractArtifact* artifact = nullptr;
     std::unique_ptr<evm::SessionBackend> session;  ///< pooled lease
     std::unique_ptr<fuzzer::Campaign> campaign;
-
-    // Island members only.
-    GroupRecord* group = nullptr;
-    fuzzer::SeedScheduler* queue = nullptr;  ///< owned by group->sharder
-    int island_id = -1;
-  };
-
-  struct GroupRecord {
-    std::vector<JobRecord*> members;  ///< submission order
-    std::unique_ptr<fuzzer::ShardedSeedScheduler> sharder;
-    Stage stage = Stage::kAdmitted;  ///< kActive once the setup slice settled
-    bool finishing = false;  ///< no member steps any more: finalize next
-    bool running = false;    ///< a slice of this group is on a worker
-    int migration_rounds = 0;
-    int open_members = 0;  ///< members not yet kDone
   };
 
   /// Per-tenant accounting: admission counters for the metrics plane plus
@@ -407,16 +351,11 @@ class FuzzService {
     size_t live = 0;
   };
 
-  /// One picked slice: a standalone job's, or an island group's together
-  /// with the members it covers (in island-id order).
+  /// One picked slice of one job.
   struct Slice {
     enum class Kind { kSetup, kStep, kFinalize };
     Kind kind = Kind::kSetup;
     JobRecord* job = nullptr;
-    GroupRecord* group = nullptr;
-    /// Group slices: members to set up / step (or, when their
-    /// `finalize_cancelled` is set, finalize) / finalize.
-    std::vector<JobRecord*> members;
   };
 
   void WorkerMain();
@@ -431,31 +370,23 @@ class FuzzService {
   void SettleSliceLocked(const Slice& slice);
 
   // Slice bodies (no lock held).
-  /// Adopts the job's pre-compiled artifact or compiles its source; on
-  /// failure leaves `artifact` null with the diagnostics in
-  /// `outcome.error`.
-  void ResolveArtifact(JobRecord* r);
-  void SetupStandalone(JobRecord* r);
-  void SetupGroup(GroupRecord* group, const std::vector<JobRecord*>& members);
-  void StepGroup(GroupRecord* group, const std::vector<JobRecord*>& members);
+  /// Adopts the job's pre-compiled artifact or compiles its source (on
+  /// failure leaving `artifact` null with the diagnostics in
+  /// `outcome.error`), then builds and seeds the campaign.
+  void SetupJob(JobRecord* r);
   void FinalizeJob(JobRecord* r);
 
-  /// After a group slice settled: marks the group finishing once no member
-  /// steps any more, and retires it once every member is done.
-  void UpdateGroupLocked(GroupRecord* group);
   void SnapshotProgressLocked(JobRecord* r);
   void MarkDoneLocked(JobRecord* r);
   /// Completes a job that was cancelled before its campaign ever ran:
   /// empty-but-valid result, flagged cancelled.
   void CancelBeforeStartLocked(JobRecord* r);
   Status ValidateSubmission(const FuzzJob& job) const;
-  /// Builds the record of an admitted job (requires mu_).
-  std::unique_ptr<JobRecord> NewRecordLocked(FuzzJob job, std::string tenant);
   bool AllDoneLocked() const;
   /// Admission gate: checks the global and per-tenant live-job bounds for
-  /// `incoming` more jobs of `tenant`, counting the attempt (and any
-  /// rejection) in the metrics plane.
-  Status AdmitLocked(const std::string& tenant, size_t incoming);
+  /// one more job of `tenant`, counting the attempt (and any rejection) in
+  /// the metrics plane.
+  Status AdmitLocked(const std::string& tenant);
   /// Marks the job cancel-requested when its deadline expired (counted once).
   void CheckDeadlineLocked(JobRecord* r,
                            std::chrono::steady_clock::time_point now);
@@ -473,13 +404,10 @@ class FuzzService {
   std::condition_variable work_cv_;  ///< workers: runnable work / stop
   std::condition_variable done_cv_;  ///< waiters: a job reached kDone
   std::map<JobTicket, std::unique_ptr<JobRecord>> jobs_;
-  std::vector<std::unique_ptr<GroupRecord>> groups_;
-  /// Records not yet kDone / groups not yet retired: what a pick scans, so
-  /// a long-lived service pays per-pick cost proportional to *live* work,
-  /// not to everything ever submitted (jobs_ retains outcomes for
-  /// Wait-idempotence).
+  /// Records not yet kDone: what a pick scans, so a long-lived service pays
+  /// per-pick cost proportional to *live* work, not to everything ever
+  /// submitted (jobs_ retains outcomes for Wait-idempotence).
   std::map<JobTicket, JobRecord*> live_jobs_;
-  std::vector<GroupRecord*> live_groups_;
   JobTicket next_ticket_ = 1;
   bool stop_ = false;
   bool paused_ = false;  ///< start_paused and Resume() not called yet

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/alloc_stats.h"
+#include "fuzzer/sharded_seed_scheduler.h"
 
 namespace mufuzz::fuzzer {
 
@@ -355,6 +356,47 @@ CampaignResult RunCampaign(const lang::ContractArtifact& artifact,
                            evm::SessionBackend* backend) {
   Campaign campaign(&artifact, config, backend);
   return campaign.Run();
+}
+
+std::vector<CampaignResult> RunIslandGroup(
+    const lang::ContractArtifact& artifact,
+    const std::vector<CampaignConfig>& members, int exchange_interval) {
+  std::vector<std::unique_ptr<SeedScheduler>> queues;
+  queues.reserve(members.size());
+  for (const CampaignConfig& config : members) {
+    queues.push_back(
+        std::make_unique<SeedScheduler>(config.strategy.distance_feedback));
+  }
+  ShardedSeedScheduler archipelago(std::move(queues));
+  // Declared after the archipelago, so the campaigns are destroyed before
+  // the queues they fuzz out of.
+  std::vector<std::unique_ptr<Campaign>> campaigns;
+  campaigns.reserve(members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    const int island_id = static_cast<int>(i);
+    campaigns.push_back(std::make_unique<Campaign>(
+        &artifact, members[i], nullptr, archipelago.island(island_id),
+        island_id));
+    campaigns.back()->SeedCorpus();
+  }
+  const uint64_t interval =
+      static_cast<uint64_t>(std::max(1, exchange_interval));
+  for (;;) {
+    bool stepped = false;
+    for (const std::unique_ptr<Campaign>& campaign : campaigns) {
+      if (campaign->Done()) continue;
+      campaign->StepRound(interval);
+      stepped = true;
+    }
+    if (!stepped) break;
+    archipelago.RunMigrationRound(kIslandMigrationTopK);
+  }
+  std::vector<CampaignResult> results;
+  results.reserve(campaigns.size());
+  for (const std::unique_ptr<Campaign>& campaign : campaigns) {
+    results.push_back(campaign->Finalize());
+  }
+  return results;
 }
 
 }  // namespace mufuzz::fuzzer

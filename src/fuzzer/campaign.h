@@ -103,7 +103,7 @@ class Campaign {
   /// function to call. Finalize() may run. Both drivers stop on it.
   bool Done() const;
 
-  /// The island coordinator's step: plans (and applies) up to
+  /// RunIslandGroup's step: plans (and applies) up to
   /// `round_executions` more sequence executions (never past the campaign
   /// budget; energy and mask probes may overshoot a round boundary by a
   /// bounded amount, exactly as they overshoot the budget). Every planned
@@ -275,6 +275,25 @@ class Campaign {
 CampaignResult RunCampaign(const lang::ContractArtifact& artifact,
                            const CampaignConfig& config,
                            evm::SessionBackend* backend = nullptr);
+
+/// Seeds every island exports per migration round of RunIslandGroup.
+inline constexpr int kIslandMigrationTopK = 2;
+
+/// Runs one island group (archipelago) over one contract on the calling
+/// thread: one campaign per entry of `members`, island ids 0..n-1 in member
+/// order, each over its own owned backend and its own queue of one
+/// ShardedSeedScheduler. Every member is constructed and seeded in order;
+/// then each round steps every member that is not Done() by
+/// `exchange_interval` executions (clamped to >= 1), in island-id order,
+/// and runs one migration round of the top kIslandMigrationTopK seeds.
+/// Done() is read afresh every round, since a migration can refill an empty
+/// queue. The loop ends at the first round in which no member stepped, and
+/// every member is finalized in order. Results, one per member in member
+/// order, are a pure function of (artifact, members, exchange_interval):
+/// members are coupled by migration, by design, and by nothing else.
+std::vector<CampaignResult> RunIslandGroup(
+    const lang::ContractArtifact& artifact,
+    const std::vector<CampaignConfig>& members, int exchange_interval);
 
 }  // namespace mufuzz::fuzzer
 

@@ -36,8 +36,8 @@ struct CampaignResult {
   /// Seed-queue lifetime counters for this campaign's island (admissions,
   /// rejections, evictions, migration traffic) — filled at finalization.
   SeedQueueStats queue_stats;
-  /// Position within a migration group (assigned in job order when the
-  /// group is set up), or -1 when the campaign ran standalone.
+  /// Position within an island group (RunIslandGroup's member order), or
+  /// -1 when the campaign ran standalone.
   int island_id = -1;
   /// True when the campaign was cancelled before exhausting its budget (the
   /// FuzzService round-boundary cancel path). A cancelled result is partial

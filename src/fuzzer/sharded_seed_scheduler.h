@@ -13,17 +13,16 @@ namespace mufuzz::fuzzer {
 /// campaign, plus the deterministic cross-island migration step (the
 /// "sharded corpus" of the ROADMAP's island model).
 ///
-/// Concurrency contract: between migration rounds each island is touched
-/// only by the worker currently running its campaign — there are no locks
-/// on the hot path. `RunMigrationRound` must be called from a single thread
-/// while no campaign is stepping (the engine's round barrier provides
-/// exactly that window).
+/// Concurrency contract: there are no locks. `RunMigrationRound` must be
+/// called while no campaign is stepping; RunIslandGroup steps and migrates
+/// a whole group on one thread, so its round loop provides exactly that
+/// window.
 ///
 /// Determinism contract: a migration round is a pure function of island
 /// contents. The round snapshots every island's top-k into a round-indexed
 /// exchange buffer *before* any import, then merges into each destination
 /// in (source island id, seed rank) order. Island ids are assigned by the
-/// caller from job order — never from thread ids — so the merged outcome is
+/// caller from member order — never from thread ids — so the merged outcome is
 /// bit-for-bit independent of worker count, scheduling, and completion
 /// order.
 class ShardedSeedScheduler {

@@ -4,6 +4,8 @@
 // execution-semantics knobs arrive per job over the wire, so the daemon
 // itself never perturbs the reproducibility key.
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <ctime>
@@ -25,20 +27,26 @@ void Usage(const char* argv0) {
       "usage: %s [flags]\n"
       "  --host A              IPv4 listen address (default 127.0.0.1)\n"
       "  --port N              TCP port; 0 = ephemeral (default 7337)\n"
-      "  --workers N           service worker threads (default: auto)\n"
+      "  --workers N           service worker threads; 0 = auto (default)\n"
       "  --max-live-jobs N     global admission bound; 0 = unbounded\n"
       "  --max-live-jobs-per-tenant N   per-tenant bound; 0 = unbounded\n"
       "  --step-slots N        cap on step slices running at once; 0 = none\n"
-      "  --round-quantum N     executions per standalone step slice (the\n"
+      "  --round-quantum N     executions per step slice (the\n"
       "                        progress, cancel and fair-share granularity)\n"
-      "  --metrics-interval-ms N   stderr metrics line cadence; 0 = never\n",
+      "  --metrics-interval-ms N   stderr metrics line cadence; 0 = never\n"
+      "Every numeric flag takes a whole number from 0 up to its field's\n"
+      "range (--port: 65535); anything else is refused, never wrapped.\n",
       argv0);
 }
 
-bool ParseInt(const char* s, long* out) {
+/// Parses a whole decimal number in [0, max].
+bool ParseCount(const char* s, long max, long* out) {
   char* end = nullptr;
+  errno = 0;
   long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  if (end == s || *end != '\0' || errno == ERANGE || v < 0 || v > max) {
+    return false;
+  }
   *out = v;
   return true;
 }
@@ -61,14 +69,19 @@ int main(int argc, char** argv) {
       return 2;
     }
     const char* value = argv[++i];
-    long n = 0;
     if (flag == "--host") {
       options.host = value;
       continue;
     }
-    if (!ParseInt(value, &n)) {
-      std::fprintf(stderr, "mufuzzd: %s wants an integer, got \"%s\"\n",
-                   flag.c_str(), value);
+    // The admission bounds are size_t fields, every other flag an int one.
+    const bool is_bound =
+        flag == "--max-live-jobs" || flag == "--max-live-jobs-per-tenant";
+    const long max = flag == "--port" ? 65535 : is_bound ? LONG_MAX : INT_MAX;
+    long n = 0;
+    if (!ParseCount(value, max, &n)) {
+      std::fprintf(stderr,
+                   "mufuzzd: %s wants an integer in [0, %ld], got \"%s\"\n",
+                   flag.c_str(), max, value);
       return 2;
     }
     if (flag == "--port") {

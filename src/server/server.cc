@@ -35,6 +35,11 @@ MufuzzServer::MufuzzServer(ServerOptions options)
 MufuzzServer::~MufuzzServer() { Stop(); }
 
 Status MufuzzServer::Start() {
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("listen port " +
+                                   std::to_string(options_.port) +
+                                   " is outside 0-65535");
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(options_.port));

@@ -52,8 +52,9 @@ class MufuzzServer {
   MufuzzServer(const MufuzzServer&) = delete;
   MufuzzServer& operator=(const MufuzzServer&) = delete;
 
-  /// Binds, listens, and starts the accept thread. InvalidArgument on an
-  /// unparsable host, ExecutionError when bind/listen fails (port in use).
+  /// Binds, listens, and starts the accept thread. InvalidArgument on a
+  /// port outside 0-65535 or an unparsable host, ExecutionError when
+  /// bind/listen fails (port in use).
   Status Start();
 
   /// Stops accepting, disconnects every client, cancels live jobs, joins.

@@ -106,40 +106,6 @@ TEST(FuzzServiceValidationTest, RejectsNonPositiveJobBaseEnergy) {
   }
 }
 
-TEST(FuzzServiceValidationTest, RejectsNegativeMigrationTopK) {
-  ServiceOptions options;
-  options.exchange_interval = 40;
-  options.migration_top_k = -2;
-  FuzzService service(options);
-  Result<GroupTicket> group = service.SubmitIslandGroup(
-      {MakeJob("a", corpus::CrowdsaleExample().source, 1, 50),
-       MakeJob("b", corpus::CrowdsaleExample().source, 2, 50)});
-  ASSERT_FALSE(group.ok());
-  EXPECT_EQ(group.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(group.status().message().find("migration_top_k"),
-            std::string::npos);
-}
-
-TEST(FuzzServiceValidationTest, RejectsIslandGroupWithoutExchangeInterval) {
-  FuzzService service;  // default exchange_interval == 0
-  Result<GroupTicket> group = service.SubmitIslandGroup(
-      {MakeJob("a", corpus::CrowdsaleExample().source, 1, 50),
-       MakeJob("b", corpus::CrowdsaleExample().source, 2, 50)});
-  ASSERT_FALSE(group.ok());
-  EXPECT_EQ(group.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(group.status().message().find("exchange_interval"),
-            std::string::npos);
-}
-
-TEST(FuzzServiceValidationTest, RejectsEmptyIslandGroup) {
-  ServiceOptions options;
-  options.exchange_interval = 40;
-  FuzzService service(options);
-  Result<GroupTicket> group = service.SubmitIslandGroup({});
-  ASSERT_FALSE(group.ok());
-  EXPECT_EQ(group.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(FuzzServiceValidationTest, RejectedSubmissionAdmitsNothing) {
   FuzzService service;
   FuzzJob job = MakeJob("bad", corpus::CrowdsaleExample().source, 1, 50);
@@ -507,188 +473,6 @@ TEST(FuzzServiceRetentionTest, CancelBeforeStartAnswersIdenticallyOnceDone) {
   EXPECT_FALSE(outcome.result.has_value());
   EXPECT_EQ(outcome.error, "cancelled before the campaign started");
   EXPECT_TRUE(service.Poll(ticket.value()).cancelled);
-}
-
-TEST(FuzzServiceRetentionTest, IslandGroupAnswersIdenticallyOnceDone) {
-  ServiceOptions options;
-  options.workers = 2;
-  options.exchange_interval = 30;
-  FuzzService service(options);
-  // The middle member fails to compile and drops out of the archipelago.
-  std::vector<FuzzJob> members = {
-      MakeJob("isle#0", corpus::CrowdsaleExample().source, 11, 150),
-      MakeJob("isle#bad", kUncompilable, 12, 150),
-      MakeJob("isle#1", corpus::CrowdsaleExample().source, 13, 150)};
-  Result<GroupTicket> group = service.SubmitIslandGroup(members);
-  ASSERT_TRUE(group.ok());
-  ASSERT_EQ(group.value().members.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    JobOutcome outcome =
-        ExpectStableOnceDone(&service, group.value().members[i]);
-    if (i == 1) {
-      EXPECT_FALSE(outcome.result.has_value());
-      EXPECT_FALSE(outcome.error.empty());
-    } else {
-      ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
-      EXPECT_EQ(outcome.result->island_id, i == 0 ? 0 : 1);
-      EXPECT_GE(outcome.result->executions, 150u);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: cancelled island members must not corrupt their group.
-// ---------------------------------------------------------------------------
-
-TEST(FuzzServiceIslandTest, CancelledMemberDoesNotCorruptGroupMigration) {
-  ServiceOptions options;
-  options.workers = 2;
-  options.exchange_interval = 30;
-  options.migration_top_k = 2;
-  FuzzService service(options);
-
-  std::vector<FuzzJob> members;
-  for (int i = 0; i < 3; ++i) {
-    members.push_back(MakeJob("island#" + std::to_string(i),
-                              corpus::CrowdsaleExample().source, 1 + i, 600));
-  }
-  Result<GroupTicket> group = service.SubmitIslandGroup(members);
-  ASSERT_TRUE(group.ok());
-  ASSERT_EQ(group.value().members.size(), 3u);
-
-  // Cancel member 0 once the group is actually exchanging.
-  for (;;) {
-    JobProgress progress = service.Poll(group.value().members[0]);
-    if (progress.round_index >= 2 || progress.state == JobState::kDone) break;
-    std::this_thread::yield();
-  }
-  service.Cancel(group.value().members[0]);
-
-  JobOutcome cancelled = service.Wait(group.value().members[0]);
-  ASSERT_TRUE(cancelled.result.has_value());
-  EXPECT_EQ(cancelled.result->island_id, 0);
-
-  // The survivors run to completion, keep deterministic dense island ids,
-  // and kept exchanging seeds (the cancelled member's queue stays in the
-  // archipelago, like a member that exhausted its budget).
-  uint64_t exported = 0;
-  for (size_t i = 1; i < 3; ++i) {
-    JobOutcome outcome = service.Wait(group.value().members[i]);
-    ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
-    EXPECT_FALSE(outcome.result->cancelled);
-    EXPECT_EQ(outcome.result->island_id, static_cast<int>(i));
-    EXPECT_GE(outcome.result->executions, 600u) << "survivor stopped early";
-    exported += outcome.result->queue_stats.exported;
-  }
-  EXPECT_GT(exported, 0u) << "survivors stopped exchanging";
-}
-
-TEST(FuzzServiceIslandTest, GroupsMatchAcrossSubmissionPatterns) {
-  // An island group with a standalone job beside it: submitting both before
-  // waiting, and submitting each only after the previous one finished,
-  // give identical per-job results at 1 and 4 workers.
-  std::vector<FuzzJob> members;
-  for (int i = 0; i < 3; ++i) {
-    members.push_back(MakeJob("isl#" + std::to_string(i),
-                              corpus::GameExample().source, 20 + i, 200));
-  }
-  FuzzJob solo = MakeJob("solo", corpus::CrowdsaleExample().source, 9, 150);
-
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    ServiceOptions options;
-    options.workers = workers;
-    options.exchange_interval = 40;
-
-    FuzzService all_at_once(options);
-    Result<GroupTicket> group = all_at_once.SubmitIslandGroup(members);
-    ASSERT_TRUE(group.ok());
-    Result<JobTicket> solo_ticket = all_at_once.Submit(solo);
-    ASSERT_TRUE(solo_ticket.ok());
-    std::vector<JobOutcome> batch = all_at_once.WaitAll();
-
-    FuzzService one_at_a_time(options);
-    Result<JobTicket> solo_first = one_at_a_time.Submit(solo);
-    ASSERT_TRUE(solo_first.ok());
-    JobOutcome solo_outcome = one_at_a_time.Wait(solo_first.value());
-    Result<GroupTicket> group_after = one_at_a_time.SubmitIslandGroup(members);
-    ASSERT_TRUE(group_after.ok());
-
-    ASSERT_EQ(batch.size(), members.size() + 1);
-    for (size_t i = 0; i < members.size(); ++i) {
-      JobOutcome outcome =
-          one_at_a_time.Wait(group_after.value().members[i]);
-      ASSERT_TRUE(batch[i].result.has_value()) << batch[i].error;
-      ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
-      EXPECT_EQ(*batch[i].result, *outcome.result) << members[i].name;
-      EXPECT_EQ(outcome.result->island_id, static_cast<int>(i));
-    }
-    ASSERT_TRUE(batch.back().result.has_value()) << batch.back().error;
-    ASSERT_TRUE(solo_outcome.result.has_value()) << solo_outcome.error;
-    EXPECT_EQ(*batch.back().result, *solo_outcome.result);
-  }
-}
-
-TEST(FuzzServiceIslandTest, CancelGroupFinishesEveryMember) {
-  ServiceOptions options;
-  options.workers = 2;
-  options.exchange_interval = 25;
-  FuzzService service(options);
-  std::vector<FuzzJob> members;
-  for (int i = 0; i < 3; ++i) {
-    members.push_back(MakeJob("g#" + std::to_string(i),
-                              corpus::CrowdsaleExample().source, 40 + i,
-                              1000000));
-  }
-  Result<GroupTicket> group = service.SubmitIslandGroup(members);
-  ASSERT_TRUE(group.ok());
-  service.CancelGroup(group.value());
-  for (JobTicket ticket : group.value().members) {
-    JobOutcome outcome = service.Wait(ticket);
-    if (outcome.result.has_value()) {
-      EXPECT_TRUE(outcome.result->cancelled);
-      EXPECT_LT(outcome.result->executions, 1000000u);
-    } else {
-      // Cancelled before the campaign started.
-      EXPECT_FALSE(outcome.error.empty());
-    }
-    EXPECT_TRUE(service.Poll(ticket).cancelled);
-  }
-}
-
-TEST(FuzzServiceMixedTest, StandaloneStreamAndIslandRoundsInterleave) {
-  // The round scheduler runs standalone slices and island rounds in the
-  // same fan-outs; both kinds must finish and match their isolated runs.
-  ServiceOptions options;
-  options.workers = 2;
-  options.exchange_interval = 40;
-  options.round_quantum = 32;
-  FuzzService service(options);
-
-  FuzzJob solo = MakeJob("solo", corpus::CrowdsaleExample().source, 77, 150);
-  Result<JobTicket> solo_ticket = service.Submit(solo);
-  ASSERT_TRUE(solo_ticket.ok());
-
-  std::vector<FuzzJob> members;
-  for (int i = 0; i < 2; ++i) {
-    members.push_back(MakeJob("mix#" + std::to_string(i),
-                              corpus::GameExample().source, 50 + i, 200));
-  }
-  Result<GroupTicket> group = service.SubmitIslandGroup(members);
-  ASSERT_TRUE(group.ok());
-
-  auto artifact = lang::CompileContract(solo.source);
-  ASSERT_TRUE(artifact.ok());
-  CampaignResult direct = fuzzer::RunCampaign(*artifact, solo.config);
-  JobOutcome solo_outcome = service.Wait(solo_ticket.value());
-  ASSERT_TRUE(solo_outcome.result.has_value());
-  EXPECT_EQ(direct, *solo_outcome.result);
-
-  for (JobTicket ticket : group.value().members) {
-    JobOutcome outcome = service.Wait(ticket);
-    ASSERT_TRUE(outcome.result.has_value());
-    EXPECT_GT(outcome.result->executions, 0u);
-  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Multi-tenant scheduling semantics: admission control (global and
-// per-tenant live-job bounds, island all-or-nothing), deterministic
+// per-tenant live-job bounds), deterministic
 // deficit fair-share ordering, per-job deadlines riding the cancel path,
 // and the metrics counters the STATS plane serves. Tenancy is
 // scheduling-only — the companion determinism assertions (a gated job
@@ -125,37 +125,6 @@ TEST(TenancyTest, GlobalAdmissionBound) {
   auto readmitted = service.Submit(TenantJob("c", 3));
   EXPECT_TRUE(readmitted.ok()) << readmitted.status().ToString();
   service.WaitAll();
-}
-
-TEST(TenancyTest, IslandGroupAdmissionIsAllOrNothing) {
-  ServiceOptions options;
-  options.workers = 2;
-  options.exchange_interval = 30;
-  options.max_live_jobs = 2;
-  options.start_paused = true;
-  FuzzService service(options);
-
-  std::vector<FuzzJob> three;
-  for (int i = 0; i < 3; ++i) three.push_back(TenantJob("isl", 10 + i));
-  auto rejected = service.SubmitIslandGroup(three);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-
-  // Nothing was admitted — a two-member group still fits.
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.live_jobs, 0u);
-  EXPECT_EQ(stats.admitted, 0u);
-  EXPECT_EQ(stats.submitted, 3u);
-
-  std::vector<FuzzJob> two;
-  for (int i = 0; i < 2; ++i) two.push_back(TenantJob("isl", 10 + i));
-  auto group = service.SubmitIslandGroup(two);
-  ASSERT_TRUE(group.ok()) << group.status().ToString();
-  service.Resume();
-  for (JobTicket ticket : group->members) {
-    JobOutcome outcome = service.Wait(ticket);
-    ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
-  }
 }
 
 /// A paused backlog on one worker: once resumed, the slice order is a pure

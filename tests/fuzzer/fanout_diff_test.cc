@@ -7,9 +7,9 @@
 //  2. For any fixed K, results are independent of the FuzzService worker
 //     count (1/2/4): all K in-flight children apply in (parent rank, child
 //     index) order.
-//  3. The same holds through the engine layer: fanned-out job sets, island
-//     archipelagos, streamed jobs at any round quantum, and
-//     streamed-then-cancelled jobs are all bit-for-bit reproducible.
+//  3. The same holds through the engine layer — fanned-out job sets,
+//     streamed jobs at any round quantum, and streamed-then-cancelled jobs
+//     — and through island groups: all bit-for-bit reproducible.
 //  4. A K far past the queue size costs no more than K = the queue bound.
 //
 // CampaignResult::operator== is field-for-field (coverage, curves, bugs,
@@ -152,43 +152,37 @@ TEST(FanoutDiffTest, FanoutBatchIsRunnerWorkerCountIndependent) {
 }
 
 TEST(FanoutDiffTest, FanoutComposesWithIslands) {
-  // Islands × fan-out, diffed across service worker counts: migration
-  // rounds are barriers, so each island's K-parent rounds nest inside its
-  // exchange interval unchanged.
-  std::vector<engine::FuzzJob> jobs;
+  // Islands × fan-out: migration rounds are barriers, so each island's
+  // K-parent rounds nest inside its exchange interval unchanged. The group
+  // run twice, and twice more on two threads at once, agrees bit for bit.
+  auto artifact = lang::CompileContract(corpus::CrowdsaleExample().source);
+  ASSERT_TRUE(artifact.ok());
+  std::vector<CampaignConfig> members(3);
   for (int island = 0; island < 3; ++island) {
-    engine::FuzzJob job;
-    job.name = "crowdsale#" + std::to_string(island);
-    job.source = corpus::CrowdsaleExample().source;
-    job.config.strategy = StrategyConfig::MuFuzz();
-    job.config.seed = 1 + island;
-    job.config.max_executions = 150;
-    job.config.fanout = 4;
-    jobs.push_back(std::move(job));
+    members[island].strategy = StrategyConfig::MuFuzz();
+    members[island].seed = 1 + island;
+    members[island].max_executions = 150;
+    members[island].fanout = 4;
   }
-  auto run = [&](int workers) {
-    engine::ServiceOptions options;
-    options.workers = workers;
-    options.exchange_interval = 40;
-    engine::FuzzService service(options);
-    Result<engine::GroupTicket> group = service.SubmitIslandGroup(jobs);
-    EXPECT_TRUE(group.ok()) << group.status().ToString();
-    std::vector<engine::JobOutcome> outcomes;
-    if (!group.ok()) return outcomes;
-    for (engine::JobTicket ticket : group.value().members) {
-      outcomes.push_back(service.Wait(ticket));
+  auto run = [&] { return RunIslandGroup(*artifact, members, 40); };
+  std::vector<CampaignResult> first = run();
+  std::vector<CampaignResult> second = run();
+  std::vector<CampaignResult> concurrent;
+  std::thread other([&] { concurrent = run(); });
+  std::vector<CampaignResult> beside = run();
+  other.join();
+
+  ASSERT_EQ(first.size(), members.size());
+  for (const std::vector<CampaignResult>* again :
+       {&second, &concurrent, &beside}) {
+    ASSERT_EQ(again->size(), members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      EXPECT_EQ(first[i], (*again)[i]) << "island " << i;
     }
-    return outcomes;
-  };
-  std::vector<engine::JobOutcome> w1 = run(1);
-  std::vector<engine::JobOutcome> w4 = run(4);
-  ASSERT_EQ(w1.size(), jobs.size());
-  ASSERT_EQ(w4.size(), jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(w1[i].result.has_value()) << w1[i].name;
-    ASSERT_TRUE(w4[i].result.has_value()) << w4[i].name;
-    EXPECT_EQ(*w1[i].result, *w4[i].result) << jobs[i].name;
-    EXPECT_EQ(w1[i].result->island_id, static_cast<int>(i));
+  }
+  for (size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(first[i].island_id, static_cast<int>(i));
+    EXPECT_GE(first[i].executions, 150u);
   }
 }
 

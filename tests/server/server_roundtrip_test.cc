@@ -239,6 +239,21 @@ TEST_F(ServerRoundTripTest, InProcessAndWireTicketsShareOneService) {
   EXPECT_EQ(outcome->name, "native");
 }
 
+TEST(ServerStartTest, PortOutsideSixteenBitsIsRefused) {
+  // htons would truncate these (70000 to 4464, -1 to 65535) and bind a
+  // port nobody asked for.
+  for (int port : {70000, 65536, -1}) {
+    ServerOptions options;
+    options.port = port;
+    options.service.workers = 1;
+    MufuzzServer server(options);
+    Status status = server.Start();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "port " << port;
+    EXPECT_NE(status.message().find(std::to_string(port)), std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST_F(ServerRoundTripTest, SequentialConnectionsLeaveNoHandlerThreads) {
   // Every connection gets a handler thread; one that ended must be joined
   // (not kept until Stop), or each connection ever opened pins a stack.
